@@ -1,10 +1,10 @@
 """pi_3 bookkeeping and the rational homology sphere classification.
 
 pi_3 of a quotient G/H is the cokernel of the net Dynkin index matrix of
-the action.  Combining the degree ledger with the exact freeness decision
-classifies all quotients that are simply connected rational homology
-spheres: besides the homogeneous families, exactly one exotic pair on
-Sp(4) and one on G2 survive.
+the action.  Combining the catalog's degree columns with the exact
+freeness decision classifies all quotients that are simply connected
+rational homology spheres: besides the homogeneous families, exactly one
+exotic pair on Sp(4) and one on G2 survive.
 """
 
 from biquot import SU, Sp, G2, pi3_cokernel

@@ -10,12 +10,12 @@ from .groups import (
     UnsupportedGroupError,
 )
 from .lattices import LatticeSubgroup, hnf, smith_normal_form, \
-    invariant_factors, lattice_contains
+    invariant_factors
 from .polyring import GradedPolyRing, Poly
 from .weights import (
     TorusLattice, WeightRep, circle_rep, su2_irrep, su2_rep, standard_rep,
     spin_rep, rep_sum, rep_tensor, rep_dual, realify, complexify,
-    rep_combinators, restrict_coords, restrict_circle, clebsch_gordan,
+    restrict_coords, restrict_circle, clebsch_gordan,
     dynkin_index, dynkin_index_of_hom, catalog_dynkin_index, su2_homs,
     g2_su2_class, chern_pullback, euler_class,
 )

@@ -1,12 +1,10 @@
-"""Degree-ledger bookkeeping and classification searches.
+"""Classification searches over catalog degree data.
 
-A presentation sketch records simple factors of G and H with the conjugacy
-class of each action edge (a catalog entry, an explicit SU(2) weight class,
-an isomorphism, or a transpose twist).  The ledger tracks which degrees of
-G survive into the quotient (odd rational homotopy) and which degrees of H
-go unused (even rational homotopy); a rational homology sphere needs
-exactly one surviving degree, with at most one unused degree d paired as
-added = {2d}.
+Each homogeneous catalog row carries the degrees its quotient adds (degrees
+of G that survive: odd rational homotopy) and removes (degrees of H left
+unused: even rational homotopy).  A rational homology sphere needs exactly
+one added degree, with at most one removed degree d paired as added = {2d};
+rhs_search reads those columns directly.
 
 The searches enumerate the candidate structures the degree bounds allow:
 homogeneous catalog pairs, two-sided SU(2) actions on the rank-2 groups,
@@ -20,314 +18,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .groups import (SimpleGroupId, SU, Sp, G2, CatalogEntry,
-                     degrees_of, group_dimension, max_degree, profile,
-                     catalog_rules)
+from .groups import (SimpleGroupId, SU, Sp, G2, group_dimension, max_degree,
+                     profile, catalog_rules)
 from .weights import su2_homs, dynkin_index
 from .freeness import GroupFactor, TwoSidedAction, is_free
 from .cohomology import pi3_cokernel, chi_pi, FiniteAbelianGroup
-
-
-@dataclass(frozen=True)
-class HomEdge:
-    """Action of H-factor h on G-factor g from one side.
-
-    kind 'iso' is an isomorphism onto the factor; 'catalog' carries a
-    CatalogEntry; 'su2' carries the composed weight class of an SU(2)
-    factor; 'transpose' is the outer twist g -> (g^t)^-1 paired with an
-    identity on the other side.
-    """
-
-    h: int
-    g: int
-    side: str
-    kind: str
-    entry: CatalogEntry = None
-    rep: object = None
-    index_value: int = None
-
-    def __post_init__(self):
-        if self.side not in ("L", "R"):
-            raise ValueError("side must be 'L' or 'R'")
-        if self.kind not in ("iso", "catalog", "su2", "transpose"):
-            raise ValueError("unknown edge kind %r" % (self.kind,))
-        if self.kind == "su2" and self.index_value is None:
-            raise ValueError("su2 edges carry their Dynkin index explicitly")
-
-    def index(self):
-        """Dynkin index of the edge homomorphism."""
-        if self.kind in ("iso", "transpose"):
-            return 1
-        if self.kind == "catalog":
-            return self.entry.dynkin_index
-        return self.index_value
-
-
-@dataclass(frozen=True)
-class PresentationSketch:
-    g_factors: tuple
-    h_factors: tuple  # SimpleGroupId entries or the string 'circle'
-    edges: tuple
-
-    def __post_init__(self):
-        for e in self.edges:
-            if not (0 <= e.g < len(self.g_factors)):
-                raise ValueError("edge references missing G factor")
-            if not (0 <= e.h < len(self.h_factors)):
-                raise ValueError("edge references missing H factor")
-
-    def edges_on_g(self, j):
-        return [e for e in self.edges if e.g == j]
-
-    def edges_of_h(self, i):
-        return [e for e in self.edges if e.h == i]
-
-    def describe(self):
-        g = " x ".join(x.name for x in self.g_factors)
-        h = " x ".join(x.name if isinstance(x, SimpleGroupId) else x
-                       for x in self.h_factors) or "1"
-        return "(%s)/(%s)" % (g, h)
-
-
-# ---------------------------------------------------------------------------
-# Presentation normalization
-# ---------------------------------------------------------------------------
-
-
-def _kill_degrees(entry_or_kind, g):
-    """Degrees of the G-factor killed by one edge (multiset)."""
-    degs = Counter(degrees_of(g))
-    if isinstance(entry_or_kind, CatalogEntry):
-        degs.subtract(Counter(entry_or_kind.degrees_added))
-        return +degs
-    return degs  # iso kills everything
-
-
-def normalize_presentation(sketch):
-    """Delete G-factors acted on transitively, rewiring through stabilizers.
-
-    A one-sided isomorphism edge is consumed exactly: the stabilizer of a
-    point identifies the acting H-factor with whatever acts on the other
-    side, so that factor's other edges pass through unchanged and opposite
-    edges transfer to their owners.  Non-isomorphism transitivity (the
-    union of edges killing every degree of the factor) is detected and
-    flagged, but the stabilizer is not computed.  Returns (sketch, trace).
-    """
-    trace = []
-    while True:
-        fired = False
-        for j in range(len(sketch.g_factors)):
-            on_j = sketch.edges_on_g(j)
-            iso = next((e for e in on_j
-                        if e.kind == "iso"
-                        and sketch.h_factors[e.h] == sketch.g_factors[j]
-                        and all(o is e for o in sketch.edges_of_h(e.h)
-                                if o.g == j and o.side == e.side)), None)
-            if iso is None:
-                continue
-            sketch = _consume_iso(sketch, j, iso, trace)
-            fired = True
-            break
-        if not fired:
-            break
-    for j in range(len(sketch.g_factors)):
-        killed = Counter()
-        for e in sketch.edges_on_g(j):
-            if e.kind == "iso":
-                killed |= Counter(degrees_of(sketch.g_factors[j]))
-            elif e.kind == "catalog":
-                killed |= _kill_degrees(e.entry, sketch.g_factors[j])
-        if killed == Counter(degrees_of(sketch.g_factors[j])):
-            trace.append("warning: H acts transitively on factor %s "
-                         "(all degrees killed); stabilizer rewrite not "
-                         "catalogued" % sketch.g_factors[j].name)
-    return sketch, trace
-
-
-def _consume_iso(sketch, j, iso, trace):
-    """Apply the stabilizer rewrite for an isomorphism edge onto factor j."""
-    opposite = [e for e in sketch.edges_on_g(j) if e.h != iso.h]
-    own_other = [e for e in sketch.edges_of_h(iso.h) if e.g != j]
-    new_edges = []
-    for e in sketch.edges:
-        if e.g == j or e.h == iso.h:
-            continue
-        new_edges.append(e)
-    # the stabilizer identifies iso.h with the opposite-side actors: their
-    # homomorphisms replace iso.h wherever it acted elsewhere
-    for other in own_other:
-        for opp in opposite:
-            if opp.kind == "iso":
-                new_edges.append(HomEdge(opp.h, other.g, other.side,
-                                         other.kind, other.entry, other.rep))
-            elif other.kind == "iso":
-                new_edges.append(HomEdge(opp.h, other.g, other.side,
-                                         opp.kind, opp.entry, opp.rep))
-            else:
-                trace.append("warning: unresolvable composite action on "
-                             "factor %d left in place" % other.g)
-                new_edges.append(other)
-    trace.append("removed factor %s (transitive action of factor %s)"
-                 % (sketch.g_factors[j].name, _h_name(sketch, iso.h)))
-    g_factors = tuple(x for k, x in enumerate(sketch.g_factors) if k != j)
-    h_factors = tuple(x for k, x in enumerate(sketch.h_factors) if k != iso.h)
-
-    def remap_g(k):
-        return k - 1 if k > j else k
-
-    def remap_h(k):
-        return k - 1 if k > iso.h else k
-
-    edges = tuple(HomEdge(remap_h(e.h), remap_g(e.g), e.side, e.kind,
-                          e.entry, e.rep) for e in new_edges)
-    return PresentationSketch(g_factors, h_factors, edges)
-
-
-def _h_name(sketch, i):
-    x = sketch.h_factors[i]
-    return x.name if isinstance(x, SimpleGroupId) else x
-
-
-# ---------------------------------------------------------------------------
-# Degree ledger
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DegreeLedger:
-    added: tuple
-    removed: tuple
-    net: tuple          # sorted (degree, multiplicity) pairs, zeros dropped
-    pi3: FiniteAbelianGroup
-    flags: tuple
-
-    def net_dict(self):
-        return dict(self.net)
-
-    def to_obj(self):
-        return {"added": list(self.added), "removed": list(self.removed),
-                "net": [list(x) for x in self.net], "pi3": str(self.pi3),
-                "flags": list(self.flags)}
-
-
-def ledger(sketch):
-    """Degree bookkeeping for a normalized presentation.
-
-    Returns the multisets of degrees contributed to the quotient (added)
-    and of H-degrees left unused (removed), the signed net, and pi_3 from
-    the matrix of net Dynkin indices; the degree-2 count is cross-checked
-    against the free rank of that cokernel.
-    """
-    added = Counter()
-    removed = Counter()
-    flags = []
-    nh = len(sketch.h_factors)
-    ng = len(sketch.g_factors)
-    simple_h = [i for i in range(nh)
-                if isinstance(sketch.h_factors[i], SimpleGroupId)]
-    pi3_matrix = [[0] * ng for _ in simple_h]
-    row_of = {h: r for r, h in enumerate(simple_h)}
-
-    for j, g in enumerate(sketch.g_factors):
-        on_j = sketch.edges_on_g(j)
-        if not on_j:
-            added.update(degrees_of(g))
-            continue
-        by_h = {}
-        for e in on_j:
-            by_h.setdefault(e.h, []).append(e)
-        if len(by_h) == 1:
-            (hi, es), = by_h.items()
-            if len(es) == 1:
-                e = es[0]
-                if e.kind == "catalog":
-                    added.update(e.entry.degrees_added)
-                    removed.update(e.entry.degrees_removed)
-                elif e.kind == "su2":
-                    degs = Counter(degrees_of(g))
-                    degs[2] -= 1
-                    added.update(+degs)
-                elif e.kind == "iso":
-                    flags.append("factor %d: one-sided isomorphism should "
-                                 "have been normalized away" % j)
-                else:
-                    flags.append("factor %d: transpose edge without its "
-                                 "identity partner" % j)
-                _add_pi3(pi3_matrix, row_of, e, j)
-                continue
-            if len(es) == 2 and {e.side for e in es} == {"L", "R"}:
-                kinds = {e.kind for e in es}
-                if kinds == {"su2"}:
-                    if g.rank != 2:
-                        flags.append("factor %d: two-sided SU(2) ledger "
-                                     "rule needs a rank-2 factor" % j)
-                    added[max_degree(g)] += 1
-                    il = next(e.index() for e in es if e.side == "L")
-                    ir = next(e.index() for e in es if e.side == "R")
-                    if il == ir:
-                        added[2] += 1
-                    for e in es:
-                        _add_pi3(pi3_matrix, row_of, e, j)
-                    continue
-                if kinds <= {"iso", "transpose"}:
-                    evens = [d for d in degrees_of(g) if d % 2 == 0]
-                    added.update(evens)
-                    removed.update(evens)
-                    continue
-        # several H-factors: combine killed degrees conservatively
-        killed = Counter()
-        for e in on_j:
-            if e.kind == "catalog":
-                killed |= _kill_degrees(e.entry, g)
-            elif e.kind == "iso":
-                killed |= Counter(degrees_of(g))
-            elif e.kind == "su2":
-                killed |= Counter({2: 1})
-            _add_pi3(pi3_matrix, row_of, e, j)
-            if e.kind == "catalog":
-                removed.update(e.entry.degrees_removed)
-        surviving = Counter(degrees_of(g))
-        surviving.subtract(killed)
-        neg = {d: m for d, m in surviving.items() if m < 0}
-        if neg:
-            flags.append("factor %d: killed degrees exceed available "
-                         "degrees at %s" % (j, sorted(neg)))
-        added.update(+surviving)
-        flags.append("factor %d: multi-factor overlap resolved by "
-                     "multiset union of killed degrees" % j)
-
-    for i in range(nh):
-        if isinstance(sketch.h_factors[i], SimpleGroupId) \
-                and not sketch.edges_of_h(i):
-            removed.update(degrees_of(sketch.h_factors[i]))
-
-    pi3 = pi3_cokernel(pi3_matrix, cols=ng) if simple_h else \
-        pi3_cokernel([], cols=ng)
-    if added.get(2, 0) != pi3.free_rank:
-        flags.append("degree-2 count %d disagrees with pi3 free rank %d"
-                     % (added.get(2, 0), pi3.free_rank))
-    net = Counter(added)
-    net.subtract(removed)
-    for d, m in net.items():
-        if m < 0 and removed[d] < abs(m):
-            flags.append("negative net multiplicity at degree %d" % d)
-    return DegreeLedger(
-        added=tuple(sorted(added.elements())),
-        removed=tuple(sorted(removed.elements())),
-        net=tuple(sorted((d, m) for d, m in net.items() if m)),
-        pi3=pi3,
-        flags=tuple(flags),
-    )
-
-
-def _add_pi3(matrix, row_of, edge, j):
-    if edge.h not in row_of:
-        return
-    r = row_of[edge.h]
-    if edge.kind == "transpose":
-        return  # identity and transpose have equal index in degree 2
-    sign = 1 if edge.side == "L" else -1
-    matrix[r][j] += sign * edge.index()
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +271,6 @@ def _rhs_profile_ok(added, removed):
     return len(removed) == 1 and added[0] == 2 * removed[0]
 
 
-_KNOWN_QUOTIENT_LABELS = {
-    "Berger^7": "Berger^7",
-    "Wu^5": "Wu^5",
-    "CaP^2": "CaP^2",
-}
-
-
 def _entry_label(entry):
     if entry.quotient_name:
         return entry.quotient_name
@@ -613,30 +301,22 @@ def rhs_search(max_dim):
 
     # homogeneous pairs
     for rule in catalog_rules():
-        ns = [0] if rule.max_n == 0 else None
         n = rule.min_n
         while True:
-            if ns is not None:
-                entry = rule.instantiate(0)
-            else:
-                entry = rule.instantiate(n)
+            entry = rule.instantiate(n)
             dim = entry.dimension_of_quotient()
             if dim > max_dim:
-                if ns is not None:
-                    break
-                else:
-                    break
+                break
             if dim >= 3 and _rhs_profile_ok(entry.degrees_added,
                                             entry.degrees_removed):
-                sign = 1
-                pi3 = pi3_cokernel([[sign * entry.dynkin_index]])
+                pi3 = pi3_cokernel([[entry.dynkin_index]])
                 entries.append(RHSEntry(
                     _entry_label(entry),
                     "%s/%s via %s" % (entry.g.name, entry.h.name,
                                       entry.hom_descriptor),
                     dim, pi3, entry.degrees_added, entry.degrees_removed,
                     True))
-            if ns is not None:
+            if n == rule.max_n:
                 break
             n += 1
 

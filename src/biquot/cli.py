@@ -71,7 +71,6 @@ def cmd_catalog(args):
     obj = {"degrees": {}, "pairs": [e.to_obj() for e in entries]}
     lines = ["degrees:"]
     for fam, lo in (("A", 1), ("B", 3), ("C", 2), ("D", 4)):
-        row = []
         for l in range(lo, 9):
             gid = parse_group("%s%d" % (fam, l))
             obj["degrees"][str(gid)] = list(degrees_of(gid))

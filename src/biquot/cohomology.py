@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import prod
 
 from .lattices import smith_normal_form
-from .polyring import GradedPolyRing, Poly, groebner_basis, reduce_poly
+from .polyring import (GradedPolyRing, Poly, _buchberger, groebner_basis,
+                       reduce_poly)
 
 
 def classifying_ring(kinds, names=None):
@@ -76,9 +77,6 @@ class GradedQuotient:
     def reduce(self, p):
         """Canonical normal form modulo the relation ideal."""
         return reduce_poly(p, list(self.gb))
-
-    def is_zero_in_quotient(self, p):
-        return self.reduce(p).is_zero()
 
     def monomial_basis(self, max_degree):
         """Normal-form monomials (exponent tuples) up to the graded degree."""
@@ -261,11 +259,14 @@ def ideal_identities(quotient, lhs, rhs):
     if diff.is_zero():
         return IdentityCertificate(True, tuple(
             quotient.ring.zero() for _ in quotient.relations), True)
-    gb, certs = _groebner_with_certs(list(quotient.relations))
+    n = len(quotient.relations)
+    gb = list(quotient.relations)
+    certs = [[quotient.ring.one() if j == i else quotient.ring.zero()
+              for j in range(n)] for i in range(n)]
+    _buchberger(gb, certs)
     rem, quots = reduce_poly(diff, gb, with_quotients=True)
     if not rem.is_zero():
         return IdentityCertificate(False)
-    n = len(quotient.relations)
     cof = [quotient.ring.zero() for _ in range(n)]
     for q, cert in zip(quots, certs):
         for i in range(n):
@@ -279,62 +280,6 @@ def ideal_identities(quotient, lhs, rhs):
     cof = tuple(c.map_coeffs(lambda v: int(v)) if c.is_integral() else c
                 for c in cof)
     return IdentityCertificate(True, cof, integral)
-
-
-def _groebner_with_certs(relations):
-    """Buchberger with membership certificates against the input relations."""
-    from .polyring import _spoly, _monomial_mul  # shared conventions
-
-    ring = relations[0].ring
-    n = len(relations)
-    basis = []
-    for i, r in enumerate(relations):
-        cert = [ring.one() if j == i else ring.zero() for j in range(n)]
-        basis.append((r, cert))
-
-    def tracked_reduce(p, cert):
-        rem = ring.zero()
-        work = p
-        while not work.is_zero():
-            m = work.leading_monomial()
-            c = work.terms[m]
-            hit = None
-            for b, bc in basis:
-                lm = b.leading_monomial()
-                if all(a <= x for a, x in zip(lm, m)):
-                    hit = (b, bc, lm)
-                    break
-            if hit is None:
-                rem = rem + Poly(ring, {m: c})
-                work = work - Poly(ring, {m: c})
-                continue
-            b, bc, lm = hit
-            factor = Poly(ring, {tuple(x - a for a, x in zip(lm, m)):
-                                 Fraction(c, 1) / b.leading_coeff()})
-            work = work - factor * b
-            cert = [ci - factor * bi for ci, bi in zip(cert, bc)]
-        return rem, cert
-
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    while pairs:
-        i, j = pairs.pop()
-        f, ful = basis[i]
-        g, gul = basis[j]
-        mf, mg = f.leading_monomial(), g.leading_monomial()
-        if _monomial_mul(mf, mg) == tuple(max(a, b) for a, b in zip(mf, mg)):
-            continue
-        lcm = tuple(max(a, b) for a, b in zip(mf, mg))
-        tf = Poly(ring, {tuple(x - a for a, x in zip(mf, lcm)):
-                         Fraction(1, 1) / f.leading_coeff()})
-        tg = Poly(ring, {tuple(x - a for a, x in zip(mg, lcm)):
-                         Fraction(1, 1) / g.leading_coeff()})
-        s = tf * f - tg * g
-        scert = [tf * a - tg * b for a, b in zip(ful, gul)]
-        rem, cert = tracked_reduce(s, scert)
-        if not rem.is_zero():
-            basis.append((rem, cert))
-            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
-    return [b for b, _ in basis], [c for _, c in basis]
 
 
 # ---------------------------------------------------------------------------

@@ -117,15 +117,31 @@ class TwoSidedAction:
         return obj
 
 
+def _weights_from_obj(ws, rank):
+    """A non-empty list of integer weight vectors, each of length rank."""
+    if not isinstance(ws, (list, tuple)) or not ws:
+        raise ValueError("weights must be a non-empty list")
+    for w in ws:
+        if not isinstance(w, (list, tuple)) or len(w) != rank:
+            raise ValueError("weight %r is not a vector of length %d"
+                             % (w, rank))
+        # bool is an int subclass; JSON true/false are not weights
+        if not all(isinstance(x, int) and not isinstance(x, bool)
+                   for x in w):
+            raise ValueError("weight %r has a non-integer entry" % (w,))
+    return tuple(map(tuple, ws))
+
+
 def action_from_obj(obj):
+    rank = int(obj["rank"])
     factors = []
     for f in obj["factors"]:
         if f["type"] == "group":
-            factors.append(GroupFactor(tuple(map(tuple, f["left"])),
-                                       tuple(map(tuple, f["right"])),
+            factors.append(GroupFactor(_weights_from_obj(f["left"], rank),
+                                       _weights_from_obj(f["right"], rank),
                                        bool(f.get("d_family", False))))
         elif f["type"] == "sphere":
-            factors.append(SphereFactor(tuple(map(tuple, f["weights"])),
+            factors.append(SphereFactor(_weights_from_obj(f["weights"], rank),
                                         bool(f.get("trivial_summand", False))))
         else:
             raise ValueError("unknown factor type %r" % (f["type"],))
@@ -133,7 +149,7 @@ def action_from_obj(obj):
     if obj.get("trivial_lattice"):
         t = obj["trivial_lattice"]
         trivial = LatticeSubgroup.from_rows(t["rank"], t["generators"])
-    return TwoSidedAction(int(obj["rank"]), tuple(factors), trivial)
+    return TwoSidedAction(rank, tuple(factors), trivial)
 
 
 @dataclass(frozen=True)

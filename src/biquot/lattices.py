@@ -314,8 +314,3 @@ class LatticeSubgroup:
 
     def to_obj(self):
         return {"rank": self.rank, "generators": [list(r) for r in self.basis]}
-
-
-def lattice_contains(outer, inner):
-    """True iff every generator of inner lies in outer (same ambient Z^r)."""
-    return outer.contains(inner)

@@ -303,21 +303,51 @@ def reduce_poly(p, basis, with_quotients=False):
     return rem
 
 
-def _spoly(f, g):
-    ring = f.ring
-    mf, mg = f.leading_monomial(), g.leading_monomial()
-    lcm = tuple(max(a, b) for a, b in zip(mf, mg))
-    tf = Poly(ring, {_monomial_div(lcm, mf): Fraction(1, 1) / f.leading_coeff()})
-    tg = Poly(ring, {_monomial_div(lcm, mg): Fraction(1, 1) / g.leading_coeff()})
-    return tf * f - tg * g
-
-
 def _normalize_int_coeffs(p):
     if all(isinstance(c, int) for c in p.terms.values()):
         return p
     if p.is_integral():
         return p.map_coeffs(lambda c: int(c))
     return p
+
+
+def _buchberger(basis, certs=None):
+    """Buchberger's loop: extend basis (nonzero polynomials) in place to a
+    Groebner basis, not inter-reduced.
+
+    certs, when given, holds one row per basis element: its cofactors
+    against the input relations.  Each element the loop appends gets the
+    row expressing it in the inputs, read off the S-pair terms and the
+    division quotients.
+    """
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    while pairs:
+        i, j = pairs.pop()
+        f, g = basis[i], basis[j]
+        mf, mg = f.leading_monomial(), g.leading_monomial()
+        lcm = tuple(max(a, b) for a, b in zip(mf, mg))
+        # Buchberger's coprimality criterion
+        if _monomial_mul(mf, mg) == lcm:
+            continue
+        tf = Poly(f.ring, {_monomial_div(lcm, mf):
+                           Fraction(1, 1) / f.leading_coeff()})
+        tg = Poly(f.ring, {_monomial_div(lcm, mg):
+                           Fraction(1, 1) / g.leading_coeff()})
+        s = tf * f - tg * g
+        if certs is None:
+            r = reduce_poly(s, basis)
+        else:
+            r, quots = reduce_poly(s, basis, with_quotients=True)
+        if r.is_zero():
+            continue
+        if certs is not None:
+            row = [tf * a - tg * b for a, b in zip(certs[i], certs[j])]
+            for q, qrow in zip(quots, certs):
+                if not q.is_zero():
+                    row = [x - q * y for x, y in zip(row, qrow)]
+            certs.append(row)
+        basis.append(r)
+        pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
 
 
 def groebner_basis(relations):
@@ -327,21 +357,7 @@ def groebner_basis(relations):
     when integral (true for every presentation in scope).
     """
     basis = [p for p in relations if not p.is_zero()]
-    if not basis:
-        return []
-    ring = basis[0].ring
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    while pairs:
-        i, j = pairs.pop()
-        f, g = basis[i], basis[j]
-        mf, mg = f.leading_monomial(), g.leading_monomial()
-        # Buchberger's coprimality criterion
-        if _monomial_mul(mf, mg) == tuple(max(a, b) for a, b in zip(mf, mg)):
-            continue
-        r = reduce_poly(_spoly(f, g), basis)
-        if not r.is_zero():
-            basis.append(r)
-            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
+    _buchberger(basis)
     # inter-reduce
     changed = True
     while changed:

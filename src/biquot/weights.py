@@ -354,21 +354,6 @@ def complexify(a):
                      a.label and "(%s)_C" % a.label)
 
 
-def rep_combinators(a, b=None, mode="sum"):
-    """Dispatcher form: modes sum, tensor, dual, realify, complexify."""
-    if mode == "sum":
-        return rep_sum(a, b)
-    if mode == "tensor":
-        return rep_tensor(a, b)
-    if mode == "dual":
-        return rep_dual(a)
-    if mode == "realify":
-        return realify(a)
-    if mode == "complexify":
-        return complexify(a)
-    raise ValueError("unknown mode %r" % (mode,))
-
-
 def exterior_square(a):
     if a.reality != COMPLEX:
         raise ValueError("exterior_square expects a complex representation")

@@ -1,151 +1,11 @@
 import pytest
 
-from biquot.groups import (SU, Sp, Spin, G2, F4, parse_group, catalog_lookup,
-                           degrees_of, max_degree)
+from biquot.groups import SU, Sp, G2, parse_group, max_degree
 from biquot.classifier import (
-    HomEdge, PresentationSketch, normalize_presentation, ledger,
     rank1_two_sided_search, sp4_su2squared_search, rhs_search,
     rhs_manifold_classes, finiteness_bounds, candidate_g_factors,
 )
 from biquot.refchecks import RHS_EXPECTED_CLASSES
-
-
-def berger_edge(h=0, g=0, side="L"):
-    return HomEdge(h, g, side, "catalog", catalog_lookup(Sp(4), SU(2), "S3V")[0])
-
-
-# -- presentation sketches -------------------------------------------------------
-
-
-def test_edge_validation():
-    with pytest.raises(ValueError):
-        HomEdge(0, 0, "left", "iso")
-    with pytest.raises(ValueError):
-        HomEdge(0, 0, "L", "mystery")
-    with pytest.raises(ValueError):
-        HomEdge(0, 0, "L", "su2")  # su2 edges need an explicit index
-    with pytest.raises(ValueError):
-        PresentationSketch((Sp(4),), (SU(2),), (berger_edge(g=3),))
-
-
-def test_normalize_removes_iso_factor():
-    sk = PresentationSketch((SU(4), Sp(4)), (SU(4), SU(2)),
-                            (HomEdge(0, 0, "L", "iso"), berger_edge(1, 1)))
-    out, trace = normalize_presentation(sk)
-    assert [g.name for g in out.g_factors] == ["Sp(4)"]
-    assert any("removed factor SU(4)" in t for t in trace)
-
-
-def test_normalize_collapses_double_translation_form():
-    # (G x G)/(diagonal G x H) with H acting on the right of both copies
-    # collapses to H acting on both sides of one copy
-    e1 = catalog_lookup(Sp(4), SU(2), "S3V")[0]
-    e2 = catalog_lookup(Sp(4), SU(2), "V+V")[0]
-    sk = PresentationSketch(
-        (Sp(4), Sp(4)), (Sp(4), SU(2)),
-        (HomEdge(0, 0, "L", "iso"), HomEdge(0, 1, "L", "iso"),
-         HomEdge(1, 0, "R", "catalog", e1), HomEdge(1, 1, "R", "catalog", e2)))
-    out, trace = normalize_presentation(sk)
-    assert len(out.g_factors) == 1 and len(out.h_factors) == 1
-    sides = {(e.side, e.entry.hom_descriptor) for e in out.edges}
-    assert sides == {("L", "S3V"), ("R", "V+V")}
-
-
-def test_normalize_flags_joint_transitivity():
-    # Spin(6) with Spin(5) on one side and SU(3) (standard) on the other:
-    # together they kill every degree, so H acts transitively
-    eA = catalog_lookup(SU(4), Sp(4))[0]
-    eB = catalog_lookup(SU(4), SU(3))[0]
-    sk = PresentationSketch((SU(4),), (Sp(4), SU(3)),
-                            (HomEdge(0, 0, "L", "catalog", eA),
-                             HomEdge(1, 0, "R", "catalog", eB)))
-    _, trace = normalize_presentation(sk)
-    assert any("transitively" in t for t in trace)
-
-
-def test_normalize_idempotent():
-    sk = PresentationSketch((SU(4), Sp(4)), (SU(4), SU(2)),
-                            (HomEdge(0, 0, "L", "iso"), berger_edge(1, 1)))
-    once, _ = normalize_presentation(sk)
-    twice, trace2 = normalize_presentation(once)
-    assert twice == once
-    assert not any("removed" in t for t in trace2)
-
-
-# -- ledger -----------------------------------------------------------------------
-
-
-def test_ledger_berger():
-    led = ledger(PresentationSketch((Sp(4),), (SU(2),), (berger_edge(),)))
-    assert led.added == (4,) and led.removed == ()
-    assert str(led.pi3) == "Z/10"
-    assert not led.flags
-
-
-def test_ledger_cap2_profile():
-    e = catalog_lookup(F4, Spin(9))[0]
-    led = ledger(PresentationSketch((F4,), (Spin(9),),
-                                    (HomEdge(0, 0, "L", "catalog", e),)))
-    assert led.net_dict() == {12: 1, 4: -1}
-    assert str(led.pi3) == "0"
-
-
-def test_ledger_transpose_contributes_even_degrees():
-    sk = PresentationSketch((SU(5),), (SU(5),),
-                            (HomEdge(0, 0, "L", "iso"),
-                             HomEdge(0, 0, "R", "transpose")))
-    led = ledger(sk)
-    assert led.added == (2, 4)
-    assert led.removed == (2, 4)
-    assert str(led.pi3) == "Z"
-
-
-def test_ledger_untouched_factors():
-    sk = PresentationSketch((Sp(4), SU(2)), (SU(2),), (berger_edge(),))
-    led = ledger(sk)
-    assert led.added == (2, 4)  # the untouched SU(2) factor keeps degree 2
-    sk2 = PresentationSketch((Sp(4),), (SU(2), SU(3)), (berger_edge(),))
-    led2 = ledger(sk2)
-    assert led2.removed == (2, 3)  # idle SU(3) contributes its degrees
-
-
-def test_ledger_two_sided_su2():
-    sk = PresentationSketch(
-        (G2,), (SU(2),),
-        (HomEdge(0, 0, "L", "su2", index_value=3),
-         HomEdge(0, 0, "R", "su2", index_value=4)))
-    led = ledger(sk)
-    assert led.added == (6,)
-    assert str(led.pi3) == "0"
-    equal = PresentationSketch(
-        (G2,), (SU(2),),
-        (HomEdge(0, 0, "L", "su2", index_value=4),
-         HomEdge(0, 0, "R", "su2", index_value=4)))
-    led2 = ledger(equal)
-    assert led2.added == (2, 6) and str(led2.pi3) == "Z"
-
-
-def test_ledger_matches_catalog_columns_everywhere():
-    from biquot.groups import catalog_rules
-    for rule in catalog_rules():
-        ns = [0] if rule.max_n == 0 else range(rule.min_n, rule.min_n + 2)
-        for n in ns:
-            e = rule.instantiate(n)
-            sk = PresentationSketch((e.g,), (e.h,),
-                                    (HomEdge(0, 0, "L", "catalog", e),))
-            led = ledger(sk)
-            assert led.added == e.degrees_added
-            assert led.removed == e.degrees_removed
-
-
-def test_ledger_degree2_cross_check_flag():
-    # an inconsistent hand-built sketch trips the pi3 cross-check
-    sk = PresentationSketch(
-        (SU(3),), (SU(2), SU(2)),
-        (HomEdge(0, 0, "L", "su2", index_value=1),
-         HomEdge(1, 0, "R", "su2", index_value=1)))
-    led = ledger(sk)
-    assert any("multi-factor" in f for f in led.flags)
 
 
 # -- searches ---------------------------------------------------------------------

@@ -74,6 +74,21 @@ def test_free_check_witness_serialization(capsys):
     assert code == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("factor", [
+    {"type": "group", "left": [[1.5], [0]], "right": [[0], [0]]},
+    {"type": "group", "left": [[1], [-1]], "right": [[True], [0]]},
+    {"type": "group", "left": [], "right": []},
+    {"type": "sphere", "weights": []},
+    {"type": "group", "left": [[1], [0, 1]], "right": [[0], [0]]},
+    {"type": "sphere", "weights": [[1, 2]]},
+])
+def test_free_check_rejects_malformed_weights(capsys, factor):
+    payload = json.dumps({"rank": 1, "factors": [factor]})
+    code, out, err = run_cli(capsys, "free-check", "--json", payload)
+    assert code == EXIT_SCHEMA and out == ""
+    assert err.startswith("input error at factors")
+
+
 def test_cohomology_presets_and_json_input(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "cohomology", "--preset", "cp-sum:4")
     assert code == EXIT_OK and "betti" in out

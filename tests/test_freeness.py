@@ -10,15 +10,15 @@ from biquot.freeness import (
 )
 from biquot.lattices import LatticeSubgroup
 from biquot import constructions as cons
-from biquot.groups import SU, Sp, G2
+from biquot.refchecks import criterion3_actions
+from biquot.groups import SU
 from biquot.weights import su2_rep_from_label
 
 
 def su2_action(left, right):
-    return cons.su2_pair_action(Sp(4), left, right) if False else \
-        TwoSidedAction(1, [GroupFactor(
-            su2_rep_from_label(left).weights,
-            su2_rep_from_label(right).weights)])
+    return TwoSidedAction(1, [GroupFactor(
+        su2_rep_from_label(left).weights,
+        su2_rep_from_label(right).weights)])
 
 
 # -- torus elements -----------------------------------------------------------
@@ -169,37 +169,14 @@ def test_hp_sum_action_free_rank3():
 # -- witness soundness ----------------------------------------------------------
 
 
-def all_criterion_actions():
-    acts = [cons.gromoll_meyer_action(),
-            su2_action("S3V", "V+2C"), su2_action("S3V", "2V"),
-            cons.su2_pair_action(SU(3), "V+C", "S2V"),
-            cons.sp4_su2xsu2_action("block"), cons.sp4_su2xsu2_action("split")]
-    acts += [cons.g2_pair_action(i, j) for i, j in sorted(G2_TABLE)]
-    acts += [cons.torus_squared_sphere_action(n) for n in range(2, 7)]
-    acts += [cons.circle_su2_sphere_action(e) for e in range(1, 4)]
-    return acts
-
-
 def test_witnesses_evaluate_to_fixed_points():
-    for act in all_criterion_actions():
+    for act in criterion3_actions():
         v = is_free(act)
         if v.free:
             continue
         assert has_fixed_point(act, v.witness)
         assert not acts_trivially(act, v.witness)
         assert v.witness.order == v.witness_order
-
-
-def test_oracle_agreement_max_order_60():
-    for act in all_criterion_actions():
-        if act.rank > 2:
-            continue
-        v = is_free(act)
-        b = brute_force_free(act, 60)
-        assert b.exhaustive
-        assert v.free == (not b.found_witness)
-        if not v.free:
-            assert v.witness_order == b.witness_order
 
 
 def test_brute_force_examples():
@@ -230,7 +207,7 @@ def test_brute_force_sampling_rank3():
 
 def test_conjugation_invariance_weight_permutations():
     rng = random.Random(0)
-    for act in all_criterion_actions():
+    for act in criterion3_actions():
         base = is_free(act)
         factors = []
         for f in act.factors:
@@ -268,7 +245,7 @@ def test_monotone_pruning_safe():
 
 
 def test_serialization_round_trip():
-    for act in all_criterion_actions():
+    for act in criterion3_actions():
         again = action_from_obj(act.to_obj())
         assert again == act
         v = is_free(act)

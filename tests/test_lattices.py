@@ -6,7 +6,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariants
 
 from biquot.lattices import (
     hnf, smith_normal_form, invariant_factors, LatticeSubgroup,
-    lattice_contains, det_unimodular, invert_unimodular,
+    det_unimodular, invert_unimodular,
 )
 
 
@@ -105,10 +105,10 @@ def test_membership_agrees_with_exact_solving():
 
 def test_lattice_contains_examples():
     l1 = LatticeSubgroup.from_rows(2, [(2, 0), (0, 2)])
-    assert lattice_contains(l1, LatticeSubgroup.from_rows(2, [(2, 2)]))
-    assert not lattice_contains(l1, LatticeSubgroup.from_rows(2, [(1, 1)]))
+    assert l1.contains(LatticeSubgroup.from_rows(2, [(2, 2)]))
+    assert not l1.contains(LatticeSubgroup.from_rows(2, [(1, 1)]))
     l2 = LatticeSubgroup.from_rows(2, [(1, -2)])
-    assert lattice_contains(l2, LatticeSubgroup.from_rows(2, [(3, -6)]))
+    assert l2.contains(LatticeSubgroup.from_rows(2, [(3, -6)]))
 
 
 def test_annihilator_double_duality_200_random_lattices():

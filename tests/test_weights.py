@@ -9,7 +9,7 @@ from biquot.weights import (
     TorusLattice, WeightRep, make_rep, circle_rep, su2_irrep, su2_rep,
     su2_rep_from_label, partition_label, standard_rep, spin_rep,
     spin_vector_rep, rep_sum, rep_tensor, rep_dual, realify, complexify,
-    rep_combinators, exterior_square, restrict_coords, restrict_circle,
+    exterior_square, restrict_coords, restrict_circle,
     clebsch_gordan, dynkin_index, dynkin_index_of_hom, catalog_dynkin_index,
     su2_homs, g2_su2_class, chern_pullback, euler_class, so9_adjoint_rep,
 )
@@ -97,6 +97,9 @@ def test_sum_and_tensor():
     assert sorted(t.weights) == [(1, -1), (1, 1)]
     s = rep_sum(v, rep_dual(v))
     assert s.dim == 4
+    assert rep_sum(v, v).dim == 4
+    assert rep_tensor(v, v).dim == 4
+    assert rep_dual(v).dim == 2
     with pytest.raises(ValueError):
         rep_sum(v, v2)
 
@@ -113,19 +116,8 @@ def test_realify_is_v_plus_dual():
 def test_complexify_round_trip():
     g2 = standard_rep(G2)
     c = complexify(g2)
-    assert c.reality == "complex"
+    assert c.reality == "complex" and c.dim == 7
     assert weights_multiset(c) == weights_multiset(g2)
-
-
-def test_dispatcher_modes():
-    v = su2_irrep(1)
-    assert rep_combinators(v, v, "sum").dim == 4
-    assert rep_combinators(v, v, "tensor").dim == 4
-    assert rep_combinators(v, mode="dual").dim == 2
-    assert rep_combinators(v, mode="realify").dim == 4
-    assert rep_combinators(standard_rep(G2), mode="complexify").dim == 7
-    with pytest.raises(ValueError):
-        rep_combinators(v, v, "frobenius")
 
 
 def test_tensor_double_cover():
