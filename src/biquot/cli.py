@@ -143,6 +143,9 @@ def _action_from_args(args):
     try:
         return action_from_obj(obj)
     except (KeyError, TypeError, ValueError) as exc:
+        field, _, message = str(exc).partition(": ")
+        if field == "trivial_lattice":
+            raise SchemaError(field, message)
         raise SchemaError("factors", str(exc))
 
 
@@ -192,7 +195,13 @@ def _quotient_from_args(args):
         if name not in _RING_PRESETS:
             raise SchemaError("preset", "unknown preset %r; known: %s"
                               % (name, sorted(_RING_PRESETS)))
-        n = int(param) if param else 2
+        try:
+            n = int(param) if param else 2
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise SchemaError("preset", "parameter of %s must be an integer "
+                              ">= 1, got %r" % (name, param))
         return _RING_PRESETS[name](n)
     obj = _load_json_input(args)
     try:
@@ -232,12 +241,16 @@ def cmd_pi3(args):
         matrix = json.loads(args.matrix)
     except json.JSONDecodeError as exc:
         raise SchemaError("matrix", str(exc))
-    if isinstance(matrix, (int, float)):
-        matrix = [[int(matrix)]]
-    if not isinstance(matrix, list) or not all(
-            isinstance(r, list) and all(isinstance(x, int) for x in r)
+    if isinstance(matrix, int) and not isinstance(matrix, bool):
+        matrix = [[matrix]]
+    # bool is an int subclass; JSON true/false are not indices
+    if not isinstance(matrix, list) or not matrix or not all(
+            isinstance(r, list) and r and len(r) == len(matrix[0])
+            and all(isinstance(x, int) and not isinstance(x, bool)
+                    for x in r)
             for r in matrix):
-        raise SchemaError("matrix", "expected an integer matrix like [[10]]")
+        raise SchemaError("matrix", "expected a non-empty rectangular "
+                          "integer matrix like [[10]]")
     group = pi3_cokernel(matrix)
     obj = {"matrix": matrix, "pi3": group.to_obj()}
     _emit(args, obj, ["pi3 = %s" % group])
@@ -245,6 +258,9 @@ def cmd_pi3(args):
 
 
 def cmd_search_rhs(args):
+    if args.max_dim < 3:
+        raise SchemaError("max-dim", "the search starts at dimension 3, "
+                          "got %d" % args.max_dim)
     entries = rhs_search(args.max_dim)
     classes = rhs_manifold_classes(entries)
     obj = {"max_dim": args.max_dim,

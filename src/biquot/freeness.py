@@ -14,9 +14,18 @@ with t.  It fixes a point of a sphere factor iff some weight pairs
 integrally (always, if the representation has a trivial summand).  Every
 such condition cuts out the annihilator of an integer lattice, so the
 effective action is free iff for every choice of sigma/weight per factor
-the resulting difference lattice contains the kernel lattice.  Witnesses
-for non-free actions are produced from the Smith normal form of the
-violating lattice, at the smallest possible element order.
+the resulting difference lattice contains the kernel lattice.
+
+Only the lattice a choice generates matters, not the choice.  The search
+therefore adds the differences of one left weight class at a time, keeps
+the Hermite normal form of the partial lattice, stops as soon as that
+lattice contains the kernel (every completion then does too), and
+memoizes on (factor, left class, remaining right multiplicities, HNF), so
+its cost follows the number of distinct partial lattices rather than the
+n! bijections of an SU(n) factor.  It returns each distinct violating
+lattice once, with its first choice in depth-first order.  The witness of
+a non-free action is the lex-least non-trivial fixed-point element of
+minimal order, found from the Smith normal form of each violating lattice.
 
 For Spin(2n) group factors the eigenvalue test is coarser than conjugacy
 in the group itself; Free verdicts remain sound, and NotFree verdicts are
@@ -28,10 +37,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 import random
 
-from .lattices import LatticeSubgroup, smith_normal_form
+from .lattices import LatticeSubgroup, hnf, smith_normal_form
 
 D_FAMILY_CAVEAT = ("D-family factor present: eigenvalue conjugacy is coarser "
                    "than Spin conjugacy, so this witness may not be sharp")
@@ -147,9 +157,25 @@ def action_from_obj(obj):
             raise ValueError("unknown factor type %r" % (f["type"],))
     trivial = None
     if obj.get("trivial_lattice"):
-        t = obj["trivial_lattice"]
-        trivial = LatticeSubgroup.from_rows(t["rank"], t["generators"])
+        trivial = _trivial_lattice_from_obj(obj["trivial_lattice"], rank)
     return TwoSidedAction(rank, tuple(factors), trivial)
+
+
+def _trivial_lattice_from_obj(t, rank):
+    """A declared kernel lattice: {"rank": rank, "generators": [...]}.
+
+    Errors start with "trivial_lattice: " so callers can name the field.
+    """
+    if not isinstance(t, dict) or t.get("rank") != rank \
+            or isinstance(t.get("rank"), bool):
+        raise ValueError("trivial_lattice: expected an object with rank %d "
+                         "and a list of generators" % rank)
+    gens = t.get("generators")
+    try:
+        rows = _weights_from_obj(gens, rank) if gens != [] else ()
+    except ValueError as exc:
+        raise ValueError("trivial_lattice: %s" % exc)
+    return LatticeSubgroup.from_rows(rank, rows)
 
 
 @dataclass(frozen=True)
@@ -229,77 +255,105 @@ def kernel_lattice(action):
 
 
 # ---------------------------------------------------------------------------
-# Choice enumeration (multiset bijections per group factor, one weight per
-# sphere factor), with monotone pruning: once the accumulated difference
-# lattice contains the kernel lattice, every completion is safe.
+# Choice search on lattice state (multiset bijections per group factor, one
+# weight per sphere factor), pruned once the partial lattice contains the
+# kernel and memoized on the partial lattice's HNF.
 # ---------------------------------------------------------------------------
 
 
-def _distributions(total, caps):
-    if not caps:
-        if total == 0:
-            yield ()
+def _distributions(total, caps, start=0):
+    """Yield the ways to put total items into bins of capacities caps, as
+    ((bin, count), ...) with every count positive, in decreasing
+    lexicographic order of the full count vector."""
+    if total == 0:
+        yield ()
         return
-    for first in range(min(total, caps[0]), -1, -1):
-        for rest in _distributions(total - first, caps[1:]):
-            yield (first,) + rest
+    for j in range(start, len(caps)):
+        for d in range(min(total, caps[j]), 0, -1):
+            for rest in _distributions(total - d, caps, j + 1):
+                yield ((j, d),) + rest
 
 
-def _group_assignments(factor):
-    """Yield (generators, description) per class of multiset bijections."""
-    lclasses = sorted(Counter(factor.left).items())
-    rclasses = sorted(Counter(factor.right).items())
-    rvals = [v for v, _ in rclasses]
-
-    def rec(i, remaining, gens, desc):
-        if i == len(lclasses):
-            yield gens, tuple(desc)
-            return
-        lval, lcount = lclasses[i]
-        for dist in _distributions(lcount, remaining):
-            new_gens = list(gens)
-            new_desc = list(desc)
-            for j, d in enumerate(dist):
-                if d > 0:
-                    new_gens.append(tuple(a - b for a, b in zip(lval, rvals[j])))
-                    new_desc.append((lval, rvals[j], d))
-            yield from rec(i + 1,
-                           [r - d for r, d in zip(remaining, dist)],
-                           new_gens, new_desc)
-
-    yield from rec(0, [c for _, c in rclasses], [], [])
+def _factor_plan(f):
+    """(left classes, right values, right multiplicities) of a group factor;
+    None for a sphere factor, which the search takes in one step."""
+    if not isinstance(f, GroupFactor):
+        return None
+    rclasses = sorted(Counter(f.right).items())
+    return (sorted(Counter(f.left).items()), [v for v, _ in rclasses],
+            tuple(c for _, c in rclasses))
 
 
-def _factor_choices(f):
-    if isinstance(f, GroupFactor):
-        yield from _group_assignments(f)
-    else:
+def _moves(f, plan, ci, remaining):
+    """Yield (generators, step description, remaining after) per option of
+    the step at left class ci of a group factor, or of a sphere factor."""
+    if plan is None:
         if f.has_trivial_summand:
-            yield [], ("sphere: trivial summand, no constraint",)
+            yield [], ("sphere: trivial summand, no constraint",), ()
             return
         for w in sorted(set(f.weights)):
-            yield [w], ("sphere weight", w)
+            yield [w], ("sphere weight", w), ()
+        return
+    lclasses, rvals, _ = plan
+    lval, lcount = lclasses[ci]
+    for dist in _distributions(lcount, remaining):
+        rest = list(remaining)
+        for j, d in dist:
+            rest[j] -= d
+        yield ([tuple(a - b for a, b in zip(lval, rvals[j])) for j, _ in dist],
+               tuple((lval, rvals[j], d) for j, d in dist), tuple(rest))
 
 
-def _violating_choices(action, kernel):
-    """All full choices whose difference lattice fails to contain the kernel."""
+def _violating_lattices(action, kernel):
+    """Ordered map {HNF basis of a violating lattice: its first full choice}.
+
+    A lattice is violating when it is generated by a full choice and does
+    not contain the kernel.  Keys and choices come in depth-first order of
+    the choices, so the first key belongs to the first violating choice.
+    The memo maps a state (factor, left class, remaining right
+    multiplicities, HNF basis) to the same kind of map over its completions.
+    """
     rank = action.rank
-    out = []
+    factors = action.factors
+    plans = [_factor_plan(f) for f in factors]
+    starts = [plan[2] if plan else () for plan in plans] + [()]
+    memo = {}
 
-    def covered(rows):
-        return LatticeSubgroup.from_rows(rank, rows).contains(kernel)
+    def search(fi, ci, remaining, basis):
+        key = (fi, ci, remaining, basis)
+        if key in memo:
+            return memo[key]
+        lat = LatticeSubgroup(rank, basis)
+        if lat.contains(kernel):  # so does every completion: prune
+            out = {}
+        elif fi == len(factors):
+            out = {basis: ()}
+        else:
+            out = {}
+            last = plans[fi] is None or ci + 1 == len(plans[fi][0])
+            for gens, step, rest in _moves(factors[fi], plans[fi], ci,
+                                           remaining):
+                grown = basis
+                if not all(lat.contains_vector(g) for g in gens):
+                    grown = tuple(hnf(list(basis) + gens, rank))
+                sub = (search(fi + 1, 0, starts[fi + 1], grown) if last
+                       else search(fi, ci + 1, rest, grown))
+                for final, steps in sub.items():
+                    out.setdefault(final, (step,) + steps)
+        memo[key] = out
+        return out
 
-    def rec(fi, rows, desc):
-        if covered(rows):
-            return
-        if fi == len(action.factors):
-            out.append((rows, tuple(desc)))
-            return
-        for gens, d in _factor_choices(action.factors[fi]):
-            rec(fi + 1, rows + list(gens), desc + [d])
+    def per_factor(steps):
+        # a group factor took one step per left class, a sphere factor one
+        out, i = [], 0
+        for plan in plans:
+            k = 1 if plan is None else len(plan[0])
+            out.append(sum(steps[i:i + k], ()))
+            i += k
+        return tuple(out)
 
-    rec(0, [], [])
-    return out
+    found = search(0, 0, starts[0], ())
+    return {lat: per_factor(steps) for lat, steps in found.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -366,27 +420,35 @@ def _in_annihilator(t, lattice):
     return all(t.pair(g) == 0 for g in lattice.basis)
 
 
-def _best_witness(rows, kernel, rank):
-    """Minimal-order element of Ann(rows) outside Ann(kernel), lex-least."""
-    q = _min_order_outside(rows, kernel, rank)
-    if q is None:
-        return None
-    candidates = []
-    for coords, order in _torsion_generators(rows, q, rank):
-        t = TorusElement(coords)
-        if _in_annihilator(t, kernel):
+def _best_witness(basis, kernel, rank):
+    """Witness (q, t) of a violating lattice L, given by its HNF basis.
+
+    t is the lex-least element of minimal order q in Ann(L) outside Ann(K),
+    K the kernel lattice (which L does not contain).  q is the smallest
+    order at which a kernel generator escapes L + qZ^rank, and every
+    combination of the torsion generators of Ann(L)[q] = Ann(L + qZ^rank),
+    at most q^rank elements, is a candidate; by the minimality of q the
+    candidates outside Ann(K) all have order q.
+    The answer depends on L alone, so the least one over all violating
+    lattices is the lex-least non-trivial fixed-point element of minimal
+    order: the element the exhaustive oracle returns at rank <= 2.
+    """
+    q = _min_order_outside(basis, kernel, rank)
+    tors = _torsion_generators(basis, q, rank)
+    # numerators over q: a generator of order d divides q
+    gens = [[int(x * q) for x in coords] for coords, _ in tors]
+    best = None
+    for cs in product(*(range(d) for _, d in tors)):
+        nums = tuple(sum(c * g[j] for c, g in zip(cs, gens)) % q
+                     for j in range(rank))
+        if best is not None and nums >= best:
             continue
-        # minimality of q forces full order on any escaping generator
-        assert order == q, "torsion generator order %d below minimum %d" % (order, q)
-        for c in range(1, q):
-            if gcd(c, q) != 1:
-                continue
-            tc = TorusElement(tuple(c * x for x in coords))
-            if not _in_annihilator(tc, kernel):
-                candidates.append(tc)
-    if not candidates:
-        raise AssertionError("no witness generator found despite escape")
-    return q, min(candidates, key=lambda t: t.coords)
+        if any(sum(k[j] * nums[j] for j in range(rank)) % q
+               for k in kernel.basis):
+            best = nums
+    if best is None:
+        raise AssertionError("no witness found despite escape")
+    return q, TorusElement(tuple(Fraction(n, q) for n in best))
 
 
 def is_free(action):
@@ -395,21 +457,22 @@ def is_free(action):
     The verdict concerns H modulo its trivially-acting subgroup (read off
     the kernel lattice: a full kernel lattice means H itself acts
     effectively).  NotFree verdicts carry a minimal-order witness, the
-    violating choice, and a caveat when a D-family factor is involved.
+    first violating choice (in search order) whose lattice holds it, and a
+    caveat when a D-family factor is involved.
     """
     kernel = kernel_lattice(action)
-    violations = _violating_choices(action, kernel)
+    violations = _violating_lattices(action, kernel)
     caveats = tuple([D_FAMILY_CAVEAT] if any(
         isinstance(f, GroupFactor) and f.d_family for f in action.factors)
         else [])
     if not violations:
         return Verdict(free=True, kernel=kernel)
     best = None
-    for rows, desc in violations:
-        q, t = _best_witness(rows, kernel, action.rank)
+    for basis, choice in violations.items():
+        q, t = _best_witness(basis, kernel, action.rank)
         key = (q, t.coords)
         if best is None or key < best[0]:
-            best = (key, t, q, desc)
+            best = (key, t, q, choice)
     _, witness, order, choice = best
     return Verdict(free=False, kernel=kernel, witness=witness,
                    witness_order=order, choice=choice, caveats=caveats)

@@ -279,13 +279,14 @@ def reduce_poly(p, basis, with_quotients=False):
     quot = [ring.zero() for _ in basis] if with_quotients else None
     rem = ring.zero()
     work = Poly(ring, dict(p.terms))
-    lead = [(b.leading_monomial(), b.leading_coeff(), b) for b in basis
-            if not b.is_zero()]
+    # zero polynomials divide nothing; i keeps the index into basis
+    lead = [(i, b.leading_monomial(), b.leading_coeff(), b)
+            for i, b in enumerate(basis) if not b.is_zero()]
     while not work.is_zero():
         m = work.leading_monomial()
         c = work.terms[m]
         hit = None
-        for i, (lm, lc, b) in enumerate(lead):
+        for i, lm, lc, b in lead:
             if _monomial_divides(lm, m):
                 hit = (i, lm, lc, b)
                 break

@@ -89,6 +89,47 @@ def test_free_check_rejects_malformed_weights(capsys, factor):
     assert err.startswith("input error at factors")
 
 
+TRIVIAL_LATTICE_ACTION = {"rank": 1, "factors": [{
+    "type": "group", "left": [[1], [-1]], "right": [[0], [0]]}]}
+
+
+@pytest.mark.parametrize("lattice", [
+    {"rank": 1, "generators": [[1.5]]},
+    {"rank": 1, "generators": [[True]]},
+    {"rank": 1, "generators": [[2, 0]]},
+    {"rank": 2, "generators": [[2, 0]]},
+    {"generators": [[2]]},
+    [[2]],
+])
+def test_free_check_rejects_malformed_trivial_lattice(capsys, lattice):
+    payload = json.dumps(dict(TRIVIAL_LATTICE_ACTION, trivial_lattice=lattice))
+    code, out, err = run_cli(capsys, "free-check", "--json", payload)
+    assert code == EXIT_SCHEMA and out == ""
+    assert err.startswith("input error at trivial_lattice")
+
+
+def test_free_check_accepts_declared_trivial_lattice(capsys):
+    for gens, kernel in (([[2]], "[[2]]"), ([], "[]")):
+        payload = json.dumps(dict(TRIVIAL_LATTICE_ACTION, trivial_lattice={
+            "rank": 1, "generators": gens}))
+        code, out, _ = run_cli(capsys, "free-check", "--json", payload)
+        assert code == EXIT_OK
+        assert out == "Free (effective action; kernel lattice %s)\n" % kernel
+
+
+@pytest.mark.parametrize("argv,field", [
+    (("search-rhs", "--max-dim", "2"), "max-dim"),
+    (("cohomology", "--preset", "cp-sum:x"), "preset"),
+    (("cohomology", "--preset", "cp-sum:0"), "preset"),
+    (("pi3", "--matrix", "[]"), "matrix"),
+    (("pi3", "--matrix", "[[true]]"), "matrix"),
+])
+def test_malformed_arguments_exit_1_naming_the_field(capsys, argv, field):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_SCHEMA and out == ""
+    assert err.startswith("input error at %s" % field)
+
+
 def test_cohomology_presets_and_json_input(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "cohomology", "--preset", "cp-sum:4")
     assert code == EXIT_OK and "betti" in out

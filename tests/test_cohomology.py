@@ -70,6 +70,14 @@ def test_reduce_with_quotients():
     assert quots[0] * basis[0] + rem == p
 
 
+def test_reduce_with_quotients_keeps_index_past_zero_basis_element():
+    ring = classifying_ring(["circle", "circle"])
+    u, v = ring.gens()
+    rem, quots = reduce_poly(u * v, [ring.zero(), u], with_quotients=True)
+    assert rem.is_zero()
+    assert quots == [ring.zero(), v]
+
+
 def test_groebner_of_monomial_ideal_is_itself():
     ring = classifying_ring(["circle", "circle"])
     u, v = ring.gens()

@@ -7,14 +7,17 @@ so any correct Groebner basis must produce the same numbers); torsion
 generators of annihilators are checked by direct pairing.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from biquot.freeness import (GroupFactor, SphereFactor, TwoSidedAction,
                              TorusElement, kernel_lattice, is_free,
-                             brute_force_free, _torsion_generators)
+                             brute_force_free, _torsion_generators,
+                             _violating_lattices)
 from biquot.lattices import LatticeSubgroup
 from biquot.polyring import GradedPolyRing
 from biquot.cohomology import GradedQuotient
@@ -61,8 +64,115 @@ def test_freeness_matches_oracle_on_random_actions():
             if exact.witness_order <= 24:
                 assert brute.found_witness, act.to_obj()
                 assert brute.witness_order == exact.witness_order, act.to_obj()
+                # both report the lex-least fixed-point element of that order
+                assert brute.witness == exact.witness, act.to_obj()
             checked_witness += 1
     assert checked_free > 20 and checked_witness > 50
+
+
+def test_witness_is_lex_least_on_non_cyclic_annihilator():
+    # the order-2 part of the violating lattice's annihilator is (Z/2)^2:
+    # both (1/2, 0) and (0, 1/2) fix points, and (0, 1/2) is lex-least
+    act = TwoSidedAction(2, [SphereFactor([(-2, 0), (0, 0), (3, 3)]),
+                             SphereFactor([(-2, -2), (0, 1), (0, -3)]),
+                             SphereFactor([(-3, -3), (2, -2)])])
+    exact = is_free(act)
+    brute = brute_force_free(act, 24)
+    assert not exact.free and exact.witness_order == 2
+    assert exact.witness == brute.witness == TorusElement((0, Fraction(1, 2)))
+
+
+def reference_violating_lattices(action):
+    """Difference lattices of every full choice that miss the kernel, from
+    all permutations of each group factor's right weights and every weight
+    of each sphere factor, with no pruning and no memo."""
+    kernel = kernel_lattice(action)
+    per_factor = []
+    for f in action.factors:
+        if isinstance(f, GroupFactor):
+            per_factor.append([
+                [tuple(a - b for a, b in zip(l, r))
+                 for l, r in zip(f.left, perm)]
+                for perm in set(itertools.permutations(f.right))])
+        elif f.has_trivial_summand:
+            per_factor.append([[]])
+        else:
+            per_factor.append([[w] for w in f.weights])
+    out = set()
+    for choice in itertools.product(*per_factor):
+        lat = LatticeSubgroup.from_rows(action.rank,
+                                        [r for rows in choice for r in rows])
+        if not lat.contains(kernel):
+            out.add(lat.basis)
+    return out
+
+
+def su_weights(rng, n, rank):
+    """n distinct weights summing to zero: a map into SU(n)."""
+    while True:
+        ws = {tuple(rng.randint(-3, 3) for _ in range(rank))
+              for _ in range(n - 1)}
+        if len(ws) < n - 1:
+            continue
+        last = tuple(-sum(w[i] for w in ws) for i in range(rank))
+        if last not in ws:
+            return sorted(ws) + [last]
+
+
+def repeated_weights(rng, n, rank):
+    """n weights drawn from a pool of two or three, so classes repeat."""
+    pool = [tuple(rng.randint(-2, 2) for _ in range(rank))
+            for _ in range(rng.choice([2, 3]))]
+    return [rng.choice(pool) for _ in range(n)]
+
+
+def small_action(rng, rank):
+    factors = []
+    for _ in range(rng.choice([1, 2, 2, 3])):
+        kind = rng.random()
+        if kind < 0.4:
+            n = rng.choice([2, 3, 4])
+            factors.append(GroupFactor(repeated_weights(rng, n, rank),
+                                       repeated_weights(rng, n, rank)))
+        elif kind < 0.6:
+            n = rng.choice([2, 3])
+            factors.append(GroupFactor(su_weights(rng, n, rank),
+                                       su_weights(rng, n, rank)))
+        else:
+            ws = [tuple(rng.randint(-2, 2) for _ in range(rank))
+                  for _ in range(rng.choice([1, 2, 3]))]
+            if rng.random() < 0.3:
+                ws.append((0,) * rank)  # a trivial summand
+            factors.append(SphereFactor(ws))
+    return TwoSidedAction(rank, factors)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_violating_lattices_match_full_enumeration(rank):
+    rng = random.Random(2024 + rank)
+    seen_free = seen_not_free = 0
+    for _ in range(60):
+        act = small_action(rng, rank)
+        want = reference_violating_lattices(act)
+        got = _violating_lattices(act, kernel_lattice(act))
+        assert set(got) == want, act.to_obj()
+        assert is_free(act).free == (not want), act.to_obj()
+        seen_free += not want
+        seen_not_free += bool(want)
+    assert seen_free > 3 and seen_not_free > 3
+
+
+@pytest.mark.parametrize("rank,sizes", [
+    (2, (6,)), (2, (7,)), (2, (8,)), (3, (5,)), (3, (6,)), (2, (4, 4)),
+])
+def test_violating_lattices_match_full_enumeration_su(rank, sizes):
+    rng = random.Random(sum(sizes) * 10 + rank)
+    act = TwoSidedAction(rank, [GroupFactor(su_weights(rng, n, rank),
+                                            su_weights(rng, n, rank))
+                                for n in sizes])
+    want = reference_violating_lattices(act)
+    assert set(_violating_lattices(act, kernel_lattice(act))) == want
+    assert is_free(act).free == (not want)
 
 
 def test_kernel_elements_act_trivially_randomized():

@@ -6,7 +6,7 @@ import pytest
 from biquot.freeness import (
     GroupFactor, SphereFactor, TwoSidedAction, TorusElement, kernel_lattice,
     is_free, brute_force_free, has_fixed_point, acts_trivially,
-    action_from_obj, rescale_action, _violating_choices,
+    action_from_obj, rescale_action, _violating_lattices,
 )
 from biquot.lattices import LatticeSubgroup
 from biquot import constructions as cons
@@ -224,24 +224,44 @@ def test_conjugation_invariance_weight_permutations():
         shuffled = TwoSidedAction(act.rank, factors, act.trivial_lattice)
         got = is_free(shuffled)
         assert got.free == base.free
-        if not base.free:
-            assert got.witness_order == base.witness_order
+        # the witness is intrinsic to the action, not to the weight order
+        assert got.witness == base.witness
+        assert got.witness_order == base.witness_order
+
+
+def _choice_rows(choice):
+    """Generator rows of a full choice as is_free reports it."""
+    rows = []
+    for part in choice:
+        if part and part[0] == "sphere weight":
+            rows.append(part[1])
+        elif part and isinstance(part[0], str):
+            continue  # a sphere with a trivial summand adds nothing
+        else:
+            rows.extend(tuple(a - b for a, b in zip(l, r)) for l, r, _ in part)
+    return rows
 
 
 def test_monotone_pruning_safe():
-    # once a partial difference lattice contains the kernel, every
-    # completion does: randomized check on the exotic-pair action
-    act = su2_action("S3V", "2V")
-    kernel = kernel_lattice(act)
-    violations = _violating_choices(act, kernel)
-    assert violations
-    for rows, _ in violations:
-        lat = LatticeSubgroup.from_rows(act.rank, rows)
-        assert not lat.contains(kernel)
-        # growing a violating choice by kernel generators always covers
-        grown = LatticeSubgroup.from_rows(
-            act.rank, list(rows) + list(kernel.basis))
-        assert grown.contains(kernel)
+    # the search prunes a partial lattice once it contains the kernel; that
+    # is safe because growing a lattice keeps it containing the kernel.  So
+    # no prefix of a violating choice may contain the kernel, each reported
+    # choice must generate its lattice, and adding the kernel covers it
+    for act in (su2_action("S3V", "2V"), su2_action("2V", "2V"),
+                cons.su2_pair_action(SU(3), "V+C", "S2V"),
+                cons.g2_pair_action(3, 28)):
+        kernel = kernel_lattice(act)
+        violations = _violating_lattices(act, kernel)
+        assert violations
+        for basis, choice in violations.items():
+            rows = _choice_rows(choice)
+            assert LatticeSubgroup.from_rows(act.rank, rows).basis == basis
+            for k in range(len(rows) + 1):
+                prefix = LatticeSubgroup.from_rows(act.rank, rows[:k])
+                assert not prefix.contains(kernel)
+            grown = LatticeSubgroup.from_rows(
+                act.rank, list(basis) + list(kernel.basis))
+            assert grown.contains(kernel)
 
 
 def test_serialization_round_trip():
