@@ -144,12 +144,15 @@ def _action_from_args(args):
         return action_from_obj(obj)
     except (KeyError, TypeError, ValueError) as exc:
         field, _, message = str(exc).partition(": ")
-        if field == "trivial_lattice":
+        if field in ("rank", "trivial_lattice"):
             raise SchemaError(field, message)
         raise SchemaError("factors", str(exc))
 
 
 def cmd_free_check(args):
+    if args.oracle < 0 or args.oracle == 1:
+        raise SchemaError("oracle", "order must be 0 (off) or >= 2, got %d"
+                          % args.oracle)
     action = _action_from_args(args)
     verdict = is_free(action)
     obj = verdict.to_obj()
@@ -218,6 +221,9 @@ def _quotient_from_args(args):
 
 
 def cmd_cohomology(args):
+    if args.max_degree is not None and args.max_degree < 0:
+        raise SchemaError("max-degree", "must be >= 0, got %d"
+                          % args.max_degree)
     q = _quotient_from_args(args)
     max_degree = args.max_degree
     if max_degree is None:

@@ -106,9 +106,6 @@ class TwoSidedAction:
             if f.rank != self.rank:
                 raise ValueError("factor rank disagrees with action rank")
 
-    def group_factors(self):
-        return [f for f in self.factors if isinstance(f, GroupFactor)]
-
     def to_obj(self):
         factors = []
         for f in self.factors:
@@ -143,7 +140,9 @@ def _weights_from_obj(ws, rank):
 
 
 def action_from_obj(obj):
-    rank = int(obj["rank"])
+    rank = obj["rank"]
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+        raise ValueError("rank: must be an integer >= 1, got %r" % (rank,))
     factors = []
     for f in obj["factors"]:
         if f["type"] == "group":
@@ -527,17 +526,21 @@ def acts_trivially(action, t):
     return _in_annihilator(t, kernel_lattice(action))
 
 
-def _numerators_of_order(q, rank):
-    # g tracks gcd(q, numerators so far); exact order q means final g == 1
-    def rec(i, acc, g):
-        if i == rank:
-            if g == 1:
-                yield tuple(acc)
+def _prefixes(q, length):
+    """Yield (nums, gcd(q, *nums)) over range(q)^length in lex order."""
+    def rec(acc, g):
+        if len(acc) == length:
+            yield acc, g
             return
         for a in range(q):
-            yield from rec(i + 1, acc + (a,), gcd(g, a))
+            yield from rec(acc + (a,), gcd(g, a))
 
-    yield from rec(0, (), q)
+    yield from rec((), q)
+
+
+def _numerators_of_order(q, rank):
+    """Numerator vectors of the torus elements of exact order q, lex order."""
+    return (nums for nums, g in _prefixes(q, rank) if g == 1)
 
 
 def _fixed_point_mod(action, nums, q):
@@ -559,26 +562,72 @@ def _fixed_point_mod(action, nums, q):
     return True
 
 
+def _first_hit(action, kernel, q):
+    """Lex-least numerators of a non-trivial fixed-point element of exact
+    order q, or None.
+
+    The last numerator b varies fastest.  Under each prefix of the others
+    (lex order), a weight w pairs to (c + w[-1]*b) mod q, c the pairing of
+    the prefix with the rest of w, and the candidate list of b is filtered
+    condition by condition: exact order q, a zero pairing on every sphere
+    factor without a trivial summand, equal sorted pairings left and right
+    on every group factor (factor by factor), and last a nonzero pairing
+    with some kernel generator (outside the trivially-acting subgroup).
+    The first survivor under the first prefix that has one is the answer.
+    """
+    if action.rank == 0:
+        return None  # the zero-dimensional torus has no element of order q
+    spheres = [f.weights for f in action.factors
+               if isinstance(f, SphereFactor) and not f.has_trivial_summand]
+    groups = [(f.left, f.right) for f in action.factors
+              if isinstance(f, GroupFactor)]
+
+    def pairings(ws, prefix, bs):
+        # per candidate b, the tuple of the weights' pairings mod q
+        rows = []
+        for w in ws:
+            c, s = sum(a * x for a, x in zip(w, prefix)), w[-1]
+            rows.append([(c + s * b) % q for b in bs])
+        return zip(*rows)
+
+    coprime = {}  # gcd of q and the prefix -> the b giving exact order q
+    for prefix, g in _prefixes(q, action.rank - 1):
+        if g not in coprime:
+            coprime[g] = [b for b in range(q) if gcd(g, b) == 1]
+        bs = coprime[g]
+        for ws in spheres:
+            bs = [b for b, p in zip(bs, pairings(ws, prefix, bs))
+                  if not all(p)]
+        for left, right in groups:
+            bs = [b for b, pl, pr in zip(bs, pairings(left, prefix, bs),
+                                         pairings(right, prefix, bs))
+                  if sorted(pl) == sorted(pr)]
+        # few elements fix a point, so the kernel test comes last
+        bs = [b for b, p in zip(bs, pairings(kernel.basis, prefix, bs))
+              if any(p)]
+        if bs:
+            return prefix + (bs[0],)
+    return None
+
+
 def brute_force_free(action, max_order, samples=20000, seed=0):
     """Independent oracle: evaluate eigenvalue multisets element by element.
 
     Exhaustive over all torus elements of order <= max_order when the rank
     is at most 2; documented random sampling otherwise.  A clean pass is
     reported as "no witness up to max_order", never as a proof of freeness.
+    The exhaustive pass goes through the orders q = 2, 3, ... in turn and
+    within one order through the numerator vectors in lex order, per prefix
+    of all but the last numerator, factor by factor (see _first_hit); it
+    stops at the first survivor, which is the lex-least non-trivial
+    fixed-point element of the smallest order.
     """
     kernel = kernel_lattice(action)
-    exhaustive = action.rank <= 2
-    if exhaustive:
+    if action.rank <= 2:
         for q in range(2, max_order + 1):
-            hits = []
-            for nums in _numerators_of_order(q, action.rank):
-                if all(sum(g[i] * nums[i] for i in range(len(nums))) % q == 0
-                       for g in kernel.basis):
-                    continue  # acts trivially
-                if _fixed_point_mod(action, nums, q):
-                    hits.append(nums)
-            if hits:
-                w = TorusElement(tuple(Fraction(a, q) for a in min(hits)))
+            nums = _first_hit(action, kernel, q)
+            if nums is not None:
+                w = TorusElement(tuple(Fraction(a, q) for a in nums))
                 return BruteVerdict(True, max_order, True, w, q)
         return BruteVerdict(False, max_order, True)
     rng = random.Random(seed)

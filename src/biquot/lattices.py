@@ -265,9 +265,6 @@ class LatticeSubgroup:
     def generators(self):
         return self.basis
 
-    def lattice_rank(self):
-        return len(self.basis)
-
     def contains_vector(self, v):
         """Exact membership by back-substitution against the HNF basis."""
         if len(v) != self.rank:

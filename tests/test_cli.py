@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from biquot import cli
 from biquot.cli import main, EXIT_OK, EXIT_SCHEMA, EXIT_INCONSISTENT
 from biquot.freeness import action_from_obj, is_free
 from biquot import constructions as cons
@@ -89,6 +90,18 @@ def test_free_check_rejects_malformed_weights(capsys, factor):
     assert err.startswith("input error at factors")
 
 
+@pytest.mark.parametrize("payload", [
+    {"rank": 1.7, "factors": [{"type": "sphere", "weights": [[1]]}]},
+    {"rank": True, "factors": [{"type": "sphere", "weights": [[1]]}]},
+    {"rank": 0, "factors": [{"type": "sphere", "weights": [[]]}]},
+])
+def test_free_check_rejects_malformed_rank(capsys, payload):
+    code, out, err = run_cli(capsys, "free-check", "--json",
+                             json.dumps(payload))
+    assert code == EXIT_SCHEMA and out == ""
+    assert err.startswith("input error at rank")
+
+
 TRIVIAL_LATTICE_ACTION = {"rank": 1, "factors": [{
     "type": "group", "left": [[1], [-1]], "right": [[0], [0]]}]}
 
@@ -123,6 +136,10 @@ def test_free_check_accepts_declared_trivial_lattice(capsys):
     (("cohomology", "--preset", "cp-sum:0"), "preset"),
     (("pi3", "--matrix", "[]"), "matrix"),
     (("pi3", "--matrix", "[[true]]"), "matrix"),
+    (("cohomology", "--preset", "cp-sum:3", "--max-degree", "-3"),
+     "max-degree"),
+    (("free-check", "--named", "gromoll-meyer", "--oracle", "1"), "oracle"),
+    (("free-check", "--named", "gromoll-meyer", "--oracle", "-5"), "oracle"),
 ])
 def test_malformed_arguments_exit_1_naming_the_field(capsys, argv, field):
     code, out, err = run_cli(capsys, *argv)
@@ -198,7 +215,10 @@ def test_catalog_output(capsys):
     assert any(p["dynkin_index"] == 28 for p in obj["pairs"])
 
 
-def test_verify_paper_all_pass(capsys):
+def test_verify_paper_all_pass(capsys, monkeypatch):
+    # both output formats render one run of the reference checks
+    results = cli.run_all()
+    monkeypatch.setattr(cli, "run_all", lambda: results)
     code, out, _ = run_cli(capsys, "verify-paper")
     assert code == EXIT_OK
     assert "FAIL" not in out

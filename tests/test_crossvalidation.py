@@ -9,15 +9,17 @@ generators of annihilators are checked by direct pairing.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from biquot.freeness import (GroupFactor, SphereFactor, TwoSidedAction,
-                             TorusElement, kernel_lattice, is_free,
-                             brute_force_free, _torsion_generators,
-                             _violating_lattices)
+                             TorusElement, BruteVerdict, kernel_lattice,
+                             is_free, brute_force_free, acts_trivially,
+                             has_fixed_point, _numerators_of_order,
+                             _torsion_generators, _violating_lattices)
 from biquot.lattices import LatticeSubgroup
 from biquot.polyring import GradedPolyRing
 from biquot.cohomology import GradedQuotient
@@ -173,6 +175,67 @@ def test_violating_lattices_match_full_enumeration_su(rank, sizes):
     want = reference_violating_lattices(act)
     assert set(_violating_lattices(act, kernel_lattice(act))) == want
     assert is_free(act).free == (not want)
+
+
+def reference_brute_force(action, max_order):
+    """The oracle's answer from Fraction arithmetic: walk the elements of
+    each exact order in lex order, return the first non-trivial one that
+    fixes a point."""
+    # declaring the kernel spares acts_trivially one HNF per element
+    action = TwoSidedAction(action.rank, action.factors,
+                            kernel_lattice(action))
+    for q in range(2, max_order + 1):
+        for nums in _numerators_of_order(q, action.rank):
+            t = TorusElement(tuple(Fraction(a, q) for a in nums))
+            if has_fixed_point(action, t) and not acts_trivially(action, t):
+                return BruteVerdict(True, max_order, True, t, q)
+    return BruteVerdict(False, max_order, True)
+
+
+def oracle_action(rng):
+    """A small rank-1/2 action, sometimes with a declared kernel, a sphere
+    factor flagged as having a trivial summand that is not among its
+    weights, or an extra factor with weights (w, -w) on both sides, on
+    which elements pairing to 1/2 with w act as the central -1: its kernel
+    lattice is generated by 2w alone."""
+    rank = rng.choice([1, 1, 1, 2])
+    act = small_action(rng, rank)
+    factors = list(act.factors)
+    if rng.random() < 0.15:
+        factors.append(SphereFactor([(rng.randint(1, 3),) * rank], True))
+    if rng.random() < 0.2:
+        w = tuple(rng.randint(-2, 2) for _ in range(rank))
+        neg = tuple(-x for x in w)
+        factors.append(GroupFactor([w, neg], [w, neg]))
+    trivial = None
+    if rng.random() < 0.15:
+        trivial = LatticeSubgroup.from_rows(
+            rank, [tuple(rng.choice([1, 2, 3]) * int(i == j)
+                         for j in range(rank)) for i in range(rank)])
+    return TwoSidedAction(rank, factors, trivial)
+
+
+def test_brute_force_matches_fraction_reference():
+    rng = random.Random(60)
+    kinds = Counter()
+    for _ in range(200):
+        act = oracle_action(rng)
+        # a clean rank-2 pass to order 24 costs the Fraction reference
+        # about half a second, so rank 2 stops at 12
+        max_order = rng.choice([12, 24, 40]) if act.rank == 1 else 12
+        got = brute_force_free(act, max_order)
+        assert got == reference_brute_force(act, max_order), act.to_obj()
+        kinds["found" if got.found_witness else "clean"] += 1
+        kinds["max_order %d" % max_order] += 1
+        kinds["declared kernel"] += act.trivial_lattice is not None
+        kinds["proper kernel"] += not kernel_lattice(act).contains(
+            LatticeSubgroup.from_rows(act.rank, [
+                tuple(int(i == j) for j in range(act.rank))
+                for i in range(act.rank)]))
+        kinds["trivial summand"] += any(
+            isinstance(f, SphereFactor) and f.has_trivial_summand
+            for f in act.factors)
+    assert min(kinds.values()) > 3, kinds
 
 
 def test_kernel_elements_act_trivially_randomized():
