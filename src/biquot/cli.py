@@ -144,7 +144,8 @@ def _action_from_args(args):
         return action_from_obj(obj)
     except (KeyError, TypeError, ValueError) as exc:
         field, _, message = str(exc).partition(": ")
-        if field in ("rank", "trivial_lattice"):
+        if field in ("input", "rank", "trivial_lattice", "d_family",
+                     "trivial_summand"):
             raise SchemaError(field, message)
         raise SchemaError("factors", str(exc))
 
@@ -225,14 +226,15 @@ def cmd_cohomology(args):
         raise SchemaError("max-degree", "must be >= 0, got %d"
                           % args.max_degree)
     q = _quotient_from_args(args)
+    finite = q.is_finite_dimensional()
     max_degree = args.max_degree
     if max_degree is None:
-        max_degree = q.top_degree() if q.is_finite_dimensional() else 20
+        max_degree = q.top_degree() if finite else 20
     b = q.betti(max_degree)
     obj = q.to_obj()
     obj["betti"] = b
     obj["max_degree"] = max_degree
-    obj["finite_dimensional"] = q.is_finite_dimensional()
+    obj["finite_dimensional"] = finite
     lines = ["ring: %s" % q,
              "betti ranks through degree %d:" % max_degree]
     lines.append("  deg  " + " ".join("%4d" % d for d in range(0, max_degree + 1, 2)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import le
 
 from .lattices import smith_normal_form
 from .polyring import (GradedPolyRing, Poly, _buchberger, groebner_basis,
@@ -73,27 +74,28 @@ class GradedQuotient:
             rels.append(r)
         self.relations = tuple(rels)
         self.gb = tuple(groebner_basis(list(self.relations)))
+        self._by_degree = []
 
     def reduce(self, p):
         """Canonical normal form modulo the relation ideal."""
         return reduce_poly(p, list(self.gb))
 
-    def monomial_basis(self, max_degree):
-        """Normal-form monomials (exponent tuples) up to the graded degree."""
-        lead = [g.leading_monomial() for g in self.gb]
-        out = []
-        for deg in range(0, max_degree + 1):
-            for m in self.ring.monomials_of_degree(deg):
-                if not any(all(a <= b for a, b in zip(lm, m)) for lm in lead):
-                    out.append(m)
-        return out
+    def _normal_monomials_by_degree(self, max_degree):
+        """Normal-form monomials of each degree 0..max_degree, each list in
+        monomial_key order.  Degrees already enumerated are kept on the
+        instance, so top_degree() followed by betti(top) enumerates once."""
+        known = self._by_degree
+        if len(known) <= max_degree:
+            lead = [g.leading_monomial() for g in self.gb]
+            for deg in range(len(known), max_degree + 1):
+                known.append([
+                    m for m in self.ring.monomials_of_degree(deg)
+                    if not any(all(map(le, lm, m)) for lm in lead)])
+        return known[:max(max_degree + 1, 0)]
 
     def betti(self, max_degree):
         """Rank of each graded piece, as a list indexed by degree 0..max."""
-        ranks = [0] * (max_degree + 1)
-        for m in self.monomial_basis(max_degree):
-            ranks[self.ring.monomial_degree(m)] += 1
-        return ranks
+        return [len(ms) for ms in self._normal_monomials_by_degree(max_degree)]
 
     def is_finite_dimensional(self):
         """A quotient is finite-dimensional iff every generator has a pure
@@ -110,8 +112,8 @@ class GradedQuotient:
             raise ValueError("quotient is not finite-dimensional")
         bound = sum((lm_max - 1) * d for lm_max, d in zip(
             self._pure_power_bounds(), self.ring.degrees))
-        basis = self.monomial_basis(bound)
-        return max(self.ring.monomial_degree(m) for m in basis)
+        by_degree = self._normal_monomials_by_degree(bound)
+        return max(deg for deg, ms in enumerate(by_degree) if ms)
 
     def _pure_power_bounds(self):
         lead = [g.leading_monomial() for g in self.gb]

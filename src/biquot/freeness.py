@@ -139,7 +139,25 @@ def _weights_from_obj(ws, rank):
     return tuple(map(tuple, ws))
 
 
+def _flag_from_obj(f, name):
+    """An optional JSON boolean of a factor; absent means false."""
+    value = f.get(name, False)
+    if not isinstance(value, bool):
+        raise ValueError("%s: must be true or false, got %r" % (name, value))
+    return value
+
+
 def action_from_obj(obj):
+    """A TwoSidedAction from its JSON object (see TwoSidedAction.to_obj).
+
+    Errors about the top level, rank, trivial_lattice, d_family and
+    trivial_summand start with "<field>: " so callers can name the field.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("input: expected a JSON object, got %s"
+                         % type(obj).__name__)
+    if "rank" not in obj:
+        raise ValueError("rank: missing")
     rank = obj["rank"]
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise ValueError("rank: must be an integer >= 1, got %r" % (rank,))
@@ -148,10 +166,10 @@ def action_from_obj(obj):
         if f["type"] == "group":
             factors.append(GroupFactor(_weights_from_obj(f["left"], rank),
                                        _weights_from_obj(f["right"], rank),
-                                       bool(f.get("d_family", False))))
+                                       _flag_from_obj(f, "d_family")))
         elif f["type"] == "sphere":
             factors.append(SphereFactor(_weights_from_obj(f["weights"], rank),
-                                        bool(f.get("trivial_summand", False))))
+                                        _flag_from_obj(f, "trivial_summand")))
         else:
             raise ValueError("unknown factor type %r" % (f["type"],))
     trivial = None

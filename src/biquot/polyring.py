@@ -6,13 +6,22 @@ ordered by that weighted grading first and lexicographically within a
 grading, where a generator listed later is the larger variable.  All the
 quotient presentations in scope have relations whose leading coefficient is
 a unit in this order, so Groebner reductions stay integral.
+
+Division (``reduce_poly``) follows the textbook algorithm (Cox, Little and
+O'Shea, *Ideals, Varieties, and Algorithms*, 2.3): it takes the terms of the
+dividend in decreasing ``monomial_key`` order, divides each by the first
+basis element, in basis order, whose leading monomial divides it, and
+otherwise moves it to the remainder.  Arithmetic is exact (int and
+Fraction).  Those two rules fix the quotients and the remainder, so any
+implementation that keeps them returns the same values term for term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from heapq import heapify, heappop, heappush
+from operator import add, le, mul, neg, sub
 
 
 @dataclass(frozen=True)
@@ -56,7 +65,7 @@ class GradedPolyRing:
         return Poly(self, {(0,) * self.ngens: c})
 
     def monomial_degree(self, exps):
-        return sum(e * d for e, d in zip(exps, self.degrees))
+        return sum(map(mul, exps, self.degrees))
 
     def monomial_key(self, exps):
         # graded (by cohomological degree), then lex with the last-listed
@@ -64,13 +73,34 @@ class GradedPolyRing:
         return (self.monomial_degree(exps), tuple(reversed(exps)))
 
     def monomials_of_degree(self, degree):
-        """All exponent tuples of the given graded degree."""
+        """All exponent tuples of the given graded degree, in increasing
+        monomial_key order.
+
+        The exponents are chosen from the last generator to the first, each
+        from 0 upwards, with the degree still to fill; the first generator
+        takes what is left when its degree divides it.  Within one degree
+        monomial_key is lex on the reversed tuple, which is exactly this
+        order.
+        """
+        if degree < 0:
+            return []
+        degrees = self.degrees
         out = []
-        bounds = [degree // d + 1 for d in self.degrees]
-        for exps in product(*(range(b) for b in bounds)):
-            if self.monomial_degree(exps) == degree:
-                out.append(exps)
-        return sorted(out, key=self.monomial_key)
+
+        def fill(i, left, suffix):
+            d = degrees[i]
+            if i == 0:
+                if left % d == 0:
+                    out.append((left // d,) + suffix)
+                return
+            for e in range(left // d + 1):
+                fill(i - 1, left - e * d, (e,) + suffix)
+
+        if degrees:
+            fill(len(degrees) - 1, degree, ())
+        elif degree == 0:
+            out.append(())
+        return out
 
     def __str__(self):
         gens = ", ".join(
@@ -86,13 +116,28 @@ def _as_coeff(c):
 
 
 class Poly:
-    """Sparse polynomial: map from exponent tuples to nonzero coefficients."""
+    """Sparse polynomial: map from exponent tuples to nonzero coefficients.
 
-    __slots__ = ("ring", "terms")
+    A Poly is never mutated after construction, so its leading monomial is
+    computed once, on first use.
+    """
+
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = {m: _as_coeff(c) for m, c in terms.items() if c != 0}
+        self._lead = None
+
+    @classmethod
+    def _wrap(cls, ring, terms):
+        """A Poly owning terms, whose coefficients are already nonzero ints
+        or Fractions."""
+        p = cls.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        p._lead = None
+        return p
 
     # -- construction helpers ------------------------------------------------
 
@@ -183,7 +228,9 @@ class Poly:
         return len({self.ring.monomial_degree(m) for m in self.terms}) <= 1
 
     def leading_monomial(self):
-        return max(self.terms, key=self.ring.monomial_key)
+        if self._lead is None:
+            self._lead = max(self.terms, key=self.ring.monomial_key)
+        return self._lead
 
     def leading_coeff(self):
         return self.terms[self.leading_monomial()]
@@ -257,50 +304,64 @@ def poly_from_obj(ring, obj):
 # -- division and Groebner bases ----------------------------------------------
 
 
-def _monomial_divides(m1, m2):
-    return all(a <= b for a, b in zip(m1, m2))
-
-
-def _monomial_div(m2, m1):
-    return tuple(b - a for a, b in zip(m1, m2))
-
-
-def _monomial_mul(m1, m2):
-    return tuple(a + b for a, b in zip(m1, m2))
-
-
 def reduce_poly(p, basis, with_quotients=False):
     """Full multivariate division of p by the list basis.
 
     Returns the remainder (no term divisible by a basis leading monomial),
     and optionally the quotients q_i with p = sum q_i b_i + remainder.
+    See the module docstring for the order of the steps.
     """
     ring = p.ring
-    quot = [ring.zero() for _ in basis] if with_quotients else None
-    rem = ring.zero()
-    work = Poly(ring, dict(p.terms))
+    degrees = ring.degrees
+
+    def heap_entry(m):
+        # heapq pops the least entry; negating monomial_key pops the largest
+        return (-sum(map(mul, m, degrees)), tuple(map(neg, reversed(m)))), m
+
     # zero polynomials divide nothing; i keeps the index into basis
-    lead = [(i, b.leading_monomial(), b.leading_coeff(), b)
-            for i, b in enumerate(basis) if not b.is_zero()]
-    while not work.is_zero():
-        m = work.leading_monomial()
-        c = work.terms[m]
-        hit = None
-        for i, lm, lc, b in lead:
-            if _monomial_divides(lm, m):
-                hit = (i, lm, lc, b)
-                break
-        if hit is None:
-            rem = rem + Poly(ring, {m: c})
-            work = work - Poly(ring, {m: c})
+    lead = []
+    for i, b in enumerate(basis):
+        if b.terms:
+            if b.ring is not ring and b.ring != ring:
+                raise ValueError("mixed rings")
+            lm = b.leading_monomial()
+            lead.append((i, lm, b.terms[lm], b.terms))
+    quot = [{} for _ in basis]
+    rem = {}
+    # work maps each monomial still queued to its coefficient, which may
+    # cancel to 0 before the monomial is popped
+    work = dict(p.terms)
+    heap = [heap_entry(m) for m in work]
+    heapify(heap)
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m)
+        if not c:
             continue
-        i, lm, lc, b = hit
-        factor = Poly(ring, {_monomial_div(m, lm): Fraction(c, 1) / lc})
-        work = work - factor * b
-        if with_quotients:
-            quot[i] = quot[i] + factor
+        for i, lm, lc, bterms in lead:
+            if all(map(le, lm, m)):
+                break
+        else:
+            rem[m] = c
+            continue
+        f = Fraction(c, 1) / lc
+        mq = tuple(map(sub, m, lm))
+        quot[i][mq] = f
+        # subtract f * x^mq * b; its leading term cancels c exactly, and
+        # every other term is smaller than m, so m never comes back
+        for bm, bc in bterms.items():
+            if bm == lm:
+                continue
+            t = tuple(map(add, mq, bm))
+            old = work.get(t)
+            if old is None:
+                work[t] = -(f * bc)
+                heappush(heap, heap_entry(t))
+            else:
+                work[t] = old - f * bc
+    rem = Poly._wrap(ring, rem)
     if with_quotients:
-        return rem, quot
+        return rem, [Poly._wrap(ring, q) for q in quot]
     return rem
 
 
@@ -326,15 +387,19 @@ def _buchberger(basis, certs=None):
         i, j = pairs.pop()
         f, g = basis[i], basis[j]
         mf, mg = f.leading_monomial(), g.leading_monomial()
-        lcm = tuple(max(a, b) for a, b in zip(mf, mg))
+        lcm = tuple(map(max, mf, mg))
         # Buchberger's coprimality criterion
-        if _monomial_mul(mf, mg) == lcm:
+        if tuple(map(add, mf, mg)) == lcm:
             continue
-        tf = Poly(f.ring, {_monomial_div(lcm, mf):
-                           Fraction(1, 1) / f.leading_coeff()})
-        tg = Poly(f.ring, {_monomial_div(lcm, mg):
-                           Fraction(1, 1) / g.leading_coeff()})
-        s = tf * f - tg * g
+        # S-polynomial tf * f - tg * g with the terms tf = cf * x^uf and
+        # tg = cg * x^ug that cancel the leading terms
+        uf, cf = tuple(map(sub, lcm, mf)), Fraction(1, 1) / f.leading_coeff()
+        ug, cg = tuple(map(sub, lcm, mg)), Fraction(1, 1) / g.leading_coeff()
+        s = {tuple(map(add, uf, m)): cf * c for m, c in f.terms.items()}
+        for m, c in g.terms.items():
+            t = tuple(map(add, ug, m))
+            s[t] = s.get(t, 0) - cg * c
+        s = Poly._wrap(f.ring, {m: c for m, c in s.items() if c})
         if certs is None:
             r = reduce_poly(s, basis)
         else:
@@ -342,6 +407,8 @@ def _buchberger(basis, certs=None):
         if r.is_zero():
             continue
         if certs is not None:
+            tf = Poly._wrap(f.ring, {uf: cf})
+            tg = Poly._wrap(f.ring, {ug: cg})
             row = [tf * a - tg * b for a, b in zip(certs[i], certs[j])]
             for q, qrow in zip(quots, certs):
                 if not q.is_zero():

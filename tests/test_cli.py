@@ -102,6 +102,40 @@ def test_free_check_rejects_malformed_rank(capsys, payload):
     assert err.startswith("input error at rank")
 
 
+@pytest.mark.parametrize("text,field", [
+    ('{"factors": [{"type": "sphere", "weights": [[1]]}]}', "rank"),
+    ("[1]", "input"),
+    ('"action"', "input"),
+    ("3", "input"),
+], ids=["missing-rank", "list", "string", "number"])
+def test_free_check_names_top_level_field(capsys, text, field):
+    code, out, err = run_cli(capsys, "free-check", "--json", text)
+    assert code == EXIT_SCHEMA and out == ""
+    assert err.startswith("input error at %s:" % field)
+
+
+@pytest.mark.parametrize("factor,field", [
+    # as a truthy string, "no" used to switch the trivial summand on
+    ({"type": "sphere", "weights": [[3]], "trivial_summand": "no"},
+     "trivial_summand"),
+    ({"type": "sphere", "weights": [[3]], "trivial_summand": 0},
+     "trivial_summand"),
+    ({"type": "group", "left": [[1], [0]], "right": [[0], [0]],
+      "d_family": "yes"}, "d_family"),
+    ({"type": "group", "left": [[1], [0]], "right": [[0], [0]],
+      "d_family": None}, "d_family"),
+])
+def test_free_check_requires_boolean_flags(capsys, factor, field):
+    payload = json.dumps({"rank": 1, "factors": [factor]})
+    code, out, err = run_cli(capsys, "free-check", "--json", payload)
+    assert code == EXIT_SCHEMA and out == ""
+    assert err.startswith("input error at %s:" % field)
+    factor[field] = False
+    code, out, _ = run_cli(capsys, "free-check", "--json",
+                           json.dumps({"rank": 1, "factors": [factor]}))
+    assert code == EXIT_OK and out.startswith("Free")
+
+
 TRIVIAL_LATTICE_ACTION = {"rank": 1, "factors": [{
     "type": "group", "left": [[1], [-1]], "right": [[0], [0]]}]}
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
@@ -76,6 +77,91 @@ def test_reduce_with_quotients_keeps_index_past_zero_basis_element():
     rem, quots = reduce_poly(u * v, [ring.zero(), u], with_quotients=True)
     assert rem.is_zero()
     assert quots == [ring.zero(), v]
+
+
+def test_reduce_rejects_mixed_rings():
+    ring = classifying_ring(["circle", "circle"])
+    other = GradedPolyRing(("s", "t"), (2, 2))
+    with pytest.raises(ValueError, match="mixed rings"):
+        reduce_poly(ring.gen("u"), [other.gen("s")])
+
+
+def _monomials_by_box_filter(ring, degree):
+    """Reference enumeration: the whole exponent box, filtered by degree and
+    sorted by monomial_key."""
+    box = product(*(range(degree // d + 1) for d in ring.degrees))
+    return sorted((e for e in box if ring.monomial_degree(e) == degree),
+                  key=ring.monomial_key)
+
+
+@pytest.mark.parametrize("degrees", [(2,), (2, 2, 2), (2, 4, 8), (4, 4)])
+def test_monomials_of_degree_matches_box_filter(degrees):
+    ring = GradedPolyRing(tuple("abc"[:len(degrees)]), degrees)
+    # negative, zero, odd and (for (4, 4)) unreachable even degrees
+    for degree in range(-3, 27):
+        assert ring.monomials_of_degree(degree) \
+            == _monomials_by_box_filter(ring, degree), degree
+
+
+def _reduce_by_polys(p, basis):
+    """Reference division with one new Poly per step: the leading term by
+    max() over all terms, the first divisor in basis order."""
+    ring = p.ring
+    key = ring.monomial_key
+    quot = [ring.zero() for _ in basis]
+    rem = ring.zero()
+    work = p
+    while not work.is_zero():
+        m = max(work.terms, key=key)
+        c = work.terms[m]
+        for i, b in enumerate(basis):
+            if b.is_zero():
+                continue
+            lm = max(b.terms, key=key)
+            if all(a <= e for a, e in zip(lm, m)):
+                step = Poly(ring, {tuple(e - a for a, e in zip(lm, m)):
+                                   Fraction(c, 1) / b.terms[lm]})
+                work = work - step * b
+                quot[i] = quot[i] + step
+                break
+        else:
+            rem = rem + Poly(ring, {m: c})
+            work = work - Poly(ring, {m: c})
+    return rem, quot
+
+
+def test_reduce_poly_matches_reference_division():
+    rng = random.Random(2024)
+    coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+
+    def random_poly(ring, degrees, nterms):
+        pool = [m for d in degrees for m in ring.monomials_of_degree(d)]
+        return Poly(ring, {m: rng.choice(coeffs)
+                           for m in rng.sample(pool, min(nterms, len(pool)))})
+
+    for degrees in ((2, 2), (2, 4), (2, 2, 4)):
+        ring = GradedPolyRing(tuple("uvw"[:len(degrees)]), degrees)
+        for case in range(25):
+            homogeneous = case % 2 == 0
+            top = rng.choice((4, 6, 8))
+
+            def degs(d):
+                return (d,) if homogeneous else tuple(range(0, d + 1, 2))
+
+            basis = [random_poly(ring, degs(rng.choice((2, 4))),
+                                 rng.randint(1, 4))
+                     for _ in range(rng.randint(1, 4))]
+            if case % 5 == 0:
+                basis.insert(rng.randint(0, len(basis)), ring.zero())
+            p = random_poly(ring, degs(top), rng.randint(1, 8))
+            rem, quots = reduce_poly(p, basis, with_quotients=True)
+            ref_rem, ref_quots = _reduce_by_polys(p, basis)
+            assert rem == ref_rem and quots == ref_quots
+            assert reduce_poly(p, basis) == rem
+            total = rem
+            for q, b in zip(quots, basis):
+                total = total + q * b
+            assert total == p
 
 
 def test_groebner_of_monomial_ideal_is_itself():
