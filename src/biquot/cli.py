@@ -210,8 +210,13 @@ def _quotient_from_args(args):
     obj = _load_json_input(args)
     try:
         gens = obj["generators"]
-        ring = GradedPolyRing(tuple(g["name"] for g in gens),
-                              tuple(int(g["degree"]) for g in gens))
+        degrees = tuple(g["degree"] for g in gens)
+        # bool is an int subclass; JSON true/false are not degrees
+        if not all(isinstance(d, int) and not isinstance(d, bool)
+                   for d in degrees):
+            raise ValueError("degrees must be integers, got %r"
+                             % (list(degrees),))
+        ring = GradedPolyRing(tuple(g["name"] for g in gens), degrees)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError("generators", str(exc))
     try:

@@ -18,14 +18,20 @@ the resulting difference lattice contains the kernel lattice.
 
 Only the lattice a choice generates matters, not the choice.  The search
 therefore adds the differences of one left weight class at a time, keeps
-the Hermite normal form of the partial lattice, stops as soon as that
-lattice contains the kernel (every completion then does too), and
-memoizes on (factor, left class, remaining right multiplicities, HNF), so
-its cost follows the number of distinct partial lattices rather than the
-n! bijections of an SU(n) factor.  It returns each distinct violating
-lattice once, with its first choice in depth-first order.  The witness of
-a non-free action is the lex-least non-trivial fixed-point element of
-minimal order, found from the Smith normal form of each violating lattice.
+the Hermite normal form of the partial lattice L (growing it one row at a
+time), and stops as soon as L contains the kernel (every completion then
+does too).  As L + <l - r> depends on r only modulo L, the right weights
+left to match are kept reduced modulo L, so weights that agree modulo L
+merge into one class.  A first phase memoizes on (factor, left class,
+remaining right classes mod L, HNF of L) and collects the violating
+lattices; its cost follows the number of distinct partial lattices and
+reduced multisets rather than the n! bijections of an SU(n) factor.  A
+second phase walks the choices in depth-first order to recover each
+violating lattice's first choice.  The witness of a non-free action is the
+lex-least non-trivial fixed-point element of minimal order, found from the
+Smith normal form of each violating lattice; lattices tied on it are taken
+in the depth-first order of their first choices, and the first one's
+choice is reported.
 
 For Spin(2n) group factors the eigenvalue test is coarser than conjugacy
 in the group itself; Free verdicts remain sound, and NotFree verdicts are
@@ -41,7 +47,8 @@ from itertools import product
 from math import gcd, lcm
 import random
 
-from .lattices import LatticeSubgroup, hnf, smith_normal_form
+from .lattices import (LatticeSubgroup, _hnf_insert, _reduce,
+                       smith_normal_form)
 
 D_FAMILY_CAVEAT = ("D-family factor present: eigenvalue conjugacy is coarser "
                    "than Spin conjugacy, so this witness may not be sharp")
@@ -274,7 +281,8 @@ def kernel_lattice(action):
 # ---------------------------------------------------------------------------
 # Choice search on lattice state (multiset bijections per group factor, one
 # weight per sphere factor), pruned once the partial lattice contains the
-# kernel and memoized on the partial lattice's HNF.
+# kernel and memoized on the partial lattice's HNF together with the right
+# weights left to match, reduced modulo that lattice.
 # ---------------------------------------------------------------------------
 
 
@@ -301,6 +309,10 @@ def _factor_plan(f):
             tuple(c for _, c in rclasses))
 
 
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def _moves(f, plan, ci, remaining):
     """Yield (generators, step description, remaining after) per option of
     the step at left class ci of a group factor, or of a sphere factor."""
@@ -317,7 +329,7 @@ def _moves(f, plan, ci, remaining):
         rest = list(remaining)
         for j, d in dist:
             rest[j] -= d
-        yield ([tuple(a - b for a, b in zip(lval, rvals[j])) for j, _ in dist],
+        yield ([_sub(lval, rvals[j]) for j, _ in dist],
                tuple((lval, rvals[j], d) for j, d in dist), tuple(rest))
 
 
@@ -326,39 +338,118 @@ def _violating_lattices(action, kernel):
 
     A lattice is violating when it is generated by a full choice and does
     not contain the kernel.  Keys and choices come in depth-first order of
-    the choices, so the first key belongs to the first violating choice.
-    The memo maps a state (factor, left class, remaining right
-    multiplicities, HNF basis) to the same kind of map over its completions.
+    the choices (right values sorted, then _distributions order), so the
+    first key belongs to the first violating choice.
+
+    Phase 1 collects the violating lattices.  Its memo maps a state
+    (factor, left class, remaining right classes, HNF basis of the partial
+    lattice L) to the frozenset of violating lattices reachable from it.
+    Only l - r mod L matters for L + <l - r>, so the remaining right values
+    are kept as their canonical representatives mod L (reduced by the HNF
+    pivot rows) with multiplicities, and moves branch over these classes:
+    right weights that agree mod L merge into one class.
+    Phase 2 recovers each lattice's first choice: a walk through the moves
+    in depth-first order, with the actual weights, that takes at each step
+    the first move whose state (looked up by its reduced key) can still
+    reach the lattice.  The lattices are then ordered by the move indices
+    of their walks, which is the order is_free breaks witness ties in.
     """
     rank = action.rank
     factors = action.factors
     plans = [_factor_plan(f) for f in factors]
-    starts = [plan[2] if plan else () for plan in plans] + [()]
+    reduced = {}  # basis -> {value: its canonical representative mod L}
+    covers = {}  # basis -> whether L contains the kernel
     memo = {}
 
-    def search(fi, ci, remaining, basis):
-        key = (fi, ci, remaining, basis)
-        if key in memo:
-            return memo[key]
-        lat = LatticeSubgroup(rank, basis)
-        if lat.contains(kernel):  # so does every completion: prune
-            out = {}
+    def reduce(v, basis):
+        cache = reduced.get(basis)
+        if cache is None:
+            cache = reduced[basis] = {}
+        r = cache.get(v)
+        if r is None:
+            r = cache[v] = _reduce(v, basis)
+        return r
+
+    def classes(values, basis):
+        """Sorted (representative mod L, multiplicity) of (value, count)."""
+        out = {}
+        for v, m in values:
+            r = reduce(v, basis)
+            out[r] = out.get(r, 0) + m
+        return tuple(sorted(out.items()))
+
+    def grow(basis, gens):
+        for g in gens:
+            basis = _hnf_insert(basis, g)
+        return basis
+
+    def enter(fi, basis):
+        """The reachable violating lattices from the start of factor fi."""
+        plan = plans[fi] if fi < len(factors) else None
+        rights = classes(zip(plan[1], plan[2]), basis) if plan else ()
+        return reach(fi, 0, rights, basis)
+
+    def reach(fi, ci, rights, basis):
+        key = (fi, ci, rights, basis)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        if basis not in covers:
+            covers[basis] = LatticeSubgroup(rank, basis).contains(kernel)
+        if covers[basis]:  # so does every completion: prune
+            out = frozenset()
         elif fi == len(factors):
-            out = {basis: ()}
+            out = frozenset([basis])
+        elif plans[fi] is None:
+            out = frozenset().union(*(
+                enter(fi + 1, grow(basis, gens))
+                for gens, _, _ in _moves(factors[fi], None, ci, ())))
         else:
-            out = {}
-            last = plans[fi] is None or ci + 1 == len(plans[fi][0])
-            for gens, step, rest in _moves(factors[fi], plans[fi], ci,
-                                           remaining):
-                grown = basis
-                if not all(lat.contains_vector(g) for g in gens):
-                    grown = tuple(hnf(list(basis) + gens, rank))
-                sub = (search(fi + 1, 0, starts[fi + 1], grown) if last
-                       else search(fi, ci + 1, rest, grown))
-                for final, steps in sub.items():
-                    out.setdefault(final, (step,) + steps)
+            lclasses = plans[fi][0]
+            lval, lcount = lclasses[ci]
+            parts = []
+            for dist in _distributions(lcount, [m for _, m in rights]):
+                grown = grow(basis, [_sub(lval, rights[j][0])
+                                     for j, _ in dist])
+                if ci + 1 == len(lclasses):
+                    parts.append(enter(fi + 1, grown))
+                    continue
+                rest = list(rights)
+                for j, d in dist:
+                    rest[j] = (rest[j][0], rest[j][1] - d)
+                rest = tuple(c for c in rest if c[1])
+                if grown is not basis:
+                    rest = classes(rest, grown)
+                parts.append(reach(fi, ci + 1, rest, grown))
+            out = frozenset().union(*parts)
         memo[key] = out
         return out
+
+    def first_choice(target):
+        """(move indices, steps) of the first choice generating target."""
+        basis, indices, steps = (), [], []
+        for fi, f in enumerate(factors):
+            plan = plans[fi]
+            remaining = plan[2] if plan else ()
+            for ci in range(len(plan[0]) if plan else 1):
+                last = plan is None or ci + 1 == len(plan[0])
+                for k, (gens, step, rest) in enumerate(
+                        _moves(f, plan, ci, remaining)):
+                    if any(any(reduce(g, target)) for g in gens):
+                        continue  # a generator outside the target
+                    grown = grow(basis, gens)
+                    sub = (enter(fi + 1, grown) if last else
+                           reach(fi, ci + 1, classes(
+                               [(v, m) for v, m in zip(plan[1], rest) if m],
+                               grown), grown))
+                    if target in sub:
+                        break
+                else:
+                    raise AssertionError("violating lattice not reached")
+                basis, remaining = grown, rest
+                indices.append(k)
+                steps.append(step)
+        return indices, steps
 
     def per_factor(steps):
         # a group factor took one step per left class, a sphere factor one
@@ -369,8 +460,9 @@ def _violating_lattices(action, kernel):
             i += k
         return tuple(out)
 
-    found = search(0, 0, starts[0], ())
-    return {lat: per_factor(steps) for lat, steps in found.items()}
+    walks = sorted(first_choice(target) + (target,)
+                   for target in enter(0, ()))
+    return {target: per_factor(steps) for _, steps, target in walks}
 
 
 # ---------------------------------------------------------------------------
@@ -662,24 +754,3 @@ def brute_force_free(action, max_order, samples=20000, seed=0):
             return BruteVerdict(True, max_order, False, t, t.order)
     return BruteVerdict(False, max_order, False)
 
-
-def rescale_action(action, basis):
-    """Reparameterize the torus along an integer basis matrix (rows are the
-    new coordinate directions): weights w become w . basis^T entries.
-
-    Used for sources given as finite quotients of a product: callers supply
-    the finite-index sublattice and keep any congruence bookkeeping.
-    """
-    def remap(w):
-        return tuple(sum(w[i] * row[i] for i in range(len(w))) for row in basis)
-
-    factors = []
-    for f in action.factors:
-        if isinstance(f, GroupFactor):
-            factors.append(GroupFactor(tuple(remap(w) for w in f.left),
-                                       tuple(remap(w) for w in f.right),
-                                       f.d_family))
-        else:
-            factors.append(SphereFactor(tuple(remap(w) for w in f.weights),
-                                        f.has_trivial_summand))
-    return TwoSidedAction(len(basis), tuple(factors), None)

@@ -57,7 +57,7 @@ def hnf(rows, rank=None):
     # reduce entries above pivots, in ascending pivot order so that later
     # reductions (touching only later columns) cannot undo earlier ones
     for i in range(len(basis)):
-        pcol = next(k for k in range(rank) if basis[i][k] != 0)
+        pcol = _lead(basis[i])
         p = basis[i][pcol]
         for j in range(i):
             q = basis[j][pcol] // p
@@ -65,6 +65,77 @@ def hnf(rows, rank=None):
                 for k in range(rank):
                     basis[j][k] -= q * basis[i][k]
     return [tuple(r) for r in basis]
+
+
+def _lead(row):
+    """Column of the first nonzero entry (the pivot of an HNF row)."""
+    for k, x in enumerate(row):
+        if x:
+            return k
+
+
+def _reduce(v, basis):
+    """The canonical representative of v modulo the lattice of an HNF basis:
+    every pivot-column entry reduced into [0, pivot), in pivot order.
+    Vectors agree modulo the lattice iff their representatives are equal."""
+    for row in basis:
+        pcol = _lead(row)
+        q = v[pcol] // row[pcol]
+        if q:
+            v = tuple(a - q * b for a, b in zip(v, row))
+    return v
+
+
+def _hnf_insert(basis, v):
+    """The HNF of the lattice an HNF basis spans together with one more row.
+
+    Equals hnf(list(basis) + [v]).  Column by column, v is combined with
+    the pivot row of its leading column by an extended gcd, which clears
+    that column of v, until v vanishes or takes the place of a missing
+    pivot; then the entries above the changed pivots are reduced again.
+    The basis itself comes back when v lies in its lattice.
+    """
+    rows = [list(r) for r in basis]
+    leads = [_lead(r) for r in rows]
+    rank = len(v)
+    v = list(v)
+    first = None  # the first row that changed
+    i = 0
+    for col in range(rank):
+        b = v[col]
+        if not b:
+            continue
+        while i < len(rows) and leads[i] < col:
+            i += 1
+        if i == len(rows) or leads[i] > col:  # no pivot in this column yet
+            rows.insert(i, v if b > 0 else [-x for x in v])
+            leads.insert(i, col)
+            first = i if first is None else first
+            break
+        row = rows[i]
+        p = row[col]
+        if b % p == 0:
+            q = b // p
+            v = [x - q * y for x, y in zip(v, row)]
+        else:
+            g, x, y = _xgcd(p, b)
+            rows[i] = [x * s + y * t for s, t in zip(row, v)]
+            v = [p // g * t - b // g * s for s, t in zip(row, v)]
+            first = i if first is None else first
+        i += 1
+    if first is None:
+        return basis
+    # reduce entries above pivots, in ascending pivot order as in hnf; the
+    # rows before the first change are reduced against each other already
+    for i in range(first, len(rows)):
+        pcol, row = leads[i], rows[i]
+        p = row[pcol]
+        for above in rows[:i]:
+            q = above[pcol] // p
+            if q:
+                for k in range(pcol, rank):
+                    above[k] -= q * row[k]
+    return tuple(map(tuple, rows))
 
 
 def smith_normal_form(rows, rank=None):
@@ -198,27 +269,6 @@ def invariant_factors(rows, rank=None):
     return [d[i][i] for i in range(n) if d[i][i] != 0]
 
 
-def det_unimodular(mat):
-    """Determinant via fraction-free Gaussian elimination (Bareiss)."""
-    n = len(mat)
-    a = [list(r) for r in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
-
-
 def invert_unimodular(mat):
     """Exact inverse of an integer matrix with determinant +-1."""
     n = len(mat)
@@ -266,17 +316,10 @@ class LatticeSubgroup:
         return self.basis
 
     def contains_vector(self, v):
-        """Exact membership by back-substitution against the HNF basis."""
+        """Exact membership: v reduces to zero modulo the HNF basis."""
         if len(v) != self.rank:
             raise ValueError("ambient rank mismatch")
-        v = list(v)
-        for row in self.basis:
-            pcol = next(k for k in range(self.rank) if row[k] != 0)
-            if v[pcol] % row[pcol] == 0:
-                q = v[pcol] // row[pcol]
-                if q:
-                    v = [a - q * b for a, b in zip(v, row)]
-        return not any(v)
+        return not any(_reduce(v, self.basis))
 
     def contains(self, other):
         if other.rank != self.rank:

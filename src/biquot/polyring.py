@@ -292,12 +292,27 @@ class Poly:
 
 
 def poly_from_obj(ring, obj):
+    """The Poly of JSON terms [{"exps": [...], "coeff": "p/q"}, ...] (see
+    Poly.to_obj).  Each term needs one non-negative integer exponent per
+    generator and a finite rational coefficient, or ValueError is raised.
+    """
     pairs = []
     for term in obj:
-        c = Fraction(str(term["coeff"]))
+        exps = term["exps"]
+        # bool is an int subclass; JSON true/false are not exponents
+        if not isinstance(exps, list) or len(exps) != ring.ngens or not all(
+                isinstance(e, int) and not isinstance(e, bool) and e >= 0
+                for e in exps):
+            raise ValueError("exps %r: expected %d non-negative integers, "
+                             "one per generator" % (exps, ring.ngens))
+        try:
+            c = Fraction(str(term["coeff"]))
+        except ZeroDivisionError:
+            raise ValueError("coeff %r: not a finite rational"
+                             % (term["coeff"],))
         if c.denominator == 1:
             c = int(c)
-        pairs.append((tuple(term["exps"]), c))
+        pairs.append((tuple(exps), c))
     return Poly.from_pairs(ring, pairs)
 
 

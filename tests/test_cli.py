@@ -213,6 +213,29 @@ def test_cohomology_presets_and_json_input(capsys, tmp_path):
     assert code == EXIT_SCHEMA
 
 
+UV_RING = [{"name": "u", "degree": 2}, {"name": "v", "degree": 2}]
+
+
+@pytest.mark.parametrize("ring,field", [
+    ({"generators": [{"name": "x", "degree": 2.9}]}, "generators"),
+    ({"generators": UV_RING,
+      "relations": [[{"exps": [1, 0, 5], "coeff": "1"}]]}, "relations"),
+    ({"generators": UV_RING,
+      "relations": [[{"exps": [1], "coeff": "1"}]]}, "relations"),
+    ({"generators": [{"name": "u", "degree": 2}],
+      "relations": [[{"exps": [True], "coeff": "1"}]]}, "relations"),
+    ({"generators": [{"name": "u", "degree": 2}],
+      "relations": [[{"exps": [-2], "coeff": "1"}]]}, "relations"),
+    ({"generators": UV_RING,
+      "relations": [[{"exps": [1, 1], "coeff": "1/0"}]]}, "relations"),
+], ids=["float-degree", "long-exps", "short-exps", "bool-exps",
+        "negative-exps", "zero-denominator"])
+def test_cohomology_rejects_malformed_rings(capsys, ring, field):
+    code, out, err = run_cli(capsys, "cohomology", "--json", json.dumps(ring))
+    assert code == EXIT_SCHEMA and out == ""
+    assert err.startswith("input error at %s" % field)
+
+
 def test_search_commands(capsys):
     code, out, _ = run_cli(capsys, "search-rank1", "--group", "G2")
     assert code == EXIT_OK and "witness order 5" in out

@@ -6,7 +6,7 @@ import pytest
 from biquot.freeness import (
     GroupFactor, SphereFactor, TwoSidedAction, TorusElement, kernel_lattice,
     is_free, brute_force_free, has_fixed_point, acts_trivially,
-    action_from_obj, rescale_action, _violating_lattices,
+    action_from_obj, _violating_lattices,
 )
 from biquot.lattices import LatticeSubgroup
 from biquot import constructions as cons
@@ -273,6 +273,24 @@ def test_serialization_round_trip():
         assert obj["verdict"] in ("free", "not_free")
         if not v.free:
             assert obj["witness"]["order"] == v.witness_order
+
+
+def rescale_action(action, basis):
+    """Reparameterize the torus along an integer basis matrix (rows are the
+    new coordinate directions): weights w become w . basis^T entries."""
+    def remap(w):
+        return tuple(sum(w[i] * row[i] for i in range(len(w))) for row in basis)
+
+    factors = []
+    for f in action.factors:
+        if isinstance(f, GroupFactor):
+            factors.append(GroupFactor(tuple(remap(w) for w in f.left),
+                                       tuple(remap(w) for w in f.right),
+                                       f.d_family))
+        else:
+            factors.append(SphereFactor(tuple(remap(w) for w in f.weights),
+                                        f.has_trivial_summand))
+    return TwoSidedAction(len(basis), tuple(factors), None)
 
 
 def test_rescale_action():

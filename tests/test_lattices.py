@@ -5,14 +5,35 @@ import sympy
 from sympy.matrices.normalforms import invariant_factors as sympy_invariants
 
 from biquot.lattices import (
-    hnf, smith_normal_form, invariant_factors, LatticeSubgroup,
-    det_unimodular, invert_unimodular,
+    hnf, _hnf_insert, smith_normal_form, invariant_factors, LatticeSubgroup,
+    invert_unimodular,
 )
 
 
 def random_matrix(rng, rows, cols, bound=6):
     return [tuple(rng.randint(-bound, bound) for _ in range(cols))
             for _ in range(rows)]
+
+
+def det_unimodular(mat):
+    """Determinant via fraction-free Gaussian elimination (Bareiss)."""
+    n = len(mat)
+    a = [list(r) for r in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def test_snf_examples():
@@ -72,6 +93,52 @@ def test_hnf_canonical_for_equal_lattices():
         assert hnf(combo, n) == basis
         # idempotent
         assert hnf(basis, n) == basis
+
+
+def _pivot_columns(basis):
+    return [next(k for k, x in enumerate(r) if x) for r in basis]
+
+
+def test_hnf_insert_matches_batch_hnf():
+    # one-row insertion must give the unique HNF that hnf computes from
+    # scratch; the cases cover the zero vector, members (basis unchanged),
+    # negative leading entries, a new pivot before, between or after the
+    # old ones, and bases whose lattice misses some pivot columns
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(800):
+        n = rng.randint(1, 4)
+        basis = tuple(hnf(random_matrix(rng, rng.randint(0, n), n), n))
+        kind = rng.choice(("zero", "member", "random", "random"))
+        if kind == "zero":
+            v = (0,) * n
+        elif kind == "member":
+            coeffs = [rng.randint(-3, 3) for _ in basis]
+            v = tuple(sum(c * r[j] for c, r in zip(coeffs, basis))
+                      for j in range(n))
+        else:
+            zeros = rng.randint(0, n - 1)  # moves the leading column right
+            v = (0,) * zeros + tuple(rng.randint(-9, 9)
+                                     for _ in range(n - zeros))
+        got = _hnf_insert(basis, v)
+        assert got == tuple(hnf(list(basis) + [v], n)), (basis, v)
+        if kind in ("zero", "member"):
+            assert got == basis
+            seen.add(kind)
+        if any(v) and next(x for x in v if x) < 0:
+            seen.add("negative lead")
+        old = _pivot_columns(basis)
+        if 0 < len(old) < n:
+            seen.add("non-pivot columns")
+        for col in set(_pivot_columns(got)) - set(old):
+            if old and col < min(old):
+                seen.add("pivot before")
+            elif old and col > max(old):
+                seen.add("pivot after")
+            elif old:
+                seen.add("pivot between")
+    assert seen == {"zero", "member", "negative lead", "non-pivot columns",
+                    "pivot before", "pivot between", "pivot after"}
 
 
 def test_membership_agrees_with_exact_solving():

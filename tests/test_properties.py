@@ -10,6 +10,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from biquot.cohomology import GradedQuotient  # noqa: E402
+from biquot.freeness import (  # noqa: E402
+    GroupFactor, SphereFactor, TwoSidedAction, brute_force_free, is_free)
 from biquot.polyring import GradedPolyRing, Poly  # noqa: E402
 
 FIXED = settings(derandomize=True, database=None, deadline=None,
@@ -57,3 +59,47 @@ def test_betti_ranks_do_not_depend_on_the_presentation(case):
     assert q.betti(12) == q_other.betti(12)
     if q.is_finite_dimensional():
         assert q.top_degree() == q_other.top_degree()
+
+
+def _weight_lists(rank, n):
+    return st.lists(st.tuples(*[st.integers(-2, 2)] * rank),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def actions_and_relabelings(draw):
+    """A small action, and the same action with the weights permuted inside
+    each factor and the two sides of each group factor swapped or not."""
+    rank = draw(st.integers(1, 3))
+    factors, relabeled = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            n = draw(st.integers(2, 4))
+            left = draw(_weight_lists(rank, n))
+            right = draw(_weight_lists(rank, n))
+            factors.append(GroupFactor(left, right))
+            left, right = draw(st.permutations(left)), \
+                draw(st.permutations(right))
+            if draw(st.booleans()):
+                left, right = right, left
+            relabeled.append(GroupFactor(left, right))
+        else:
+            ws = draw(_weight_lists(rank, draw(st.integers(1, 3))))
+            flag = draw(st.booleans())
+            factors.append(SphereFactor(ws, flag))
+            relabeled.append(SphereFactor(draw(st.permutations(ws)), flag))
+    return TwoSidedAction(rank, factors), TwoSidedAction(rank, relabeled)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(actions_and_relabelings())
+def test_witness_does_not_depend_on_weight_order_or_sides(case):
+    action, relabeled = case
+    v, w = is_free(action), is_free(relabeled)
+    assert (v.free, v.witness, v.witness_order) \
+        == (w.free, w.witness, w.witness_order)
+    if action.rank <= 2:
+        brute = brute_force_free(action, 12)
+        if brute.found_witness:
+            assert (v.witness, v.witness_order) \
+                == (brute.witness, brute.witness_order)
