@@ -144,8 +144,8 @@ def _action_from_args(args):
         return action_from_obj(obj)
     except (KeyError, TypeError, ValueError) as exc:
         field, _, message = str(exc).partition(": ")
-        if field in ("input", "rank", "trivial_lattice", "d_family",
-                     "trivial_summand"):
+        if field in ("input", "rank", "factors", "trivial_lattice",
+                     "d_family", "trivial_summand"):
             raise SchemaError(field, message)
         raise SchemaError("factors", str(exc))
 
@@ -208,20 +208,31 @@ def _quotient_from_args(args):
                               ">= 1, got %r" % (name, param))
         return _RING_PRESETS[name](n)
     obj = _load_json_input(args)
+    if not isinstance(obj, dict):
+        raise SchemaError("input", "expected a JSON object, got %s"
+                          % type(obj).__name__)
     try:
         gens = obj["generators"]
+        if not isinstance(gens, list):
+            raise ValueError("expected a list, got %r" % (gens,))
+        names = tuple(g["name"] for g in gens)
+        if not all(isinstance(n, str) and n for n in names):
+            raise ValueError("names must be non-empty strings, got %r"
+                             % (list(names),))
         degrees = tuple(g["degree"] for g in gens)
         # bool is an int subclass; JSON true/false are not degrees
         if not all(isinstance(d, int) and not isinstance(d, bool)
                    for d in degrees):
             raise ValueError("degrees must be integers, got %r"
                              % (list(degrees),))
-        ring = GradedPolyRing(tuple(g["name"] for g in gens), degrees)
+        ring = GradedPolyRing(names, degrees)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError("generators", str(exc))
     try:
-        rels = [poly_from_obj(ring, r) for r in obj.get("relations", [])]
-        return GradedQuotient(ring, rels)
+        rels = obj.get("relations", [])
+        if not isinstance(rels, list):
+            raise ValueError("expected a list, got %r" % (rels,))
+        return GradedQuotient(ring, [poly_from_obj(ring, r) for r in rels])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError("relations", str(exc))
 

@@ -28,10 +28,13 @@ lattices; its cost follows the number of distinct partial lattices and
 reduced multisets rather than the n! bijections of an SU(n) factor.  A
 second phase walks the choices in depth-first order to recover each
 violating lattice's first choice.  The witness of a non-free action is the
-lex-least non-trivial fixed-point element of minimal order, found from the
-Smith normal form of each violating lattice; lattices tied on it are taken
-in the depth-first order of their first choices, and the first one's
-choice is reported.
+lex-least non-trivial fixed-point element of minimal order.  It is read
+from one Smith form D = U*L*V per violating lattice L: the elements of
+order dividing q in Ann(L) are generated by the columns j of V over
+gcd(D[j][j], q), with D[j][j] = 0 past the rows of L (Cohen, A Course in
+Computational Algebraic Number Theory, 1993, section 2.4).  Lattices tied
+on the witness are taken in the depth-first order of their first choices,
+and the first one's choice is reported.
 
 For Spin(2n) group factors the eigenvalue test is coarser than conjugacy
 in the group itself; Free verdicts remain sound, and NotFree verdicts are
@@ -157,8 +160,9 @@ def _flag_from_obj(f, name):
 def action_from_obj(obj):
     """A TwoSidedAction from its JSON object (see TwoSidedAction.to_obj).
 
-    Errors about the top level, rank, trivial_lattice, d_family and
-    trivial_summand start with "<field>: " so callers can name the field.
+    Errors about the top level, rank, the factors list, trivial_lattice,
+    d_family and trivial_summand start with "<field>: " so callers can name
+    the field.
     """
     if not isinstance(obj, dict):
         raise ValueError("input: expected a JSON object, got %s"
@@ -168,6 +172,10 @@ def action_from_obj(obj):
     rank = obj["rank"]
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise ValueError("rank: must be an integer >= 1, got %r" % (rank,))
+    if "factors" not in obj:
+        raise ValueError("factors: missing")
+    if not isinstance(obj["factors"], list):
+        raise ValueError("factors: must be a list, got %r" % (obj["factors"],))
     factors = []
     for f in obj["factors"]:
         if f["type"] == "group":
@@ -470,58 +478,23 @@ def _violating_lattices(action, kernel):
 # ---------------------------------------------------------------------------
 
 
-def _membership_data(rows, rank):
-    """(diag, V, k) such that w in L iff (wV)_i = 0 mod d_i and = 0 beyond k."""
-    if not rows:
-        ident = [[int(i == j) for j in range(rank)] for i in range(rank)]
-        return [], ident, 0
+def _smith_diagonal(rows, rank):
+    """(diag, V) from the Smith form D = U*M*V of the rows M: diag[j] is
+    D[j][j], and 0 past the last row."""
     d, _, v = smith_normal_form(list(rows), rank)
-    k = min(len(rows), rank)
-    diag = [d[i][i] for i in range(k) if d[i][i] != 0]
-    return diag, v, len(diag)
+    return [d[j][j] if j < len(d) else 0 for j in range(rank)], v
 
 
-def _apply_v(w, v):
-    return [sum(w[i] * v[i][j] for i in range(len(w))) for j in range(len(v[0]))]
-
-
-def _min_order_outside(rows, kernel, rank):
-    """Smallest q >= 2 such that some kernel generator escapes L + q*Z^rank."""
-    diag, v, k = _membership_data(rows, rank)
-    lat = LatticeSubgroup.from_rows(rank, rows)
-    best = None
-    for kg in kernel.basis:
-        if lat.contains_vector(kg):
-            continue
-        y = _apply_v(kg, v)
-        bound = 2
-        for i in range(k):
-            if y[i] % diag[i] != 0:
-                bound = max(bound, diag[i])
-        for j in range(k, rank):
-            if y[j] != 0:
-                bound = max(bound, abs(y[j]) + 1)
-        for q in range(2, bound + 1):
-            escaped = any(y[i] % gcd(diag[i], q) != 0 for i in range(k)) or \
-                any(y[j] % q != 0 for j in range(k, rank))
-            if escaped:
-                if best is None or q < best:
-                    best = q
-                break
-    return best
-
-
-def _torsion_generators(rows, q, rank):
-    """Generators of the q-torsion of the annihilator of the row lattice."""
-    stacked = list(rows) + [tuple(q * int(i == j) for j in range(rank))
-                            for i in range(rank)]
-    d, _, v = smith_normal_form(stacked, rank)
+def _torsion_generators(diag, v, q):
+    """Generators (coords, order) of Ann(M)[q], the elements of order
+    dividing q that pair integrally with every row of M, from the Smith
+    data of M: column j of V over gcd(diag[j], q), where it is not 1.
+    Their orders multiply to the order of Ann(M)[q]."""
     gens = []
-    for i in range(rank):
-        di = d[i][i]
-        if di > 1:
-            gens.append((tuple(Fraction(v[j][i], di) % 1 for j in range(rank)),
-                         di))
+    for j, dj in enumerate(diag):
+        g = gcd(dj, q)
+        if g > 1:
+            gens.append((tuple(Fraction(row[j], g) % 1 for row in v), g))
     return gens
 
 
@@ -533,17 +506,31 @@ def _best_witness(basis, kernel, rank):
     """Witness (q, t) of a violating lattice L, given by its HNF basis.
 
     t is the lex-least element of minimal order q in Ann(L) outside Ann(K),
-    K the kernel lattice (which L does not contain).  q is the smallest
-    order at which a kernel generator escapes L + qZ^rank, and every
-    combination of the torsion generators of Ann(L)[q] = Ann(L + qZ^rank),
-    at most q^rank elements, is a candidate; by the minimality of q the
-    candidates outside Ann(K) all have order q.
+    K the kernel lattice (which L does not contain).  Everything comes from
+    one Smith form D = U*L*V: Ann(L)[q] is generated by column j of V over
+    gcd(D[j][j], q) (with D[j][j] = 0 past the rows of L), so a kernel row
+    k pairs non-integrally with some element of Ann(L)[q] iff some (k*V)_j
+    is not 0 mod gcd(D[j][j], q).  q is the least order with such a row,
+    and every combination of the generators, at most q^rank elements, is a
+    candidate; by the minimality of q the candidates outside Ann(K) all
+    have order q.
     The answer depends on L alone, so the least one over all violating
     lattices is the lex-least non-trivial fixed-point element of minimal
     order: the element the exhaustive oracle returns at rank <= 2.
     """
-    q = _min_order_outside(basis, kernel, rank)
-    tors = _torsion_generators(basis, q, rank)
+    diag, v = _smith_diagonal(basis, rank)
+    ys = [[sum(k[i] * v[i][j] for i in range(rank)) for j in range(rank)]
+          for k in kernel.basis]
+    # y_j escapes at c = D[j][j] if that is not 0, else at c = |y_j| + 1,
+    # iff c does not divide y_j (gcd(D[j][j], c) = c); the least such c
+    # bounds q
+    bound = min((c for y in ys for yj, dj in zip(y, diag)
+                 for c in [dj or abs(yj) + 1] if yj % c), default=1)
+    q = next((q for q in range(2, bound + 1) if any(
+        yj % gcd(dj, q) for y in ys for yj, dj in zip(y, diag))), None)
+    if q is None:
+        raise AssertionError("no kernel row escapes the violating lattice")
+    tors = _torsion_generators(diag, v, q)
     # numerators over q: a generator of order d divides q
     gens = [[int(x * q) for x in coords] for coords, _ in tors]
     best = None

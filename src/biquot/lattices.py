@@ -1,9 +1,12 @@
 """Exact integer lattice algorithms: Hermite and Smith normal forms.
 
 Lattices here are subgroups of Z^r presented by generator row vectors.
-Everything runs on arbitrary-precision Python ints.  The Smith form also
-returns the unimodular transforms, which the freeness machinery needs to
-build torsion elements of the dual torus.
+Everything runs on arbitrary-precision Python ints.  The Hermite form is
+built by one-row insertion: each row is combined into the HNF basis of the
+rows before it by extended gcds on its leading columns (Cohen, A Course in
+Computational Algebraic Number Theory, 1993, section 2.4).  The Smith form
+also returns the unimodular transforms, which the freeness machinery needs
+to build torsion elements of the dual torus.
 """
 
 from __future__ import annotations
@@ -21,50 +24,19 @@ def hnf(rows, rank=None):
 
     Returns a canonical basis: echelon rows with positive pivots and entries
     above each pivot reduced into [0, pivot).  The result depends only on
-    the spanned lattice, making it a lattice-equality certificate.
+    the spanned lattice, making it a lattice-equality certificate.  The
+    rows are inserted one at a time (see _hnf_insert).
     """
     if rank is None:
         if not rows:
             raise ValueError("empty generator list needs an explicit rank")
         rank = len(rows[0])
-    work = [list(r) for r in rows if any(r)]
-    for r in work:
+    basis = ()
+    for r in rows:
         if len(r) != rank:
             raise ValueError("generator length does not match ambient rank")
-    basis = []
-    col = 0
-    while col < rank and work:
-        # gcd elimination on the current column
-        while True:
-            nonzero = [r for r in work if r[col] != 0]
-            if len(nonzero) <= 1:
-                break
-            nonzero.sort(key=lambda r: abs(r[col]))
-            piv = nonzero[0]
-            for r in nonzero[1:]:
-                q = r[col] // piv[col]
-                for k in range(rank):
-                    r[k] -= q * piv[k]
-        pivs = [r for r in work if r[col] != 0]
-        if pivs:
-            piv = pivs[0]
-            work.remove(piv)
-            if piv[col] < 0:
-                piv = [-x for x in piv]
-            basis.append(piv)
-        work = [r for r in work if any(r)]
-        col += 1
-    # reduce entries above pivots, in ascending pivot order so that later
-    # reductions (touching only later columns) cannot undo earlier ones
-    for i in range(len(basis)):
-        pcol = _lead(basis[i])
-        p = basis[i][pcol]
-        for j in range(i):
-            q = basis[j][pcol] // p
-            if q:
-                for k in range(rank):
-                    basis[j][k] -= q * basis[i][k]
-    return [tuple(r) for r in basis]
+        basis = _hnf_insert(basis, r)
+    return list(basis)
 
 
 def _lead(row):
@@ -89,10 +61,10 @@ def _reduce(v, basis):
 def _hnf_insert(basis, v):
     """The HNF of the lattice an HNF basis spans together with one more row.
 
-    Equals hnf(list(basis) + [v]).  Column by column, v is combined with
-    the pivot row of its leading column by an extended gcd, which clears
-    that column of v, until v vanishes or takes the place of a missing
-    pivot; then the entries above the changed pivots are reduced again.
+    Column by column, v is combined with the pivot row of its leading
+    column by an extended gcd, which clears that column of v, until v
+    vanishes or takes the place of a missing pivot; then the entries above
+    the changed pivots are reduced again.
     The basis itself comes back when v lies in its lattice.
     """
     rows = [list(r) for r in basis]
@@ -125,7 +97,8 @@ def _hnf_insert(basis, v):
         i += 1
     if first is None:
         return basis
-    # reduce entries above pivots, in ascending pivot order as in hnf; the
+    # reduce entries above pivots in ascending pivot order, so that later
+    # reductions (touching only later columns) cannot undo earlier ones; the
     # rows before the first change are reduced against each other already
     for i in range(first, len(rows)):
         pcol, row = leads[i], rows[i]
@@ -310,10 +283,6 @@ class LatticeSubgroup:
     @staticmethod
     def zero(rank):
         return LatticeSubgroup(rank, ())
-
-    @property
-    def generators(self):
-        return self.basis
 
     def contains_vector(self, v):
         """Exact membership: v reduces to zero modulo the HNF basis."""

@@ -107,7 +107,8 @@ def test_free_check_rejects_malformed_rank(capsys, payload):
     ("[1]", "input"),
     ('"action"', "input"),
     ("3", "input"),
-], ids=["missing-rank", "list", "string", "number"])
+    ('{"rank": 1, "factors": {}}', "factors"),
+], ids=["missing-rank", "list", "string", "number", "factors-object"])
 def test_free_check_names_top_level_field(capsys, text, field):
     code, out, err = run_cli(capsys, "free-check", "--json", text)
     assert code == EXIT_SCHEMA and out == ""
@@ -228,8 +229,19 @@ UV_RING = [{"name": "u", "degree": 2}, {"name": "v", "degree": 2}]
       "relations": [[{"exps": [-2], "coeff": "1"}]]}, "relations"),
     ({"generators": UV_RING,
       "relations": [[{"exps": [1, 1], "coeff": "1/0"}]]}, "relations"),
+    # 5 and "5" would print alike
+    ({"generators": [{"name": 5, "degree": 2},
+                     {"name": "5", "degree": 2}]}, "generators"),
+    ({"generators": [{"name": None, "degree": 2}]}, "generators"),
+    ({"generators": [{"name": "", "degree": 2}]}, "generators"),
+    ({"generators": {}}, "generators"),
+    ({"generators": UV_RING, "relations": {}}, "relations"),
+    ([UV_RING], "input"),
+    ("ring", "input"),
 ], ids=["float-degree", "long-exps", "short-exps", "bool-exps",
-        "negative-exps", "zero-denominator"])
+        "negative-exps", "zero-denominator", "number-name", "null-name",
+        "empty-name", "generators-object", "relations-object", "list",
+        "string"])
 def test_cohomology_rejects_malformed_rings(capsys, ring, field):
     code, out, err = run_cli(capsys, "cohomology", "--json", json.dumps(ring))
     assert code == EXIT_SCHEMA and out == ""
@@ -272,10 +284,9 @@ def test_catalog_output(capsys):
     assert any(p["dynkin_index"] == 28 for p in obj["pairs"])
 
 
-def test_verify_paper_all_pass(capsys, monkeypatch):
-    # both output formats render one run of the reference checks
-    results = cli.run_all()
-    monkeypatch.setattr(cli, "run_all", lambda: results)
+def test_verify_paper_all_pass(capsys, monkeypatch, reference_results):
+    # both output formats render the session's run of the reference checks
+    monkeypatch.setattr(cli, "run_all", lambda: reference_results)
     code, out, _ = run_cli(capsys, "verify-paper")
     assert code == EXIT_OK
     assert "FAIL" not in out

@@ -19,10 +19,12 @@ from biquot.freeness import (GroupFactor, SphereFactor, TwoSidedAction,
                              TorusElement, BruteVerdict, kernel_lattice,
                              is_free, brute_force_free, acts_trivially,
                              has_fixed_point, _numerators_of_order,
-                             _torsion_generators, _violating_lattices)
+                             _smith_diagonal, _torsion_generators,
+                             _violating_lattices)
 from biquot.lattices import LatticeSubgroup
 from biquot.polyring import GradedPolyRing
 from biquot.cohomology import GradedQuotient
+from elimination_hnf import elimination_hnf
 
 
 def random_group_factor(rng, rank):
@@ -87,7 +89,8 @@ def test_witness_is_lex_least_on_non_cyclic_annihilator():
 def reference_violating_lattices(action):
     """Difference lattices of every full choice that miss the kernel, from
     all permutations of each group factor's right weights and every weight
-    of each sphere factor, with no pruning and no memo."""
+    of each sphere factor, with no pruning and no memo, canonicalized by
+    gcd elimination rather than the row insertion the search uses."""
     kernel = kernel_lattice(action)
     per_factor = []
     for f in action.factors:
@@ -102,10 +105,10 @@ def reference_violating_lattices(action):
             per_factor.append([[w] for w in f.weights])
     out = set()
     for choice in itertools.product(*per_factor):
-        lat = LatticeSubgroup.from_rows(action.rank,
-                                        [r for rows in choice for r in rows])
-        if not lat.contains(kernel):
-            out.add(lat.basis)
+        basis = tuple(elimination_hnf([r for rows in choice for r in rows],
+                                      action.rank))
+        if not LatticeSubgroup(action.rank, basis).contains(kernel):
+            out.add(basis)
     return out
 
 
@@ -246,7 +249,7 @@ def test_kernel_elements_act_trivially_randomized():
         # enumerate some torsion elements of the kernel subgroup
         for q in (2, 3, 4):
             for coords, order in _torsion_generators(
-                    list(kernel.basis), q, act.rank):
+                    *_smith_diagonal(kernel.basis, act.rank), q):
                 t = TorusElement(coords)
                 for f in act.factors:
                     if isinstance(f, GroupFactor):
@@ -266,11 +269,39 @@ def test_torsion_generators_pair_integrally():
         rows = [tuple(rng.randint(-4, 4) for _ in range(n))
                 for _ in range(rng.randint(0, n))]
         q = rng.choice([2, 3, 4, 5, 6])
-        for coords, order in _torsion_generators(rows, q, n):
+        for coords, order in _torsion_generators(*_smith_diagonal(rows, n),
+                                                 q):
             t = TorusElement(coords)
             assert q % order == 0 and t.order == order
             for w in rows:
                 assert t.pair(w) == 0
+
+
+def test_torsion_generators_span_the_whole_annihilator():
+    # the generators of Ann(L)[q] must span every element of order dividing
+    # q that pairs integrally with the rows of L, each exactly once
+    rng = random.Random(6060)
+    seen = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        rows = [tuple(rng.randint(-6, 6) for _ in range(n))
+                for _ in range(rng.randint(0, 3))]
+        q = rng.randint(2, 6)
+        want = {tuple(Fraction(a, q) for a in nums)
+                for nums in itertools.product(range(q), repeat=n)
+                if all(sum(a * b for a, b in zip(w, nums)) % q == 0
+                       for w in rows)}
+        gens = _torsion_generators(*_smith_diagonal(rows, n), q)
+        spanned = Counter(
+            tuple(sum(c * g[j] for c, (g, _) in zip(cs, gens)) % 1
+                  for j in range(n))
+            for cs in itertools.product(*(range(d) for _, d in gens)))
+        assert set(spanned) == want, (rows, q)
+        assert set(spanned.values()) == {1}, (rows, q)
+        seen["proper"] += len(want) < q ** n
+        seen["non-cyclic"] += len(gens) > 1
+        seen["rank-deficient"] += len(rows) < n
+    assert min(seen.values()) > 10, seen
 
 
 def sympy_graded_rank(srels, syms, weights, degree):

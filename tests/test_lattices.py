@@ -2,12 +2,14 @@ import random
 
 import pytest
 import sympy
-from sympy.matrices.normalforms import invariant_factors as sympy_invariants
+from sympy.matrices.normalforms import (hermite_normal_form,
+                                        invariant_factors as sympy_invariants)
 
 from biquot.lattices import (
     hnf, _hnf_insert, smith_normal_form, invariant_factors, LatticeSubgroup,
     invert_unimodular,
 )
+from elimination_hnf import elimination_hnf
 
 
 def random_matrix(rng, rows, cols, bound=6):
@@ -95,20 +97,42 @@ def test_hnf_canonical_for_equal_lattices():
         assert hnf(basis, n) == basis
 
 
+def test_hnf_matches_sympy():
+    # sympy's column HNF of the transposed rows spans the same lattice, so
+    # its columns have the same row HNF
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        rows = random_matrix(rng, rng.randint(1, 5), n)
+        h = hermite_normal_form(sympy.Matrix(rows).T)
+        cols = [tuple(int(x) for x in h[:, j]) for j in range(h.cols)]
+        assert hnf(rows, n) == hnf(cols, n), rows
+
+
+def test_hnf_input_errors():
+    with pytest.raises(ValueError):
+        hnf([])
+    with pytest.raises(ValueError):
+        hnf([(1, 2), (3,)], 2)
+    assert hnf([], 3) == []
+
+
 def _pivot_columns(basis):
     return [next(k for k, x in enumerate(r) if x) for r in basis]
 
 
 def test_hnf_insert_matches_batch_hnf():
-    # one-row insertion must give the unique HNF that hnf computes from
-    # scratch; the cases cover the zero vector, members (basis unchanged),
-    # negative leading entries, a new pivot before, between or after the
-    # old ones, and bases whose lattice misses some pivot columns
+    # one-row insertion must give the unique HNF that gcd elimination
+    # computes from scratch; the cases cover the zero vector, members
+    # (basis unchanged), negative leading entries, a new pivot before,
+    # between or after the old ones, and bases whose lattice misses some
+    # pivot columns
     rng = random.Random(17)
     seen = set()
     for _ in range(800):
         n = rng.randint(1, 4)
-        basis = tuple(hnf(random_matrix(rng, rng.randint(0, n), n), n))
+        basis = tuple(elimination_hnf(
+            random_matrix(rng, rng.randint(0, n), n), n))
         kind = rng.choice(("zero", "member", "random", "random"))
         if kind == "zero":
             v = (0,) * n
@@ -121,7 +145,7 @@ def test_hnf_insert_matches_batch_hnf():
             v = (0,) * zeros + tuple(rng.randint(-9, 9)
                                      for _ in range(n - zeros))
         got = _hnf_insert(basis, v)
-        assert got == tuple(hnf(list(basis) + [v], n)), (basis, v)
+        assert got == tuple(elimination_hnf(list(basis) + [v], n)), (basis, v)
         if kind in ("zero", "member"):
             assert got == basis
             seen.add(kind)
