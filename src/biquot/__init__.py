@@ -13,7 +13,7 @@ from .lattices import LatticeSubgroup, hnf, smith_normal_form, \
     invariant_factors
 from .polyring import GradedPolyRing, Poly
 from .weights import (
-    TorusLattice, WeightRep, circle_rep, su2_irrep, su2_rep, standard_rep,
+    TorusLattice, WeightRep, su2_irrep, su2_rep, standard_rep,
     spin_rep, rep_sum, rep_tensor, rep_dual, realify, complexify,
     restrict_coords, restrict_circle, clebsch_gordan,
     dynkin_index, dynkin_index_of_hom, catalog_dynkin_index, su2_homs,

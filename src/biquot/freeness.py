@@ -22,19 +22,18 @@ the Hermite normal form of the partial lattice L (growing it one row at a
 time), and stops as soon as L contains the kernel (every completion then
 does too).  As L + <l - r> depends on r only modulo L, the right weights
 left to match are kept reduced modulo L, so weights that agree modulo L
-merge into one class.  A first phase memoizes on (factor, left class,
+merge into one class.  The search memoizes on (factor, left class,
 remaining right classes mod L, HNF of L) and collects the violating
 lattices; its cost follows the number of distinct partial lattices and
-reduced multisets rather than the n! bijections of an SU(n) factor.  A
-second phase walks the choices in depth-first order to recover each
-violating lattice's first choice.  The witness of a non-free action is the
-lex-least non-trivial fixed-point element of minimal order.  It is read
-from one Smith form D = U*L*V per violating lattice L: the elements of
-order dividing q in Ann(L) are generated by the columns j of V over
-gcd(D[j][j], q), with D[j][j] = 0 past the rows of L (Cohen, A Course in
-Computational Algebraic Number Theory, 1993, section 2.4).  Lattices tied
-on the witness are taken in the depth-first order of their first choices,
-and the first one's choice is reported.
+reduced multisets rather than the n! bijections of an SU(n) factor.  The
+witness of a non-free action is the lex-least non-trivial fixed-point
+element of minimal order.  It is read from one Smith form D = U*L*V per
+violating lattice L: the elements of order dividing q in Ann(L) are
+generated by the columns j of V over gcd(D[j][j], q), with D[j][j] = 0
+past the rows of L (Cohen, A Course in Computational Algebraic Number
+Theory, 1993, section 2.4).  The eigenvalue matching reported with it is
+read off the witness alone: the first full choice, in depth-first order,
+whose generators the witness annihilates.
 
 For Spin(2n) group factors the eigenvalue test is coarser than conjugacy
 in the group itself; Free verdicts remain sound, and NotFree verdicts are
@@ -107,8 +106,6 @@ class TwoSidedAction:
     rank: int
     factors: tuple
     trivial_lattice: LatticeSubgroup = None
-    # auto_center derives the trivially-acting subgroup from the weights;
-    # an explicit lattice overrides it (for declared central subgroups).
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -188,7 +185,7 @@ def action_from_obj(obj):
         else:
             raise ValueError("unknown factor type %r" % (f["type"],))
     trivial = None
-    if obj.get("trivial_lattice"):
+    if "trivial_lattice" in obj:
         trivial = _trivial_lattice_from_obj(obj["trivial_lattice"], rank)
     return TwoSidedAction(rank, tuple(factors), trivial)
 
@@ -224,9 +221,6 @@ class TorusElement:
 
     def pair(self, weight):
         return sum(w * c for w, c in zip(weight, self.coords)) % 1
-
-    def is_identity(self):
-        return all(c == 0 for c in self.coords)
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -296,8 +290,7 @@ def kernel_lattice(action):
 
 def _distributions(total, caps, start=0):
     """Yield the ways to put total items into bins of capacities caps, as
-    ((bin, count), ...) with every count positive, in decreasing
-    lexicographic order of the full count vector."""
+    ((bin, count), ...) with every count positive."""
     if total == 0:
         yield ()
         return
@@ -308,8 +301,8 @@ def _distributions(total, caps, start=0):
 
 
 def _factor_plan(f):
-    """(left classes, right values, right multiplicities) of a group factor;
-    None for a sphere factor, which the search takes in one step."""
+    """(left classes, right values, right multiplicities) of a group factor,
+    each sorted by value; None for a sphere factor."""
     if not isinstance(f, GroupFactor):
         return None
     rclasses = sorted(Counter(f.right).items())
@@ -321,46 +314,17 @@ def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _moves(f, plan, ci, remaining):
-    """Yield (generators, step description, remaining after) per option of
-    the step at left class ci of a group factor, or of a sphere factor."""
-    if plan is None:
-        if f.has_trivial_summand:
-            yield [], ("sphere: trivial summand, no constraint",), ()
-            return
-        for w in sorted(set(f.weights)):
-            yield [w], ("sphere weight", w), ()
-        return
-    lclasses, rvals, _ = plan
-    lval, lcount = lclasses[ci]
-    for dist in _distributions(lcount, remaining):
-        rest = list(remaining)
-        for j, d in dist:
-            rest[j] -= d
-        yield ([_sub(lval, rvals[j]) for j, _ in dist],
-               tuple((lval, rvals[j], d) for j, d in dist), tuple(rest))
-
-
 def _violating_lattices(action, kernel):
-    """Ordered map {HNF basis of a violating lattice: its first full choice}.
+    """The frozenset of HNF bases of the violating lattices: those generated
+    by a full choice that do not contain the kernel.
 
-    A lattice is violating when it is generated by a full choice and does
-    not contain the kernel.  Keys and choices come in depth-first order of
-    the choices (right values sorted, then _distributions order), so the
-    first key belongs to the first violating choice.
-
-    Phase 1 collects the violating lattices.  Its memo maps a state
-    (factor, left class, remaining right classes, HNF basis of the partial
-    lattice L) to the frozenset of violating lattices reachable from it.
-    Only l - r mod L matters for L + <l - r>, so the remaining right values
-    are kept as their canonical representatives mod L (reduced by the HNF
-    pivot rows) with multiplicities, and moves branch over these classes:
-    right weights that agree mod L merge into one class.
-    Phase 2 recovers each lattice's first choice: a walk through the moves
-    in depth-first order, with the actual weights, that takes at each step
-    the first move whose state (looked up by its reduced key) can still
-    reach the lattice.  The lattices are then ordered by the move indices
-    of their walks, which is the order is_free breaks witness ties in.
+    The memo maps a state (factor, left class, remaining right classes, HNF
+    basis of the partial lattice L) to the frozenset of violating lattices
+    reachable from it.  Only l - r mod L matters for L + <l - r>, so the
+    remaining right values are kept as their canonical representatives mod
+    L (reduced by the HNF pivot rows) with multiplicities, and each step
+    branches over these classes: right weights that agree mod L merge into
+    one class.
     """
     rank = action.rank
     factors = action.factors
@@ -409,9 +373,11 @@ def _violating_lattices(action, kernel):
         elif fi == len(factors):
             out = frozenset([basis])
         elif plans[fi] is None:
-            out = frozenset().union(*(
-                enter(fi + 1, grow(basis, gens))
-                for gens, _, _ in _moves(factors[fi], None, ci, ())))
+            f = factors[fi]
+            options = ([[]] if f.has_trivial_summand else
+                       [[w] for w in set(f.weights)])
+            out = frozenset().union(*(enter(fi + 1, grow(basis, gens))
+                                      for gens in options))
         else:
             lclasses = plans[fi][0]
             lval, lcount = lclasses[ci]
@@ -433,44 +399,43 @@ def _violating_lattices(action, kernel):
         memo[key] = out
         return out
 
-    def first_choice(target):
-        """(move indices, steps) of the first choice generating target."""
-        basis, indices, steps = (), [], []
-        for fi, f in enumerate(factors):
-            plan = plans[fi]
-            remaining = plan[2] if plan else ()
-            for ci in range(len(plan[0]) if plan else 1):
-                last = plan is None or ci + 1 == len(plan[0])
-                for k, (gens, step, rest) in enumerate(
-                        _moves(f, plan, ci, remaining)):
-                    if any(any(reduce(g, target)) for g in gens):
-                        continue  # a generator outside the target
-                    grown = grow(basis, gens)
-                    sub = (enter(fi + 1, grown) if last else
-                           reach(fi, ci + 1, classes(
-                               [(v, m) for v, m in zip(plan[1], rest) if m],
-                               grown), grown))
-                    if target in sub:
-                        break
-                else:
-                    raise AssertionError("violating lattice not reached")
-                basis, remaining = grown, rest
-                indices.append(k)
-                steps.append(step)
-        return indices, steps
+    return enter(0, ())
 
-    def per_factor(steps):
-        # a group factor took one step per left class, a sphere factor one
-        out, i = [], 0
-        for plan in plans:
-            k = 1 if plan is None else len(plan[0])
-            out.append(sum(steps[i:i + k], ()))
-            i += k
-        return tuple(out)
 
-    walks = sorted(first_choice(target) + (target,)
-                   for target in enter(0, ()))
-    return {target: per_factor(steps) for _, steps, target in walks}
+def _first_choice(action, witness):
+    """The first full choice, in depth-first order (left classes and right
+    values sorted, lex-greatest count vector first), whose generators the
+    witness annihilates: per group factor its (left, right, multiplicity)
+    steps, per sphere factor its step.
+
+    Each left class goes greedily to the right values with the same pairing
+    with the witness, as many to each as it still has.  The witness fixes a
+    point, so on a group factor the left and right pairings are equal
+    multisets and every greedy step can be completed; the greedy fill is
+    the lex-greatest feasible count vector.
+    """
+    choice = []
+    for f, plan in zip(action.factors, map(_factor_plan, action.factors)):
+        if plan is None:
+            choice.append(
+                ("sphere: trivial summand, no constraint",)
+                if f.has_trivial_summand else ("sphere weight", min(
+                    w for w in f.weights if witness.pair(w) == 0)))
+            continue
+        lclasses, rvals, counts = plan
+        remaining, steps = list(counts), []
+        for lval, lcount in lclasses:
+            p = witness.pair(lval)
+            for j, r in enumerate(rvals):
+                d = min(lcount, remaining[j]) if witness.pair(r) == p else 0
+                if d:
+                    steps.append((lval, r, d))
+                    remaining[j] -= d
+                    lcount -= d
+        if any(remaining):
+            raise AssertionError("the witness fixes no point of a factor")
+        choice.append(tuple(steps))
+    return tuple(choice)
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +517,10 @@ def is_free(action):
 
     The verdict concerns H modulo its trivially-acting subgroup (read off
     the kernel lattice: a full kernel lattice means H itself acts
-    effectively).  NotFree verdicts carry a minimal-order witness, the
-    first violating choice (in search order) whose lattice holds it, and a
-    caveat when a D-family factor is involved.
+    effectively).  NotFree verdicts carry a minimal-order witness (the
+    least over the violating lattices, each of which has one of its own),
+    the first choice in search order whose generators it annihilates, and
+    a caveat when a D-family factor is involved.
     """
     kernel = kernel_lattice(action)
     violations = _violating_lattices(action, kernel)
@@ -563,15 +529,12 @@ def is_free(action):
         else [])
     if not violations:
         return Verdict(free=True, kernel=kernel)
-    best = None
-    for basis, choice in violations.items():
-        q, t = _best_witness(basis, kernel, action.rank)
-        key = (q, t.coords)
-        if best is None or key < best[0]:
-            best = (key, t, q, choice)
-    _, witness, order, choice = best
+    order, witness = min(
+        (_best_witness(basis, kernel, action.rank) for basis in violations),
+        key=lambda qt: (qt[0], qt[1].coords))
     return Verdict(free=False, kernel=kernel, witness=witness,
-                   witness_order=order, choice=choice, caveats=caveats)
+                   witness_order=order, choice=_first_choice(action, witness),
+                   caveats=caveats)
 
 
 # ---------------------------------------------------------------------------

@@ -293,9 +293,14 @@ class Poly:
 
 def poly_from_obj(ring, obj):
     """The Poly of JSON terms [{"exps": [...], "coeff": "p/q"}, ...] (see
-    Poly.to_obj).  Each term needs one non-negative integer exponent per
-    generator and a finite rational coefficient, or ValueError is raised.
+    Poly.to_obj).  obj must be a list of such term objects (the empty list
+    is zero), each with one non-negative integer exponent per generator and
+    a finite rational coefficient, or ValueError is raised.
     """
+    if not isinstance(obj, list) or not all(
+            isinstance(t, dict) and "exps" in t and "coeff" in t for t in obj):
+        raise ValueError('relation %r: expected a list of terms '
+                         '{"exps": [...], "coeff": "p/q"}' % (obj,))
     pairs = []
     for term in obj:
         exps = term["exps"]

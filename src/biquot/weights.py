@@ -118,11 +118,6 @@ def make_rep(rank, weights, reality=COMPLEX, scale=1, label="", half=None,
 # ---------------------------------------------------------------------------
 
 
-def circle_rep(charge=1):
-    """1-dimensional complex representation of a circle, given charge."""
-    return make_rep(1, [(charge,)], label="L" if charge == 1 else "L^%d" % charge)
-
-
 def su2_irrep(k):
     """Sym^k of the standard SU(2) representation; weights k, k-2, ..., -k."""
     if k < 0:

@@ -148,6 +148,8 @@ TRIVIAL_LATTICE_ACTION = {"rank": 1, "factors": [{
     {"rank": 2, "generators": [[2, 0]]},
     {"generators": [[2]]},
     [[2]],
+    # a present key must hold a lattice, falsy values included
+    False, {}, [], 0, None,
 ])
 def test_free_check_rejects_malformed_trivial_lattice(capsys, lattice):
     payload = json.dumps(dict(TRIVIAL_LATTICE_ACTION, trivial_lattice=lattice))
@@ -238,14 +240,33 @@ UV_RING = [{"name": "u", "degree": 2}, {"name": "v", "degree": 2}]
     ({"generators": UV_RING, "relations": {}}, "relations"),
     ([UV_RING], "input"),
     ("ring", "input"),
+    ({"generators": UV_RING, "relations": [{}]}, "relations"),
+    ({"generators": UV_RING, "relations": ["ab"]}, "relations"),
+    ({"generators": UV_RING, "relations": [{"exps": [1, 0]}]}, "relations"),
+    ({"generators": UV_RING, "relations": [[1]]}, "relations"),
 ], ids=["float-degree", "long-exps", "short-exps", "bool-exps",
         "negative-exps", "zero-denominator", "number-name", "null-name",
         "empty-name", "generators-object", "relations-object", "list",
-        "string"])
+        "string", "object-relation", "string-relation", "term-relation",
+        "number-term"])
 def test_cohomology_rejects_malformed_rings(capsys, ring, field):
     code, out, err = run_cli(capsys, "cohomology", "--json", json.dumps(ring))
     assert code == EXIT_SCHEMA and out == ""
     assert err.startswith("input error at %s" % field)
+
+
+def test_cohomology_describes_relation_shape(capsys):
+    # a relation of the wrong shape is described, not indexed into; the
+    # empty list stays the zero relation
+    for relation in ({}, "ab", {"exps": [1, 0]}, [1]):
+        ring = {"generators": UV_RING, "relations": [relation]}
+        code, _, err = run_cli(capsys, "cohomology", "--json", json.dumps(ring))
+        assert code == EXIT_SCHEMA
+        assert err.startswith("input error at relations: relation %r: "
+                              "expected a list of terms" % (relation,))
+    ring = {"generators": UV_RING, "relations": [[]]}
+    code, out, _ = run_cli(capsys, "cohomology", "--json", json.dumps(ring))
+    assert code == EXIT_OK and out.startswith("ring: Z[u(2), v(2)] / ()")
 
 
 def test_search_commands(capsys):

@@ -112,6 +112,32 @@ def reference_violating_lattices(action):
     return out
 
 
+def reference_choice(action, witness):
+    """The matching is_free reports, from all permutations: per group factor
+    the bijection annihilated by the witness whose count vectors (sorted
+    left classes over sorted right values) are lex-greatest, as (left,
+    right, count) steps; per sphere factor the least annihilated weight."""
+    out = []
+    for f in action.factors:
+        if isinstance(f, SphereFactor):
+            out.append(("sphere: trivial summand, no constraint",)
+                       if f.has_trivial_summand else ("sphere weight", min(
+                           w for w in f.weights if witness.pair(w) == 0)))
+            continue
+        lvals, rvals = sorted(set(f.left)), sorted(set(f.right))
+        best = None
+        for perm in set(itertools.permutations(f.right)):
+            if any(witness.pair(tuple(a - b for a, b in zip(l, r)))
+                   for l, r in zip(f.left, perm)):
+                continue
+            pairs = Counter(zip(f.left, perm))
+            counts = tuple(tuple(pairs[l, r] for r in rvals) for l in lvals)
+            best = counts if best is None else max(best, counts)
+        out.append(tuple((l, r, best[i][j]) for i, l in enumerate(lvals)
+                         for j, r in enumerate(rvals) if best[i][j]))
+    return tuple(out)
+
+
 def su_weights(rng, n, rank):
     """n distinct weights summing to zero: a map into SU(n)."""
     while True:
@@ -160,8 +186,12 @@ def test_violating_lattices_match_full_enumeration(rank):
         act = small_action(rng, rank)
         want = reference_violating_lattices(act)
         got = _violating_lattices(act, kernel_lattice(act))
-        assert set(got) == want, act.to_obj()
-        assert is_free(act).free == (not want), act.to_obj()
+        assert got == want, act.to_obj()
+        verdict = is_free(act)
+        assert verdict.free == (not want), act.to_obj()
+        if want:
+            assert verdict.choice == reference_choice(
+                act, verdict.witness), act.to_obj()
         seen_free += not want
         seen_not_free += bool(want)
     assert seen_free > 3 and seen_not_free > 3

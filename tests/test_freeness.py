@@ -29,7 +29,7 @@ def test_torus_element_order_and_pairing():
     assert t.order == 6
     assert t.pair((3, 0)) == 0
     assert t.pair((1, 1)) == Fraction(5, 6)
-    assert TorusElement((Fraction(4, 2),)).is_identity()
+    assert TorusElement((Fraction(4, 2),)).coords == (0,)
 
 
 # -- kernel lattice -----------------------------------------------------------
@@ -245,20 +245,25 @@ def _choice_rows(choice):
 def test_monotone_pruning_safe():
     # the search prunes a partial lattice once it contains the kernel; that
     # is safe because growing a lattice keeps it containing the kernel.  So
-    # no prefix of a violating choice may contain the kernel, each reported
-    # choice must generate its lattice, and adding the kernel covers it
+    # the reported choice generates one of the violating lattices, pairs
+    # integrally with the witness and has no prefix containing the kernel,
+    # and every violating lattice misses the kernel until the kernel is
+    # added
     for act in (su2_action("S3V", "2V"), su2_action("2V", "2V"),
                 cons.su2_pair_action(SU(3), "V+C", "S2V"),
                 cons.g2_pair_action(3, 28)):
         kernel = kernel_lattice(act)
         violations = _violating_lattices(act, kernel)
-        assert violations
-        for basis, choice in violations.items():
-            rows = _choice_rows(choice)
-            assert LatticeSubgroup.from_rows(act.rank, rows).basis == basis
-            for k in range(len(rows) + 1):
-                prefix = LatticeSubgroup.from_rows(act.rank, rows[:k])
-                assert not prefix.contains(kernel)
+        assert isinstance(violations, frozenset) and violations
+        verdict = is_free(act)
+        rows = _choice_rows(verdict.choice)
+        assert LatticeSubgroup.from_rows(act.rank, rows).basis in violations
+        assert all(verdict.witness.pair(r) == 0 for r in rows)
+        for k in range(len(rows) + 1):
+            prefix = LatticeSubgroup.from_rows(act.rank, rows[:k])
+            assert not prefix.contains(kernel)
+        for basis in violations:
+            assert not LatticeSubgroup(act.rank, basis).contains(kernel)
             grown = LatticeSubgroup.from_rows(
                 act.rank, list(basis) + list(kernel.basis))
             assert grown.contains(kernel)

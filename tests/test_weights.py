@@ -6,7 +6,7 @@ import pytest
 from biquot.groups import (SU, Sp, Spin, G2, F4, UnsupportedGroupError,
                            catalog_rules, profile)
 from biquot.weights import (
-    TorusLattice, WeightRep, make_rep, circle_rep, su2_irrep, su2_rep,
+    TorusLattice, WeightRep, make_rep, su2_irrep, su2_rep,
     su2_rep_from_label, partition_label, standard_rep, spin_rep,
     spin_vector_rep, rep_sum, rep_tensor, rep_dual, realify, complexify,
     exterior_square, restrict_coords, restrict_circle,
@@ -90,7 +90,6 @@ def test_labels_round_trip():
 
 def test_sum_and_tensor():
     v = su2_irrep(1)
-    l = circle_rep()
     v2 = make_rep(2, [(0, 1), (0, -1)])
     l2 = make_rep(2, [(1, 0)])
     t = rep_tensor(v2, l2)
