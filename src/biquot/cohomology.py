@@ -72,6 +72,9 @@ class GradedQuotient:
                 continue
             if not r.is_homogeneous():
                 raise ValueError("inhomogeneous relation: %s" % (r,))
+            if r.degree() == 0:
+                raise ValueError("relation %s is a unit: the quotient would "
+                                 "be the zero ring" % (r,))
             rels.append(r)
         self.relations = tuple(rels)
         self.gb = tuple(groebner_basis(list(self.relations)))

@@ -35,6 +35,16 @@ Theory, 1993, section 2.4).  The eigenvalue matching reported with it is
 read off the witness alone: the first full choice, in depth-first order,
 whose generators the witness annihilates.
 
+An effective action (kernel lattice Z^r) is first scanned element by
+element at the orders 2 and 3, while p^r stays small.  If t of order q
+fixes a point, so does t^(q/p) for each prime p dividing q, and in an
+effective action t^(q/p) is not the identity; so the minimal witness order
+is a prime, and for prime p "order p" is "non-zero mod p".  The first hit,
+in lex order at the least scanned prime, is therefore the witness the
+lattice search would find.  When the scan finds nothing, or the action is
+not effective (there a power of a witness may act trivially, so the
+minimal order can be composite), the lattice search decides.
+
 For Spin(2n) group factors the eigenvalue test is coarser than conjugacy
 in the group itself; Free verdicts remain sound, and NotFree verdicts are
 flagged with a caveat.
@@ -154,12 +164,17 @@ def _flag_from_obj(f, name):
     return value
 
 
+_FACTOR_KEYS = {"group": ("left", "right"), "sphere": ("weights",)}
+_FACTOR_SHAPE = ('{"type": "group", "left": [...], "right": [...]} or '
+                 '{"type": "sphere", "weights": [...]}')
+
+
 def action_from_obj(obj):
     """A TwoSidedAction from its JSON object (see TwoSidedAction.to_obj).
 
-    Errors about the top level, rank, the factors list, trivial_lattice,
-    d_family and trivial_summand start with "<field>: " so callers can name
-    the field.
+    Errors about the top level, rank, the factors list and the shape of
+    each factor, trivial_lattice, d_family and trivial_summand start with
+    "<field>: " so callers can name the field.
     """
     if not isinstance(obj, dict):
         raise ValueError("input: expected a JSON object, got %s"
@@ -175,15 +190,18 @@ def action_from_obj(obj):
         raise ValueError("factors: must be a list, got %r" % (obj["factors"],))
     factors = []
     for f in obj["factors"]:
-        if f["type"] == "group":
+        kind = f.get("type") if isinstance(f, dict) else None
+        keys = _FACTOR_KEYS.get(kind) if isinstance(kind, str) else None
+        if keys is None or any(k not in f for k in keys):
+            raise ValueError("factors: each factor must be %s; got %r"
+                             % (_FACTOR_SHAPE, f))
+        if kind == "group":
             factors.append(GroupFactor(_weights_from_obj(f["left"], rank),
                                        _weights_from_obj(f["right"], rank),
                                        _flag_from_obj(f, "d_family")))
-        elif f["type"] == "sphere":
+        else:
             factors.append(SphereFactor(_weights_from_obj(f["weights"], rank),
                                         _flag_from_obj(f, "trivial_summand")))
-        else:
-            raise ValueError("unknown factor type %r" % (f["type"],))
     trivial = None
     if "trivial_lattice" in obj:
         trivial = _trivial_lattice_from_obj(obj["trivial_lattice"], rank)
@@ -424,10 +442,11 @@ def _first_choice(action, witness):
             continue
         lclasses, rvals, counts = plan
         remaining, steps = list(counts), []
+        rpairs = [witness.pair(r) for r in rvals]
         for lval, lcount in lclasses:
             p = witness.pair(lval)
             for j, r in enumerate(rvals):
-                d = min(lcount, remaining[j]) if witness.pair(r) == p else 0
+                d = min(lcount, remaining[j]) if rpairs[j] == p else 0
                 if d:
                     steps.append((lval, r, d))
                     remaining[j] -= d
@@ -512,29 +531,92 @@ def _best_witness(basis, kernel, rank):
     return q, TorusElement(tuple(Fraction(n, q) for n in best))
 
 
+# Primes scanned before the lattice search, in increasing order, while a
+# prime has at most _SCAN_LIMIT numerator vectors p^rank.  Kept tiny: free
+# actions pay for the whole scan, and most non-free effective actions have a
+# witness of order 2 or 3.
+_SCAN_PRIMES = (2, 3)
+_SCAN_LIMIT = 100
+
+
+def _prime_scan(action):
+    """(p, t) for the lex-least non-zero fixed-point element t of the least
+    scanned order p that has one, or None.
+
+    For prime p the non-zero numerator vectors in range(p)^rank are exactly
+    the elements of order p.  t fixes a point iff its pairings mod p are
+    equal sorted multisets on every group factor and include 0 on every
+    sphere factor without a trivial summand.  Only an effective action
+    makes every non-zero t act non-trivially (see is_free).
+    """
+    spheres = [f.weights for f in action.factors
+               if isinstance(f, SphereFactor) and not f.has_trivial_summand]
+    groups = [(f.left, f.right) for f in action.factors
+              if isinstance(f, GroupFactor)]
+
+    def pairings(ws, nums, p):
+        return [sum(a * x for a, x in zip(w, nums)) % p for w in ws]
+
+    for p in _SCAN_PRIMES:
+        if p ** action.rank > _SCAN_LIMIT:
+            break
+        for nums in product(range(p), repeat=action.rank):
+            if (any(nums)
+                    and all(0 in pairings(ws, nums, p) for ws in spheres)
+                    and all(sorted(pairings(left, nums, p))
+                            == sorted(pairings(right, nums, p))
+                            for left, right in groups)):
+                return p, TorusElement(tuple(Fraction(a, p) for a in nums))
+    return None
+
+
+def _not_free(action, kernel, order, witness):
+    """The NotFree verdict of a witness of the given order."""
+    caveats = tuple([D_FAMILY_CAVEAT] if any(
+        isinstance(f, GroupFactor) and f.d_family for f in action.factors)
+        else [])
+    return Verdict(free=False, kernel=kernel, witness=witness,
+                   witness_order=order, choice=_first_choice(action, witness),
+                   caveats=caveats)
+
+
+def _lattice_verdict(action, kernel):
+    """The verdict of the violating-lattice search: Free when there is no
+    violating lattice, else the least witness over them by (order, coords)."""
+    violations = _violating_lattices(action, kernel)
+    if not violations:
+        return Verdict(free=True, kernel=kernel)
+    order, witness = min(
+        (_best_witness(basis, kernel, action.rank) for basis in violations),
+        key=lambda qt: (qt[0], qt[1].coords))
+    return _not_free(action, kernel, order, witness)
+
+
 def is_free(action):
     """Decide effective freeness of the action, with an exact certificate.
 
     The verdict concerns H modulo its trivially-acting subgroup (read off
     the kernel lattice: a full kernel lattice means H itself acts
     effectively).  NotFree verdicts carry a minimal-order witness (the
-    least over the violating lattices, each of which has one of its own),
-    the first choice in search order whose generators it annihilates, and
-    a caveat when a D-family factor is involved.
+    lex-least non-trivial fixed-point element of minimal order), the first
+    choice in search order whose generators it annihilates, and a caveat
+    when a D-family factor is involved.
+
+    An effective action (kernel lattice Z^r, declared or computed) is first
+    scanned for fixed-point elements of the orders p in _SCAN_PRIMES with
+    p^rank <= _SCAN_LIMIT.  If t of order q fixes a point, so does t^(q/p)
+    for a prime p dividing q, and in an effective action it is not the
+    identity: the minimal witness order is prime, and the scan's first hit
+    is the witness.  When the scan finds nothing, or the action is not
+    effective, the violating-lattice search decides; Free verdicts always
+    come from it.
     """
     kernel = kernel_lattice(action)
-    violations = _violating_lattices(action, kernel)
-    caveats = tuple([D_FAMILY_CAVEAT] if any(
-        isinstance(f, GroupFactor) and f.d_family for f in action.factors)
-        else [])
-    if not violations:
-        return Verdict(free=True, kernel=kernel)
-    order, witness = min(
-        (_best_witness(basis, kernel, action.rank) for basis in violations),
-        key=lambda qt: (qt[0], qt[1].coords))
-    return Verdict(free=False, kernel=kernel, witness=witness,
-                   witness_order=order, choice=_first_choice(action, witness),
-                   caveats=caveats)
+    if kernel.is_full():
+        hit = _prime_scan(action)
+        if hit is not None:
+            return _not_free(action, kernel, *hit)
+    return _lattice_verdict(action, kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -301,7 +301,9 @@ class LatticeSubgroup:
         return LatticeSubgroup.from_rows(self.rank, list(self.basis) + list(other.basis))
 
     def is_full(self):
-        return self == LatticeSubgroup.full(self.rank)
+        # the HNF of Z^rank is the identity: rank rows with pivots 1
+        return (len(self.basis) == self.rank
+                and all(row[i] == 1 for i, row in enumerate(self.basis)))
 
     def double_dual(self):
         """The lattice of characters vanishing on this lattice's annihilator.

@@ -115,6 +115,23 @@ def test_free_check_names_top_level_field(capsys, text, field):
     assert err.startswith("input error at %s:" % field)
 
 
+@pytest.mark.parametrize("factor", [
+    5,
+    {"left": [[1], [0]], "right": [[0], [1]]},
+    {"type": "group", "left": [[1], [0]]},
+    {"type": "sphere"},
+    {"type": "torus", "weights": [[1]]},
+], ids=["number", "no-type", "group-no-right", "sphere-no-weights",
+        "unknown-type"])
+def test_free_check_describes_factor_shape(capsys, factor):
+    payload = json.dumps({"rank": 1, "factors": [factor]})
+    code, out, err = run_cli(capsys, "free-check", "--json", payload)
+    assert code == EXIT_SCHEMA and out == ""
+    assert err.startswith('input error at factors: each factor must be '
+                          '{"type": "group", "left": [...], "right": [...]} '
+                          'or {"type": "sphere", "weights": [...]}; got ')
+
+
 @pytest.mark.parametrize("factor,field", [
     # as a truthy string, "no" used to switch the trivial summand on
     ({"type": "sphere", "weights": [[3]], "trivial_summand": "no"},
@@ -244,11 +261,16 @@ UV_RING = [{"name": "u", "degree": 2}, {"name": "v", "degree": 2}]
     ({"generators": UV_RING, "relations": ["ab"]}, "relations"),
     ({"generators": UV_RING, "relations": [{"exps": [1, 0]}]}, "relations"),
     ({"generators": UV_RING, "relations": [[1]]}, "relations"),
+    # a unit relation leaves the zero ring, which has no top degree
+    ({"generators": [], "relations": [[{"exps": [], "coeff": "1"}]]},
+     "relations"),
+    ({"generators": UV_RING, "relations": [[{"exps": [0, 0], "coeff": "3"}]]},
+     "relations"),
 ], ids=["float-degree", "long-exps", "short-exps", "bool-exps",
         "negative-exps", "zero-denominator", "number-name", "null-name",
         "empty-name", "generators-object", "relations-object", "list",
         "string", "object-relation", "string-relation", "term-relation",
-        "number-term"])
+        "number-term", "unit-no-generators", "unit"])
 def test_cohomology_rejects_malformed_rings(capsys, ring, field):
     code, out, err = run_cli(capsys, "cohomology", "--json", json.dumps(ring))
     assert code == EXIT_SCHEMA and out == ""

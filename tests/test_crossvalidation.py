@@ -1,16 +1,19 @@
 """Randomized cross-validation of the exact decision paths.
 
 The lattice-based freeness decision is fuzzed against element-by-element
-eigenvalue evaluation; Groebner-based Betti ranks are fuzzed against sympy
-normal forms under a different monomial order (graded ranks are intrinsic,
-so any correct Groebner basis must produce the same numbers); torsion
-generators of annihilators are checked by direct pairing.
+eigenvalue evaluation, and is_free's prime-order scan against the lattice
+search; Groebner-based Betti ranks are fuzzed against sympy normal forms
+under a different monomial order (graded ranks are intrinsic, so any
+correct Groebner basis must produce the same numbers); torsion generators
+of annihilators are checked by direct pairing.
 """
 
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -18,9 +21,10 @@ import sympy
 from biquot.freeness import (GroupFactor, SphereFactor, TwoSidedAction,
                              TorusElement, BruteVerdict, kernel_lattice,
                              is_free, brute_force_free, acts_trivially,
-                             has_fixed_point, _numerators_of_order,
-                             _smith_diagonal, _torsion_generators,
-                             _violating_lattices)
+                             has_fixed_point, action_from_obj,
+                             _numerators_of_order, _smith_diagonal,
+                             _torsion_generators, _violating_lattices,
+                             _lattice_verdict, _prime_scan)
 from biquot.lattices import LatticeSubgroup
 from biquot.polyring import GradedPolyRing
 from biquot.cohomology import GradedQuotient
@@ -208,6 +212,41 @@ def test_violating_lattices_match_full_enumeration_su(rank, sizes):
     want = reference_violating_lattices(act)
     assert set(_violating_lattices(act, kernel_lattice(act))) == want
     assert is_free(act).free == (not want)
+
+
+def test_prime_scan_agrees_with_lattice_search():
+    """is_free gives the lattice search's verdict, also when it scans: on
+    effective actions, whose minimal witness order is prime."""
+    demo = Path(__file__).resolve().parent.parent / "demos" / "actions"
+    acts = [action_from_obj(json.loads(
+        (demo / "g2_pair_3_28.json").read_text()))]  # order 5 at rank 1
+    for rank in (1, 2, 3):
+        rng = random.Random(7000 + rank)
+        acts.extend(small_action(rng, rank) for _ in range(80))
+    seen = Counter()
+    for act in acts:
+        kernel = kernel_lattice(act)
+        want = _lattice_verdict(act, kernel)
+        got = is_free(act)
+        assert (got.to_obj(), got.witness_order) \
+            == (want.to_obj(), want.witness_order), act.to_obj()
+        if not kernel.is_full():
+            seen["not effective"] += 1
+            continue
+        # the scan decides every witness of order 2 or 3, and any hit it
+        # makes is the lattice search's witness
+        hit = _prime_scan(act)
+        scanned = hit is not None
+        if scanned or want.witness_order in (2, 3):
+            assert hit == (want.witness_order, want.witness), act.to_obj()
+        seen["free" if want.free else "scanned" if scanned
+             else "above budget"] += 1
+        seen["trivial summand"] += any(
+            isinstance(f, SphereFactor) and f.has_trivial_summand
+            for f in act.factors)
+    kinds = ("free", "scanned", "above budget", "trivial summand",
+             "not effective")
+    assert min(seen[k] for k in kinds) >= 3, seen
 
 
 def reference_brute_force(action, max_order):

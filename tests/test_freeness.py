@@ -6,7 +6,7 @@ import pytest
 from biquot.freeness import (
     GroupFactor, SphereFactor, TwoSidedAction, TorusElement, kernel_lattice,
     is_free, brute_force_free, has_fixed_point, acts_trivially,
-    action_from_obj, _violating_lattices,
+    action_from_obj, _lattice_verdict, _violating_lattices,
 )
 from biquot.lattices import LatticeSubgroup
 from biquot import constructions as cons
@@ -152,6 +152,25 @@ def test_sphere_factor_constrains_without_trivial_summand():
     act2 = TwoSidedAction(1, [SphereFactor([(2,)])])
     v2 = is_free(act2)
     assert v2.free and v2.kernel.basis == ((2,),)
+
+
+@pytest.mark.parametrize("act,coords", [
+    # kernel 2Z from the weights: 1/2 acts trivially, 1/4 fixes a point
+    (TwoSidedAction(1, [SphereFactor([(2,), (4,)])]), (Fraction(1, 4),)),
+    # declared kernel of index 2 on an otherwise effective action
+    (TwoSidedAction(1, [SphereFactor([(1,), (4,)])],
+                    LatticeSubgroup.from_rows(1, [(2,)])), (Fraction(1, 4),)),
+    # the criterion-3 Sp(4) action on S3V x 2V, whose kernel has index 2
+    (su2_action("S3V", "2V"), (Fraction(1, 4),)),
+])
+def test_non_effective_actions_keep_composite_witness_orders(act, coords):
+    # the prime-order scan is exact only on effective actions: here the
+    # order-2 element fixes a point but acts trivially
+    kernel = kernel_lattice(act)
+    assert not kernel.is_full()
+    v = is_free(act)
+    assert not v.free and v.witness_order == 4 and v.witness.coords == coords
+    assert v == _lattice_verdict(act, kernel)
 
 
 def test_d_family_caveat_flag():

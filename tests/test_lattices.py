@@ -236,3 +236,11 @@ def test_sum_and_full():
     assert (a + b).contains(a) and (a + b).contains(b)
     assert LatticeSubgroup.full(3).contains(
         LatticeSubgroup.from_rows(3, [(5, -7, 11)]))
+    assert (a + b).is_full() and not a.is_full()
+    assert not LatticeSubgroup.from_rows(2, [(2, 0), (0, 1)]).is_full()
+    rng = random.Random(11)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        rows = random_matrix(rng, rng.randint(1, n + 1), n, bound=2)
+        lat = LatticeSubgroup.from_rows(n, rows)
+        assert lat.is_full() == lat.contains(LatticeSubgroup.full(n))

@@ -4,11 +4,16 @@ Each property is derandomized and keeps no example database, so it runs
 the same fixed examples on every run; max_examples keeps tier-1 cheap.
 """
 
+import contextlib
+import io
+import json
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from biquot.cli import main  # noqa: E402
 from biquot.cohomology import GradedQuotient  # noqa: E402
 from biquot.freeness import (  # noqa: E402
     GroupFactor, SphereFactor, TwoSidedAction, brute_force_free, is_free)
@@ -103,3 +108,62 @@ def test_witness_does_not_depend_on_weight_order_or_sides(case):
         if brute.found_witness:
             assert (v.witness, v.witness_order) \
                 == (brute.witness, brute.witness_order)
+
+
+_KEYS = ("rank", "factors", "type", "left", "right", "weights", "d_family",
+         "trivial_summand", "trivial_lattice", "generators", "name", "degree",
+         "relations", "exps", "coeff")
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+    | st.sampled_from(("group", "sphere", "x", "1/2", "")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3),
+    max_leaves=8)
+
+
+def _or_json(strategy):
+    """The well-formed values of a field, or any JSON value in its place."""
+    return strategy | _json
+
+
+def _lists(strategy, max_size=3):
+    return _or_json(st.lists(_or_json(strategy), max_size=max_size))
+
+
+_vecs = _lists(st.lists(st.integers(-3, 3), min_size=1, max_size=2))
+_factor = st.fixed_dictionaries(
+    {"type": _or_json(st.sampled_from(("group", "sphere")))},
+    optional={"left": _vecs, "right": _vecs, "weights": _vecs,
+              "d_family": _json, "trivial_summand": _json})
+_action = st.fixed_dictionaries(
+    {"rank": st.integers(1, 2), "factors": _lists(_factor, 2)},
+    optional={"trivial_lattice": _or_json(st.fixed_dictionaries(
+        {"rank": st.integers(1, 2), "generators": _vecs}))})
+_term = st.fixed_dictionaries(
+    {"exps": _lists(st.integers(0, 3), 2),
+     "coeff": _or_json(st.sampled_from(("1", "-2", "1/2")))})
+_ring = st.fixed_dictionaries(
+    {"generators": _lists(st.fixed_dictionaries(
+        {"name": _or_json(st.sampled_from(("x", "y"))),
+         "degree": _or_json(st.integers(-1, 4))}), 2)},
+    optional={"relations": _lists(_lists(_term, 2), 2)})
+_matrix = _or_json(st.lists(st.lists(st.integers(-3, 3), min_size=1,
+                                     max_size=2), min_size=1, max_size=2))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.tuples(st.just("free-check"), _or_json(_action))
+       | st.tuples(st.just("cohomology"), _or_json(_ring))
+       | st.tuples(st.just("pi3"), _matrix))
+def test_arbitrary_json_input_exits_0_or_1(case):
+    """Malformed input exits 1 naming a field; it never gives a traceback
+    or the exit code of an internal disagreement."""
+    command, value = case
+    text = json.dumps(value)
+    flag = "--matrix=" if command == "pi3" else "--json="
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, flag + text])
+    assert code in (0, 1), (command, text, err.getvalue())
+    assert code == 0 or err.getvalue().startswith("input error at ")
