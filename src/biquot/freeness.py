@@ -35,15 +35,15 @@ Theory, 1993, section 2.4).  The eigenvalue matching reported with it is
 read off the witness alone: the first full choice, in depth-first order,
 whose generators the witness annihilates.
 
-An effective action (kernel lattice Z^r) is first scanned element by
-element at the orders 2 and 3, while p^r stays small.  If t of order q
-fixes a point, so does t^(q/p) for each prime p dividing q, and in an
-effective action t^(q/p) is not the identity; so the minimal witness order
-is a prime, and for prime p "order p" is "non-zero mod p".  The first hit,
-in lex order at the least scanned prime, is therefore the witness the
-lattice search would find.  When the scan finds nothing, or the action is
-not effective (there a power of a witness may act trivially, so the
-minimal order can be composite), the lattice search decides.
+An effective action (kernel lattice Z^r) of small rank is first scanned
+element by element at order 2.  If t of order q fixes a point, so does
+t^(q/p) for each prime p dividing q, and in an effective action t^(q/p) is
+not the identity; so the minimal witness order is a prime, and for prime p
+"order p" is "non-zero mod p".  The first hit in lex order at p = 2 is
+therefore the witness the lattice search would find.  When the scan finds
+nothing, or the action is not effective (there a power of a witness may
+act trivially, so the minimal order can be composite), the lattice search
+decides.
 
 For Spin(2n) group factors the eigenvalue test is coarser than conjugacy
 in the group itself; Free verdicts remain sound, and NotFree verdicts are
@@ -531,42 +531,40 @@ def _best_witness(basis, kernel, rank):
     return q, TorusElement(tuple(Fraction(n, q) for n in best))
 
 
-# Primes scanned before the lattice search, in increasing order, while a
-# prime has at most _SCAN_LIMIT numerator vectors p^rank.  Kept tiny: free
-# actions pay for the whole scan, and most non-free effective actions have a
-# witness of order 2 or 3.
-_SCAN_PRIMES = (2, 3)
-_SCAN_LIMIT = 100
+# The scan covers order 2 up to rank _SCAN_MAX_RANK.  Every free effective
+# action pays for its 2^rank - 1 tests, and the bound keeps that cost from
+# growing exponentially with the rank; the value is measured at rank 1-3
+# only.  Witnesses of order 3 and up stay with the lattice search, which the
+# freeness-scale benchmark then still drives through its order-3 jobs.
+_SCAN_MAX_RANK = 6
 
 
 def _prime_scan(action):
-    """(p, t) for the lex-least non-zero fixed-point element t of the least
-    scanned order p that has one, or None.
+    """(2, t) for the lex-least element t of order 2 that fixes a point, or
+    None (also above _SCAN_MAX_RANK).
 
-    For prime p the non-zero numerator vectors in range(p)^rank are exactly
-    the elements of order p.  t fixes a point iff its pairings mod p are
-    equal sorted multisets on every group factor and include 0 on every
-    sphere factor without a trivial summand.  Only an effective action
-    makes every non-zero t act non-trivially (see is_free).
+    The elements of order 2 are the non-zero numerator vectors in
+    range(2)^rank.  t fixes a point iff its pairings mod 2 are equal
+    multisets (equally many odd ones) on every group factor and include 0
+    on every sphere factor without a trivial summand.  Only an effective
+    action makes every non-zero t act non-trivially (see is_free).
     """
+    if action.rank > _SCAN_MAX_RANK:
+        return None
     spheres = [f.weights for f in action.factors
                if isinstance(f, SphereFactor) and not f.has_trivial_summand]
     groups = [(f.left, f.right) for f in action.factors
               if isinstance(f, GroupFactor)]
 
-    def pairings(ws, nums, p):
-        return [sum(a * x for a, x in zip(w, nums)) % p for w in ws]
+    def odd(ws, nums):
+        return [sum(a * x for a, x in zip(w, nums)) % 2 for w in ws]
 
-    for p in _SCAN_PRIMES:
-        if p ** action.rank > _SCAN_LIMIT:
-            break
-        for nums in product(range(p), repeat=action.rank):
-            if (any(nums)
-                    and all(0 in pairings(ws, nums, p) for ws in spheres)
-                    and all(sorted(pairings(left, nums, p))
-                            == sorted(pairings(right, nums, p))
-                            for left, right in groups)):
-                return p, TorusElement(tuple(Fraction(a, p) for a in nums))
+    for nums in product(range(2), repeat=action.rank):
+        if (any(nums)
+                and all(0 in odd(ws, nums) for ws in spheres)
+                and all(sum(odd(left, nums)) == sum(odd(right, nums))
+                        for left, right in groups)):
+            return 2, TorusElement(tuple(Fraction(a, 2) for a in nums))
     return None
 
 
@@ -602,12 +600,12 @@ def is_free(action):
     choice in search order whose generators it annihilates, and a caveat
     when a D-family factor is involved.
 
-    An effective action (kernel lattice Z^r, declared or computed) is first
-    scanned for fixed-point elements of the orders p in _SCAN_PRIMES with
-    p^rank <= _SCAN_LIMIT.  If t of order q fixes a point, so does t^(q/p)
-    for a prime p dividing q, and in an effective action it is not the
-    identity: the minimal witness order is prime, and the scan's first hit
-    is the witness.  When the scan finds nothing, or the action is not
+    An effective action (kernel lattice Z^r, declared or computed) of rank
+    at most _SCAN_MAX_RANK is first scanned for fixed-point elements of
+    order 2.  If t of order q fixes a point, so does t^(q/p) for a prime p
+    dividing q, and in an effective action it is not the identity: the
+    minimal witness order is prime, and the scan's first hit is the
+    witness.  When the scan finds nothing, or the action is not
     effective, the violating-lattice search decides; Free verdicts always
     come from it.
     """

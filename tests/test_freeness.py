@@ -6,7 +6,7 @@ import pytest
 from biquot.freeness import (
     GroupFactor, SphereFactor, TwoSidedAction, TorusElement, kernel_lattice,
     is_free, brute_force_free, has_fixed_point, acts_trivially,
-    action_from_obj, _lattice_verdict, _violating_lattices,
+    action_from_obj, _lattice_verdict, _prime_scan, _violating_lattices,
 )
 from biquot.lattices import LatticeSubgroup
 from biquot import constructions as cons
@@ -171,6 +171,32 @@ def test_non_effective_actions_keep_composite_witness_orders(act, coords):
     v = is_free(act)
     assert not v.free and v.witness_order == 4 and v.witness.coords == coords
     assert v == _lattice_verdict(act, kernel)
+
+
+def unit_weights(rank):
+    return [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+
+
+@pytest.mark.parametrize("act,scanned,order", [
+    # one plane per axis: (0, ..., 0, 1/2) fixes the first plane
+    (TwoSidedAction(6, [SphereFactor(unit_weights(6))]), True, 2),
+    # the same above the scan's rank bound
+    (TwoSidedAction(7, [SphereFactor(unit_weights(7))]), False, 2),
+    # every axis fixed except the first, which may turn by a third
+    (TwoSidedAction(5, [SphereFactor([(3, 0, 0, 0, 0), (1, 0, 0, 0, 0)])]
+                    + [SphereFactor([w]) for w in unit_weights(5)[1:]]),
+     False, 3),
+])
+def test_prime_scan_at_high_rank(act, scanned, order):
+    kernel = kernel_lattice(act)
+    assert kernel.is_full()
+    want = _lattice_verdict(act, kernel)
+    assert not want.free and want.witness_order == order
+    hit = _prime_scan(act)
+    assert (hit is not None) == scanned
+    if scanned:
+        assert hit == (order, want.witness)
+    assert is_free(act) == want
 
 
 def test_d_family_caveat_flag():
