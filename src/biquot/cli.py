@@ -104,7 +104,10 @@ def cmd_index(args):
     if norm <= 0:
         raise SchemaError("target", "no weight data for %s" % target)
     if args.su2_class:
-        rep = su2_rep_from_label(args.su2_class)
+        try:
+            rep = su2_rep_from_label(args.su2_class)
+        except ValueError as exc:
+            raise SchemaError("su2-class", str(exc))
         if target == G2 and rep.dim != 7:
             raise SchemaError("su2-class",
                               "G2 classes are 7-dimensional patterns")

@@ -101,33 +101,31 @@ class GradedQuotient:
         """Rank of each graded piece, as a list indexed by degree 0..max."""
         return [len(ms) for ms in self._normal_monomials_by_degree(max_degree)]
 
+    def _pure_powers(self):
+        """The least exponent of each generator that is a pure power among
+        the Groebner leading monomials, or None when some generator has
+        none."""
+        powers = [None] * self.ring.ngens
+        for lm in (g.leading_monomial() for g in self.gb):
+            support = [i for i, e in enumerate(lm) if e]
+            if len(support) == 1:
+                i, = support
+                if powers[i] is None or lm[i] < powers[i]:
+                    powers[i] = lm[i]
+        return None if None in powers else powers
+
     def is_finite_dimensional(self):
         """A quotient is finite-dimensional iff every generator has a pure
         power among the Groebner leading monomials."""
-        lead = [g.leading_monomial() for g in self.gb]
-        for i in range(self.ring.ngens):
-            if not any(all(e == 0 for j, e in enumerate(lm) if j != i)
-                       and lm[i] > 0 for lm in lead):
-                return False
-        return True
+        return self._pure_powers() is not None
 
     def top_degree(self):
-        if not self.is_finite_dimensional():
+        powers = self._pure_powers()
+        if powers is None:
             raise ValueError("quotient is not finite-dimensional")
-        bound = sum((lm_max - 1) * d for lm_max, d in zip(
-            self._pure_power_bounds(), self.ring.degrees))
+        bound = sum((e - 1) * d for e, d in zip(powers, self.ring.degrees))
         by_degree = self._normal_monomials_by_degree(bound)
         return max(deg for deg, ms in enumerate(by_degree) if ms)
-
-    def _pure_power_bounds(self):
-        lead = [g.leading_monomial() for g in self.gb]
-        bounds = []
-        for i in range(self.ring.ngens):
-            powers = [lm[i] for lm in lead
-                      if all(e == 0 for j, e in enumerate(lm) if j != i)
-                      and lm[i] > 0]
-            bounds.append(min(powers))
-        return bounds
 
     def total_rank(self):
         return sum(self.betti(self.top_degree()))
@@ -319,9 +317,6 @@ class FiniteAbelianGroup:
     @property
     def torsion(self):
         return tuple(d for d in self.invariant_factors if d != 0)
-
-    def is_trivial(self):
-        return not self.invariant_factors
 
     @property
     def order(self):

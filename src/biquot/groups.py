@@ -124,7 +124,7 @@ def parse_group(text):
             num = text[len(prefix):].strip("()")
             if num.isdigit():
                 return ctor(int(num))
-    if text[0] in "ABCD" and text[1:].isdigit():
+    if text[:1] in ("A", "B", "C", "D") and text[1:].isdigit():
         return SimpleGroupId(text[0], int(text[1:]))
     raise ValueError("cannot parse group name %r" % (text,))
 
@@ -396,18 +396,17 @@ def catalog_rules():
 
 
 def homogeneous_catalog(max_g_dimension=300):
-    """Instantiate every catalog row with dim G below the given bound."""
+    """Instantiate every catalog row with dim G at most the given bound."""
     out = []
     for rule in catalog_rules():
-        if rule.max_n == 0:
-            out.append(rule.instantiate(0))
-            continue
         n = rule.min_n
         while True:
             entry = rule.instantiate(n)
             if group_dimension(entry.g) > max_g_dimension:
                 break
             out.append(entry)
+            if n == rule.max_n:
+                break
             n += 1
     return out
 

@@ -12,7 +12,6 @@ to build torsion elements of the dual torus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def _identity(n):
@@ -242,28 +241,6 @@ def invariant_factors(rows, rank=None):
     return [d[i][i] for i in range(n) if d[i][i] != 0]
 
 
-def invert_unimodular(mat):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    inv = [[x for x in row[n:]] for row in aug]
-    for row in inv:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
-
-
 @dataclass(frozen=True)
 class LatticeSubgroup:
     """Subgroup of Z^rank given by generator rows, canonicalized by HNF."""
@@ -295,33 +272,10 @@ class LatticeSubgroup:
             raise ValueError("ambient rank mismatch")
         return all(self.contains_vector(g) for g in other.basis)
 
-    def __add__(self, other):
-        if other.rank != self.rank:
-            raise ValueError("ambient rank mismatch")
-        return LatticeSubgroup.from_rows(self.rank, list(self.basis) + list(other.basis))
-
     def is_full(self):
         # the HNF of Z^rank is the identity: rank rows with pivots 1
         return (len(self.basis) == self.rank
                 and all(row[i] == 1 for i, row in enumerate(self.basis)))
-
-    def double_dual(self):
-        """The lattice of characters vanishing on this lattice's annihilator.
-
-        Computed through the Smith form; equals the lattice itself (subgroups
-        of Z^r are closed under this duality).
-        """
-        if not self.basis:
-            return LatticeSubgroup.zero(self.rank)
-        d, _, v = smith_normal_form(list(self.basis), self.rank)
-        vinv = invert_unimodular(v)
-        k = min(len(self.basis), self.rank)
-        rows = []
-        for i in range(self.rank):
-            di = d[i][i] if i < k else 0
-            if di != 0:
-                rows.append(tuple(di * x for x in vinv[i]))
-        return LatticeSubgroup.from_rows(self.rank, rows)
 
     def to_obj(self):
         return {"rank": self.rank, "generators": [list(r) for r in self.basis]}

@@ -1,193 +1,101 @@
 """Acceptance suite: one test per criterion, exact values, zero tolerance.
 
-Run with `pytest -s tests/test_acceptance.py` to see one PASS line per
-criterion; any assertion failure marks the criterion failed.
+Every reference value lives in one place, a check of `refchecks.CHECKS`;
+each criterion names the checks that belong to it and reads their results
+from one session run of the suite.  Run with
+`pytest -s tests/test_acceptance.py` to see one PASS line per criterion;
+any failing check marks its criterion failed.
 """
 
 import sys
-from collections import Counter
 
-import pytest
+from biquot.refchecks import CHECKS
 
-from biquot.groups import (
-    SU, Sp, Spin, G2, F4, E6, E7, E8, SimpleGroupId, degrees_of,
-    group_dimension, catalog_rules, UnsupportedGroupError,
-)
-from biquot.weights import (
-    su2_irrep, su2_rep, su2_rep_from_label, rep_sum, rep_tensor,
-    clebsch_gordan, dynkin_index, catalog_dynkin_index, su2_homs,
-)
-from biquot.freeness import is_free
-from biquot.cohomology import ideal_identities, pi3_cokernel, chi_pi
-from biquot.classifier import (rank1_two_sided_search, sp4_su2squared_search,
-                               rhs_search, rhs_manifold_classes)
-from biquot.lattices import LatticeSubgroup
-from biquot import constructions as cons
-from biquot.refchecks import (
-    EXPECTED_DEGREES, EXPECTED_EXCEPTIONAL, CLASSICAL_DIMENSION,
-    LOWER_TOP_INDEX_COLUMN, G2_WITNESS_TABLE, RHS_EXPECTED_CLASSES,
-    cp_sum_expected_betti, hp_sum_expected_betti, cp_hp_expected_betti,
-)
-
-
-def report(n, name):
-    print("ACCEPTANCE %d %-28s PASS" % (n, name), file=sys.stderr)
-
-
-def test_criterion_1_degrees_table():
-    for fam, lo in (("A", 1), ("B", 3), ("C", 2), ("D", 4)):
-        for l in range(lo, 9):
-            gid = SimpleGroupId(fam, l)
-            assert degrees_of(gid) == EXPECTED_DEGREES[fam](l)
-            assert group_dimension(gid) == CLASSICAL_DIMENSION[fam](l)
-    for gid, degs in EXPECTED_EXCEPTIONAL.items():
-        assert degrees_of(gid) == degs
-    for gid, dim in ((G2, 14), (F4, 52), (E6, 78), (E7, 133), (E8, 248)):
-        assert group_dimension(gid) == dim
-    report(1, "degrees table")
-
-
-def test_criterion_2_dynkin_indices():
-    # every table row, recomputed from weight data wherever it exists
-    # (every row except the E6/F4 pair, which has no weight model)
-    seen = set()
-    for rule in catalog_rules():
-        ns = [0] if rule.max_n == 0 else range(rule.min_n, rule.min_n + 3)
-        for n in ns:
-            entry = rule.instantiate(n)
-            if rule.key in LOWER_TOP_INDEX_COLUMN:
-                assert entry.dynkin_index == LOWER_TOP_INDEX_COLUMN[rule.key]
-                seen.add(rule.key)
-            try:
-                assert catalog_dynkin_index(entry) == entry.dynkin_index
-            except UnsupportedGroupError:
-                assert rule.key == "E6/F4"
-    assert seen == set(LOWER_TOP_INDEX_COLUMN)
-    # the four SU(2) -> G2 classes carry indices 1, 3, 4, 28
-    assert sorted(dynkin_index(r, 2) for r in su2_homs(G2)) == [1, 3, 4, 28]
-    report(2, "Dynkin indices")
-
-
-def test_criterion_3_freeness_verdicts():
-    assert is_free(cons.gromoll_meyer_action()).free
-    v = is_free(cons.su2_pair_action(Sp(4), "S3V", "V+2C"))
-    assert not v.free and v.witness_order == 3
-    v = is_free(cons.su2_pair_action(Sp(4), "S3V", "2V"))
-    assert not v.free and v.witness_order == 4
-    v = is_free(cons.su2_pair_action(SU(3), "V+C", "S2V"))
-    assert not v.free and v.witness_order == 3
-    for (i, j), order in G2_WITNESS_TABLE.items():
-        v = is_free(cons.g2_pair_action(i, j))
-        assert not v.free and v.witness_order == order, (i, j)
-    assert is_free(cons.g2_pair_action(3, 4)).free
-    for n in range(2, 7):
-        assert is_free(cons.torus_squared_sphere_action(n)).free
-    for e in range(1, 4):
-        assert is_free(cons.circle_su2_sphere_action(e)).free
-    for kind in ("block", "split"):
-        v = is_free(cons.sp4_su2xsu2_action(kind))
-        assert v.free and v.kernel.is_full()
-    report(3, "freeness verdicts")
-
-
-def test_criterion_4_oracle_equivalence(reference_results):
+CRITERIA = {
+    1: ("degrees table", (
+        "degrees-table-classical", "degrees-table-exceptional",
+        "degrees-su4-spin8", "dimension-identity")),
+    2: ("Dynkin indices", (
+        "catalog-index-column", "catalog-index-recomputed-from-weights",
+        "catalog-degree-bookkeeping", "catalog-lookup-rows",
+        "dynkin-su2-values", "dynkin-g2-class-set", "su2-homs-counts",
+        "g2-class-eigenvalue-patterns", "g2-principal-circle-exponents",
+        "spin9-restriction-splits", "spin8-minus-circle-restriction",
+        "realify-standard-su2", "tensor-double-cover-weights",
+        "clebsch-gordan-small")),
+    3: ("freeness verdicts", (
+        "free-exotic-pair-sp4", "witness-sp4-cubic-vs-block-order3",
+        "witness-sp4-cubic-vs-doubled-order4", "witness-su3-order3",
+        "g2-pair-table", "free-torus-squared-sphere-products",
+        "free-circle-su2-sphere-products", "free-sp4-su2xsu2-both",
+        "kernel-torus-squared-trivial", "kernel-one-sided-rule",
+        "spin9-restricted-to-spin3-sums-of-spin",
+        "spin9-circle-on-s15-unique-free-class")),
     # the order-60 sweep over criterion3_actions(): an exhaustive oracle
     # run per action that agrees with is_free on the verdict and the
     # witness order
-    checks = {name: (ok, detail) for name, ok, detail in reference_results}
-    ok, detail = checks["oracle-agreement-up-to-60"]
-    assert ok, detail
-    report(4, "oracle equivalence")
+    4: ("oracle equivalence", ("oracle-agreement-up-to-60",)),
+    5: ("cohomology rings", (
+        "chern-pullback-block-embedding", "chern-multiplier-cubic",
+        "euler-tensor-line", "euler-sum-line",
+        "euler-real-sign-undetermined", "euler-multiplicative-on-sums",
+        "classifying-ring-conventions", "betti-cp-sums",
+        "betti-hp-sums-via-elimination", "betti-cp-hp-sums",
+        "sp4-presentation-relations", "ideal-identity-two-circles",
+        "ideal-identity-circle-su2", "ideal-identity-negative-case",
+        "spin-bundle-sign-branch", "spin-bundle-ring-betti")),
+    6: ("pi3 values", ("pi3-values", "chi-pi-values")),
+    7: ("classification reproduction", (
+        "rhs-search-16", "rank1-search-results", "sp4-su2xsu2-search",
+        "finiteness-bounds")),
+    8: ("property suites", (
+        "clebsch-gordan-weight-multisets", "dynkin-symmetric-power-formula",
+        "dynkin-additive-under-sum", "poincare-duality-stock-rings",
+        "regular-sequence-rank-prediction", "rhs-chi-pi-nonpositive")),
+}
 
 
-def test_criterion_5_cohomology_rings():
-    for n in range(2, 7):
-        assert cons.cp_sum_ring(n).betti(2 * n) == cp_sum_expected_betti(n)
-    for n in range(2, 5):
-        red = cons.hp_sum_ring(n)
-        assert red.betti(4 * n) == hp_sum_expected_betti(n)
-        a, b = red.ring.gens()
-        from biquot.cohomology import GradedQuotient
-        assert list(red.gb) == list(GradedQuotient(
-            red.ring, [a * b, a ** n - b ** n]).gb)
-    for e in (1, 2):
-        assert cons.cp_hp_sum_ring(e).betti(8 * e + 4) \
-            == cp_hp_expected_betti(e)
-    for n in range(2, 9):
-        q = cons.cp_sum_ring(n)
-        u, v = q.ring.gens()
-        cert = ideal_identities(q, (u - v) * (u + v) ** (n - 1),
-                                u ** n - v ** n)
-        assert cert.holds and cert.integral
-    for e in range(1, 5):
-        q = cons.cp_hp_sum_ring(e)
-        x, z = q.ring.gens()
-        cert = ideal_identities(q, (x * x - z) ** (2 * e + 1),
-                                x ** (4 * e + 2) - z ** (2 * e + 1))
-        assert cert.holds and cert.integral
-    report(5, "cohomology rings")
+def assert_criterion(n, reference_results):
+    name, checks = CRITERIA[n]
+    results = {check: (ok, detail) for check, ok, detail in reference_results}
+    for check in checks:
+        ok, detail = results[check]
+        assert ok, "%s: %s" % (check, detail)
+    print("ACCEPTANCE %d %-28s PASS" % (n, name), file=sys.stderr)
 
 
-def test_criterion_6_pi3_values():
-    assert str(pi3_cokernel([[10]])) == "Z/10"
-    assert str(pi3_cokernel([[3]])) == "Z/3"
-    assert str(pi3_cokernel([[4]])) == "Z/4"
-    assert str(pi3_cokernel([[28]])) == "Z/28"
-    assert pi3_cokernel([[1 - 2]]).is_trivial()
-    assert pi3_cokernel([[3 - 4]]).is_trivial()
-    report(6, "pi3 values")
+def test_every_check_in_exactly_one_criterion():
+    listed = [check for _, checks in CRITERIA.values() for check in checks]
+    assert sorted(listed) == sorted(name for name, _ in CHECKS)
 
 
-def test_criterion_7_classification():
-    classes = rhs_manifold_classes(rhs_search(16))
-    got = {label: (es[0].dim, str(es[0].pi3)) for label, es in classes.items()}
-    assert got == RHS_EXPECTED_CLASSES
-    _, su3_free = rank1_two_sided_search(SU(3))
-    assert su3_free == []
-    _, sp4_free = rank1_two_sided_search(Sp(4))
-    assert [(p.left_label, p.right_label) for p in sp4_free] \
-        == [("V+2C", "2V")]
-    _, g2_free = rank1_two_sided_search(G2)
-    assert [(p.left_label, p.right_label) for p in g2_free] \
-        == [("S2V+2V", "2S2V+C")]
-    report(7, "classification reproduction")
+def test_criterion_1_degrees_table(reference_results):
+    assert_criterion(1, reference_results)
 
 
-def test_criterion_8_property_suites():
-    import random
-    rng = random.Random(2024)
-    # annihilator double-duality on 200 random lattices of rank <= 4
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        k = rng.randint(0, n)
-        rows = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(k)]
-        lat = LatticeSubgroup.from_rows(n, rows) if rows \
-            else LatticeSubgroup.zero(n)
-        assert lat.double_dual() == lat
-    # Clebsch-Gordan weight multisets for all a, b <= 8
-    for a in range(9):
-        for b in range(9):
-            tensor = rep_tensor(su2_irrep(a), su2_irrep(b))
-            expected = Counter()
-            for k in clebsch_gordan(a, b):
-                expected.update(su2_irrep(k).weights)
-            assert Counter(tensor.weights) == expected
-    # index additivity and the symmetric-power formula
-    for k in range(1, 7):
-        assert dynkin_index(su2_irrep(k), 1) == k * (k + 1) * (k + 2) // 6
-    for _ in range(25):
-        a = su2_rep([rng.randint(1, 5) for _ in range(rng.randint(1, 3))])
-        b = su2_rep([rng.randint(1, 5) for _ in range(rng.randint(1, 3))])
-        assert dynkin_index(rep_sum(a, b), 1) \
-            == dynkin_index(a, 1) + dynkin_index(b, 1)
-    # Poincare symmetry of every stock quotient ring
-    rings = [cons.cp_sum_ring(n) for n in range(2, 7)]
-    rings += [cons.hp_sum_ring(n) for n in range(2, 5)]
-    rings += [cons.cp_hp_sum_ring(e) for e in (1, 2)]
-    rings.append(cons.spin_bundle_ring())
-    for q in rings:
-        assert q.poincare_symmetric()
-    # chi_pi <= 0 on every surviving search profile
-    for entry in rhs_search(16):
-        assert entry.chi_pi() <= 0
-    report(8, "property suites")
+def test_criterion_2_dynkin_indices(reference_results):
+    assert_criterion(2, reference_results)
+
+
+def test_criterion_3_freeness_verdicts(reference_results):
+    assert_criterion(3, reference_results)
+
+
+def test_criterion_4_oracle_equivalence(reference_results):
+    assert_criterion(4, reference_results)
+
+
+def test_criterion_5_cohomology_rings(reference_results):
+    assert_criterion(5, reference_results)
+
+
+def test_criterion_6_pi3_values(reference_results):
+    assert_criterion(6, reference_results)
+
+
+def test_criterion_7_classification(reference_results):
+    assert_criterion(7, reference_results)
+
+
+def test_criterion_8_property_suites(reference_results):
+    assert_criterion(8, reference_results)

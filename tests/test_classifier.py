@@ -5,7 +5,6 @@ from biquot.classifier import (
     rank1_two_sided_search, sp4_su2squared_search, rhs_search,
     rhs_manifold_classes, finiteness_bounds, candidate_g_factors,
 )
-from biquot.refchecks import RHS_EXPECTED_CLASSES
 
 
 # -- searches ---------------------------------------------------------------------
@@ -31,13 +30,6 @@ def test_rank1_results():
     assert modes[("2S2V+C", "S6V")] == "SO(3)"
     with pytest.raises(ValueError):
         rank1_two_sided_search(Sp(6))
-
-
-def test_rank1_pi3_matches_net_index():
-    _, free = rank1_two_sided_search(Sp(4))
-    assert str(free[0].pi3) == "0"  # indices 1 and 2 differ by 1
-    _, free = rank1_two_sided_search(G2)
-    assert str(free[0].pi3) == "0"  # indices 3 and 4 differ by 1
 
 
 def test_sp4_su2squared_search():
@@ -81,12 +73,6 @@ def test_candidate_factors_finite_and_bounded():
     assert parse_group("E7") not in n7
 
 
-def test_rhs_search_matches_expected_classes():
-    classes = rhs_manifold_classes(rhs_search(16))
-    got = {label: (es[0].dim, str(es[0].pi3)) for label, es in classes.items()}
-    assert got == RHS_EXPECTED_CLASSES
-
-
 def test_rhs_search_presentation_counts():
     classes = rhs_manifold_classes(rhs_search(16))
     # several classical presentations of the same sphere collapse
@@ -99,11 +85,6 @@ def test_rhs_search_presentation_counts():
     assert len(classes["S^4"]) == 2
     exotic = classes["Sp(4)//(V+2C|2V)"][0]
     assert not exotic.homogeneous
-
-
-def test_rhs_search_chi_pi_nonpositive():
-    for e in rhs_search(16):
-        assert e.chi_pi() <= 0
 
 
 def test_rhs_search_smaller_dims():

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from biquot import cli
-from biquot.cli import main, EXIT_OK, EXIT_SCHEMA, EXIT_INCONSISTENT
-from biquot.freeness import action_from_obj, is_free
+from biquot.cli import main, EXIT_OK, EXIT_SCHEMA
+from biquot.freeness import action_from_obj
 from biquot import constructions as cons
 
 
@@ -194,6 +194,9 @@ def test_free_check_accepts_declared_trivial_lattice(capsys):
      "max-degree"),
     (("free-check", "--named", "gromoll-meyer", "--oracle", "1"), "oracle"),
     (("free-check", "--named", "gromoll-meyer", "--oracle", "-5"), "oracle"),
+    (("index", "--target", "", "--weights", "1,-1"), "target"),
+    (("index", "--target", "Sp4", "--su2-class", "XYZ"), "su2-class"),
+    (("search-rank1", "--group", ""), "group"),
 ])
 def test_malformed_arguments_exit_1_naming_the_field(capsys, argv, field):
     code, out, err = run_cli(capsys, *argv)

@@ -280,29 +280,6 @@ def test_trivial_quotients():
     assert empty.betti(0) == [1]
 
 
-def test_betti_cp_sums():
-    from biquot.refchecks import cp_sum_expected_betti
-    for n in range(2, 7):
-        assert cons.cp_sum_ring(n).betti(2 * n) == cp_sum_expected_betti(n)
-
-
-def test_betti_hp_sums_and_elimination():
-    from biquot.refchecks import hp_sum_expected_betti
-    for n in range(2, 5):
-        red = cons.hp_sum_ring(n)
-        assert red.betti(4 * n) == hp_sum_expected_betti(n)
-        a, b = red.ring.gens()
-        target = GradedQuotient(red.ring, [a * b, a ** n - b ** n])
-        assert list(red.gb) == list(target.gb)
-
-
-def test_betti_cp_hp_sums():
-    from biquot.refchecks import cp_hp_expected_betti
-    for e in (1, 2):
-        assert cons.cp_hp_sum_ring(e).betti(8 * e + 4) \
-            == cp_hp_expected_betti(e)
-
-
 def test_eliminate_linear_requires_linear_relation():
     q = cons.cp_sum_ring(2)
     with pytest.raises(ValueError):
@@ -319,21 +296,6 @@ def test_finite_dimensionality_detection():
     assert not open_q.is_finite_dimensional()
     # ranks still available through any requested degree
     assert open_q.betti(8)[8] == 2
-
-
-def test_poincare_symmetry_of_stock_rings():
-    rings = [cons.cp_sum_ring(n) for n in range(2, 7)]
-    rings += [cons.hp_sum_ring(n) for n in range(2, 5)]
-    rings += [cons.cp_hp_sum_ring(e) for e in (1, 2)]
-    rings.append(cons.spin_bundle_ring())
-    for q in rings:
-        assert q.poincare_symmetric()
-
-
-def test_regular_sequence_rank_prediction():
-    for q in [cons.cp_sum_ring(n) for n in range(2, 7)] + \
-             [cons.cp_hp_sum_ring(e) for e in (1, 2)]:
-        assert q.total_rank() == q.expected_total_rank()
 
 
 def test_complete_intersection_top_degree():
@@ -396,7 +358,7 @@ def test_finite_abelian_group_invariants():
         FiniteAbelianGroup((4, 2))
     with pytest.raises(ValueError):
         FiniteAbelianGroup((1, 2))
-    assert FiniteAbelianGroup(()).is_trivial()
+    assert str(FiniteAbelianGroup(())) == "0"
 
 
 def test_cokernel_examples():
