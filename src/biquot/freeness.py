@@ -707,34 +707,57 @@ def _first_hit(action, kernel, q):
     order q, or None.
 
     The last numerator b varies fastest.  Under each prefix of the others
-    (lex order), a weight w pairs to (c + w[-1]*b) mod q, c the pairing of
-    the prefix with the rest of w, and the candidate list of b is filtered
-    condition by condition: exact order q, a zero pairing on every sphere
-    factor without a trivial summand, equal sorted pairings left and right
-    on every group factor (factor by factor), and last a nonzero pairing
-    with some kernel generator (outside the trivially-acting subgroup).
-    The first survivor under the first prefix that has one is the answer.
+    (lex order), a vector d pairs to (c + s*b) mod q, with s = d[-1] and c
+    the pairing of the prefix with d[:-1].  The candidates for b come from
+    an anchor: a set of vectors of which a fixed point must annihilate one,
+    either the distinct weights of a sphere factor without a trivial
+    summand, or l - r over the distinct right weights r of a group factor
+    for one of its left weights l (equal eigenvalue multisets give l's
+    eigenvalue to some r).  s*b = -c (mod q) is solvable iff h = gcd(s, q)
+    divides c, and its solutions are one residue mod q/h, about gcd(q, *d)
+    values of b per prefix on average.  The anchor with the least sum of
+    these is taken; an action with none (only spheres with a trivial
+    summand) takes the zero vector, which every b annihilates.  The anchor
+    is only a necessary condition (one left weight, or one factor), so the
+    candidates of exact order q still go through every condition in turn:
+    a zero pairing on every sphere factor without a trivial summand, equal
+    sorted pairings left and right on every group factor (factor by
+    factor), and last a nonzero pairing with some kernel generator
+    (outside the trivially-acting subgroup).  The first survivor under the
+    first prefix that has one is the answer.
     """
     if action.rank == 0:
         return None  # the zero-dimensional torus has no element of order q
-    spheres = [f.weights for f in action.factors
+    spheres = [set(f.weights) for f in action.factors
                if isinstance(f, SphereFactor) and not f.has_trivial_summand]
     groups = [(f.left, f.right) for f in action.factors
               if isinstance(f, GroupFactor)]
+    anchors = spheres + [{tuple(a - b for a, b in zip(l, r)) for r in right}
+                         for left, right in groups for l in set(left)]
+    anchor = min(anchors, default={(0,) * action.rank},
+                 key=lambda ds: sum(gcd(q, *d) for d in ds))
+    progressions = []  # (d[:-1], h, q/h, inverse of s/h mod q/h) per d
+    for d in anchor:
+        h = gcd(d[-1], q)
+        progressions.append((d[:-1], h, q // h, pow(d[-1] // h, -1, q // h)))
 
     def pairings(ws, prefix, bs):
         # per candidate b, the tuple of the weights' pairings mod q
+        if not bs:  # nothing left to filter under this prefix
+            return ()
         rows = []
         for w in ws:
             c, s = sum(a * x for a, x in zip(w, prefix)), w[-1]
             rows.append([(c + s * b) % q for b in bs])
         return zip(*rows)
 
-    coprime = {}  # gcd of q and the prefix -> the b giving exact order q
     for prefix, g in _prefixes(q, action.rank - 1):
-        if g not in coprime:
-            coprime[g] = [b for b in range(q) if gcd(g, b) == 1]
-        bs = coprime[g]
+        bs = set()
+        for head, h, step, inv in progressions:
+            c = sum(a * x for a, x in zip(head, prefix))
+            if c % h == 0:
+                bs.update(range(-c // h * inv % step, q, step))
+        bs = sorted(b for b in bs if gcd(g, b) == 1)
         for ws in spheres:
             bs = [b for b, p in zip(bs, pairings(ws, prefix, bs))
                   if not all(p)]
@@ -758,9 +781,12 @@ def brute_force_free(action, max_order, samples=20000, seed=0):
     reported as "no witness up to max_order", never as a proof of freeness.
     The exhaustive pass goes through the orders q = 2, 3, ... in turn and
     within one order through the numerator vectors in lex order, per prefix
-    of all but the last numerator, factor by factor (see _first_hit); it
-    stops at the first survivor, which is the lex-least non-trivial
-    fixed-point element of the smallest order.
+    of all but the last numerator (see _first_hit).  Under a prefix the
+    last numerators come from the solutions of one linear congruence per
+    vector of an anchor, a factor's condition that a fixed point needs but
+    that does not imply one; each candidate is then tested on every factor
+    and against the kernel.  The pass stops at the first survivor, which
+    is the lex-least non-trivial fixed-point element of the smallest order.
     """
     kernel = kernel_lattice(action)
     if action.rank <= 2:

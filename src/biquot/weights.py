@@ -158,6 +158,8 @@ def su2_rep_from_label(label, reality=COMPLEX):
         if not m:
             raise ValueError("bad label piece %r" % (piece,))
         mult = int(m.group(1)) if m.group(1) else 1
+        if mult == 0:
+            raise ValueError("zero multiplicity in label piece %r" % (piece,))
         if m.group(2) == "C":
             d = 1
         elif m.group(2) == "V":

@@ -197,6 +197,8 @@ def test_free_check_accepts_declared_trivial_lattice(capsys):
     (("index", "--target", "", "--weights", "1,-1"), "target"),
     (("index", "--target", "Sp4", "--su2-class", "XYZ"), "su2-class"),
     (("search-rank1", "--group", ""), "group"),
+    (("index", "--target", "Sp4", "--su2-class", "0V"), "su2-class"),
+    (("index", "--target", "Sp4", "--su2-class", "0V+S3V"), "su2-class"),
 ])
 def test_malformed_arguments_exit_1_naming_the_field(capsys, argv, field):
     code, out, err = run_cli(capsys, *argv)

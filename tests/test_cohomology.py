@@ -298,6 +298,16 @@ def test_finite_dimensionality_detection():
     assert open_q.betti(8)[8] == 2
 
 
+def test_cp_sum_ring_identifies_the_top_classes():
+    # modulo uv the second relation (u - v)(u + v)^(n-1) is u^n - v^n: the
+    # top classes of the two summands agree, and neither vanishes
+    for n in range(2, 7):
+        q = cons.cp_sum_ring(n)
+        u, v = q.ring.gens()
+        assert q.reduce(u ** n - v ** n).is_zero()
+        assert not q.reduce(u ** n).is_zero()
+
+
 def test_complete_intersection_top_degree():
     # socle degree = sum of relation degrees - sum of generator degrees
     for q in [cons.cp_sum_ring(n) for n in range(2, 7)] + \

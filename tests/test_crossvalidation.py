@@ -13,6 +13,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from biquot.freeness import (GroupFactor, SphereFactor, TwoSidedAction,
                              has_fixed_point, action_from_obj,
                              _numerators_of_order, _smith_diagonal,
                              _torsion_generators, _violating_lattices,
-                             _lattice_verdict, _prime_scan)
+                             _lattice_verdict, _prime_scan, _first_hit)
 from biquot.lattices import LatticeSubgroup
 from biquot.polyring import GradedPolyRing
 from biquot.cohomology import GradedQuotient
@@ -249,18 +250,27 @@ def test_prime_scan_agrees_with_lattice_search():
     assert min(seen[k] for k in kinds) >= 3, seen
 
 
+def reference_first_hit(action, q):
+    """The lex-least non-trivial fixed-point element of exact order q, from
+    Fraction arithmetic, or None.  Declare the kernel lattice in action:
+    that spares acts_trivially one HNF per element."""
+    for nums in _numerators_of_order(q, action.rank):
+        t = TorusElement(tuple(Fraction(a, q) for a in nums))
+        if has_fixed_point(action, t) and not acts_trivially(action, t):
+            return t
+    return None
+
+
 def reference_brute_force(action, max_order):
     """The oracle's answer from Fraction arithmetic: walk the elements of
     each exact order in lex order, return the first non-trivial one that
     fixes a point."""
-    # declaring the kernel spares acts_trivially one HNF per element
     action = TwoSidedAction(action.rank, action.factors,
                             kernel_lattice(action))
     for q in range(2, max_order + 1):
-        for nums in _numerators_of_order(q, action.rank):
-            t = TorusElement(tuple(Fraction(a, q) for a in nums))
-            if has_fixed_point(action, t) and not acts_trivially(action, t):
-                return BruteVerdict(True, max_order, True, t, q)
+        t = reference_first_hit(action, q)
+        if t is not None:
+            return BruteVerdict(True, max_order, True, t, q)
     return BruteVerdict(False, max_order, True)
 
 
@@ -308,6 +318,101 @@ def test_brute_force_matches_fraction_reference():
             isinstance(f, SphereFactor) and f.has_trivial_summand
             for f in act.factors)
     assert min(kinds.values()) > 3, kinds
+
+
+def anchor_action(rng):
+    """A rank-1/2 action whose candidates in the oracle come from one known
+    anchor, and that anchor.  The anchor-bearing factor is one sphere factor
+    without a trivial summand (weights possibly repeated) or one group
+    factor whose left weights are all equal (right weights possibly
+    repeated); an action with neither has only a sphere factor with a
+    trivial summand, and the zero vector as its anchor.  Last coordinates
+    are drawn to be 0 or to share factors with small orders."""
+    rank = rng.choice([1, 1, 2])
+
+    def weight():
+        w = tuple(rng.randint(-3, 3) for _ in range(rank - 1)) \
+            + (rng.choice([0, 1, -1, 2, -2, 3, 4, 6]),)
+        return w if any(w) else (1,) * rank
+
+    factors, kind = [], rng.choice(["sphere", "group", "none"])
+    if kind == "sphere":
+        ws = [weight() for _ in range(rng.choice([1, 2, 3]))]
+        if rng.random() < 0.4:
+            ws.append(ws[0])
+        factors.append(SphereFactor(ws))
+        anchor = set(ws)
+    elif kind == "group":
+        l, n = weight(), rng.choice([2, 3])
+        right = [weight() for _ in range(n)]
+        if rng.random() < 0.4:
+            right[-1] = right[0]
+        factors.append(GroupFactor([l] * n, right))
+        anchor = {tuple(a - b for a, b in zip(l, r)) for r in right}
+    else:
+        anchor = {(0,) * rank}
+    if kind == "none" or rng.random() < 0.2:
+        factors.append(SphereFactor([weight(), (0,) * rank]))
+    return TwoSidedAction(rank, factors), anchor
+
+
+def anchor_cases(anchor, rank, q):
+    """How the congruences s*b = -c (mod q), s = d[-1] and c the pairing of
+    d[:-1] with the prefix, fall over the prefixes of order q, for the
+    non-zero vectors d of the anchor."""
+    cases = Counter()
+    for prefix in itertools.product(range(q), repeat=rank - 1):
+        cases["prefix not coprime to q"] += rank > 1 and gcd(q, *prefix) > 1
+        for d in anchor - {(0,) * rank}:
+            h = gcd(d[-1], q)
+            solvable = sum(a * x for a, x in zip(d[:-1], prefix)) % h == 0
+            if h == q:
+                cases["last coordinate 0, %s" % (
+                    "whole row" if solvable else "no b")] += 1
+            elif h > 1:
+                cases["last coordinate shares a factor, %s" % (
+                    "solvable" if solvable else "unsolvable")] += 1
+    return cases
+
+
+def test_first_hit_on_anchor_edge_cases():
+    """Each order's first hit, and the oracle's verdict, on actions built
+    to meet the edge cases of the anchor's candidate progressions."""
+    rng = random.Random(14)
+    seen = Counter()
+    for _ in range(40):
+        act, anchor = anchor_action(rng)
+        max_order = 16 if act.rank == 1 else 6
+        kernel = kernel_lattice(act)
+        declared = TwoSidedAction(act.rank, act.factors, kernel)
+        hits = {}
+        for q in range(2, max_order + 1):
+            want = reference_first_hit(declared, q)
+            got = _first_hit(act, kernel, q)
+            assert got == (None if want is None else tuple(
+                c * q for c in want.coords)), (act.to_obj(), q)
+            seen.update(anchor_cases(anchor, act.rank, q))
+            if want is not None:
+                hits[q] = want
+        first = min(hits, default=None)
+        assert brute_force_free(act, max_order) == (
+            BruteVerdict(False, max_order, True) if first is None else
+            BruteVerdict(True, max_order, True, hits[first], first))
+        seen["found" if hits else "clean"] += 1
+        seen["no anchor"] += anchor == {(0,) * act.rank}
+        for f in act.factors:
+            if isinstance(f, GroupFactor):
+                seen["repeated right weights"] += len(set(f.right)) < len(
+                    f.right)
+            elif not f.has_trivial_summand:
+                seen["duplicate sphere weights"] += len(set(f.weights)) < len(
+                    f.weights)
+    kinds = ("last coordinate 0, whole row", "last coordinate 0, no b",
+             "last coordinate shares a factor, solvable",
+             "last coordinate shares a factor, unsolvable",
+             "prefix not coprime to q", "repeated right weights",
+             "duplicate sphere weights", "no anchor", "found", "clean")
+    assert min(seen[k] for k in kinds) >= 3, seen
 
 
 def test_kernel_elements_act_trivially_randomized():
