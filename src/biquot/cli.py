@@ -67,6 +67,9 @@ def _load_json_input(args, field="input"):
 
 
 def cmd_catalog(args):
+    if args.max_g_dimension < 0:
+        raise SchemaError("max-g-dimension", "must be >= 0, got %d"
+                          % args.max_g_dimension)
     entries = homogeneous_catalog(args.max_g_dimension)
     obj = {"degrees": {}, "pairs": [e.to_obj() for e in entries]}
     lines = ["degrees:"]
@@ -103,7 +106,7 @@ def cmd_index(args):
     norm = profile(target).vector_index_norm
     if norm <= 0:
         raise SchemaError("target", "no weight data for %s" % target)
-    if args.su2_class:
+    if args.su2_class is not None:
         try:
             rep = su2_rep_from_label(args.su2_class)
         except ValueError as exc:
@@ -111,7 +114,7 @@ def cmd_index(args):
         if target == G2 and rep.dim != 7:
             raise SchemaError("su2-class",
                               "G2 classes are 7-dimensional patterns")
-    elif args.weights:
+    elif args.weights is not None:
         try:
             ws = [int(x) for x in args.weights.split(",")]
         except ValueError as exc:
@@ -174,8 +177,12 @@ def cmd_free_check(args):
     if args.oracle:
         brute = brute_force_free(action, args.oracle)
         obj["oracle"] = brute.to_obj()
-        agree = verdict.free == (not brute.found_witness) if brute.exhaustive \
-            else (not brute.found_witness) or not verdict.free
+        # the oracle finds exactly the verdict's witness when its order is
+        # in range, and nothing otherwise
+        expect = not verdict.free and verdict.witness_order <= args.oracle
+        agree = brute.found_witness == expect and (
+            not expect or (brute.witness_order == verdict.witness_order
+                           and brute.witness == verdict.witness))
         lines.append("oracle up to order %d: %s" % (
             args.oracle,
             "witness found at order %d" % brute.witness_order
@@ -381,7 +388,9 @@ def build_parser():
     c.add_argument("--named", help="builtin action name: %s"
                    % ", ".join(sorted(_NAMED_ACTIONS)))
     c.add_argument("--oracle", type=int, default=0,
-                   help="also run the brute-force oracle up to this order")
+                   help="also run the brute-force oracle, exhaustive over "
+                        "every torus element up to this order (cost grows "
+                        "about as order^rank / rank)")
     c.set_defaults(fn=cmd_free_check)
 
     c = sub.add_parser("cohomology", help="Betti table of a graded quotient")

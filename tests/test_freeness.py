@@ -233,17 +233,18 @@ def test_brute_force_examples():
     assert b.found_witness
 
 
-def test_brute_force_sampling_rank3():
-    act = cons.hp_sum_action(2)
-    b = brute_force_free(act, 30, samples=4000, seed=5)
-    assert not b.exhaustive
+def test_brute_force_exhaustive_rank3():
+    b = brute_force_free(cons.hp_sum_action(2), 30)
+    assert b.exhaustive
     assert not b.found_witness
-    # and the sampler does find witnesses of non-free rank-3 actions
+    # and on a non-free rank-3 action it returns is_free's witness
     bad = TwoSidedAction(3, [GroupFactor(
         [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)],
         [(0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0)])])
-    b2 = brute_force_free(bad, 30, samples=4000, seed=5)
-    assert b2.found_witness
+    b2 = brute_force_free(bad, 30)
+    v = is_free(bad)
+    assert b2.exhaustive and b2.found_witness
+    assert (b2.witness, b2.witness_order) == (v.witness, v.witness_order)
     assert has_fixed_point(bad, b2.witness)
 
 
