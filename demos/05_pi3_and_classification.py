@@ -31,7 +31,7 @@ print()
 print("free SU(2) x SU(2) classes on Sp(4):")
 _, free = sp4_su2squared_search()
 for r in free:
-    print("  (%s | %s)  pi3 = %s" % (r["pair"][0], r["pair"][1], r["pi3"]))
+    print("  (%s | %s)  pi3 = %s" % (r.left_label, r.right_label, r.pi3))
 
 print()
 print("finiteness bounds in ambient dimension 7:", finiteness_bounds(7))

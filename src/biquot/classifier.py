@@ -7,20 +7,20 @@ one added degree, with at most one removed degree d paired as added = {2d};
 rhs_search reads those columns directly.
 
 The searches enumerate the candidate structures the degree bounds allow:
-homogeneous catalog pairs, two-sided SU(2) actions on the rank-2 groups,
-and SU(2) x SU(2) actions on Sp(4), with freeness decided exactly by the
-lattice method and pi_3 read off the net Dynkin index matrix.
+homogeneous catalog pairs, and two-sided SU(2)^k actions by the classes of
+weights.su2_homs (SU(2) on the rank-2 groups, SU(2) x SU(2) on Sp(4)).
+One pair loop decides freeness exactly by the lattice method and reads
+pi_3 off the net Dynkin index of each SU(2) factor.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 from .groups import (SimpleGroupId, SU, Sp, G2, group_dimension, max_degree,
-                     profile, catalog_rules)
-from .weights import su2_homs, dynkin_index
+                     profile, catalog_rules, degree_ledger, degrees_of)
+from .weights import su2_homs, su2_power_rep, dynkin_index, restrict_coords
 from .freeness import GroupFactor, TwoSidedAction, is_free
 from .cohomology import pi3_cokernel, chi_pi, FiniteAbelianGroup
 
@@ -35,7 +35,7 @@ class PairVerdict:
     left_label: str
     right_label: str
     free: bool
-    mode: str                            # 'SU(2)' or 'SO(3)' effective group
+    mode: str                # effective group: 'SU(2)' or 'SO(3)' at k = 1
     witness_order: int = None
     witness: str = ""
     pi3: FiniteAbelianGroup = None
@@ -51,10 +51,31 @@ class PairVerdict:
         return obj
 
 
-def _su2_action_on(g, left_rep, right_rep):
-    d_family = g.family == "D"
-    return TwoSidedAction(1, [GroupFactor(left_rep.weights, right_rep.weights,
-                                          d_family)])
+def _pair_search(g, pairs):
+    """Exact verdicts on SU(2)^k acting on both sides of g, one per pair of
+    classes; returns (all, free).  A pair is free when the action is free
+    modulo a finite kernel (a kernel lattice of rank k); the mode names the
+    effective group (SU(2)^k if the kernel lattice is full, else a quotient:
+    SO(3) at k = 1); pi_3 is the cokernel of the net Dynkin index of each
+    SU(2) factor."""
+    norm = profile(g).vector_index_norm
+    results = []
+    for a, b in pairs:
+        k = a.lattice.rank
+        verdict = is_free(TwoSidedAction(
+            k, [GroupFactor(a.weights, b.weights, g.family == "D")]))
+        free = verdict.free and len(verdict.kernel.basis) == k
+        h = "SU(2)" if k == 1 else "SU(2)^%d" % k
+        if not verdict.kernel.is_full():
+            h = "SO(3)" if k == 1 else h + "/kernel"
+        net = [[dynkin_index(restrict_coords(a, (i,)), norm)
+                - dynkin_index(restrict_coords(b, (i,)), norm)]
+               for i in range(k)]
+        results.append(PairVerdict(
+            a.label, b.label, free, h, verdict.witness_order,
+            "" if verdict.free else str(verdict.witness),
+            pi3_cokernel(net) if free else None))
+    return results, [r for r in results if r.free]
 
 
 def rank1_two_sided_search(g):
@@ -63,144 +84,29 @@ def rank1_two_sided_search(g):
     if g not in (SU(3), Sp(4), G2):
         raise ValueError("two-sided rank-1 search runs on the rank-2 groups "
                          "SU(3), Sp(4), G2")
-    norm = profile(g).vector_index_norm
-    homs = su2_homs(g)
-    results = []
-    for a, b in combinations(homs, 2):
-        action = _su2_action_on(g, a, b)
-        verdict = is_free(action)
-        kernel_full = verdict.kernel.is_full()
-        mode = "SU(2)" if kernel_full else "SO(3)"
-        ia, ib = dynkin_index(a, norm), dynkin_index(b, norm)
-        pi3 = pi3_cokernel([[ia - ib]]) if verdict.free else None
-        results.append(PairVerdict(
-            a.label, b.label, verdict.free, mode,
-            verdict.witness_order if not verdict.free else None,
-            str(verdict.witness) if not verdict.free else "",
-            pi3))
-    free = [r for r in results if r.free]
-    return results, free
+    return _pair_search(g, combinations(su2_homs(g), 2))
 
 
-def _su2xsu2_sp4_homs():
-    """Nontrivial homomorphisms SU(2)^2 -> Sp(4) by 4-dim quaternionic data.
-
-    Irreducibles Sym^a x Sym^b embed symplectically iff a + b is odd;
-    orthogonal irreducibles (a + b even) need even multiplicity.
-    """
-    irreps = []
-    for a in range(4):
-        for b in range(4):
-            if (a + 1) * (b + 1) <= 4:
-                irreps.append((a, b))
-
-    def weights_of(a, b):
-        return [(a - 2 * i, b - 2 * j) for i in range(a + 1)
-                for j in range(b + 1)]
-
-    homs = {}
-
-    def rec(pool, total, acc):
-        if total == 4:
-            c = Counter(acc)
-            if all((a + b) % 2 == 1 or m % 2 == 0
-                   for (a, b), m in c.items()):
-                ws = []
-                for (a, b) in acc:
-                    ws.extend(weights_of(a, b))
-                label = _su2xsu2_label(acc)
-                homs[tuple(sorted(ws))] = (label, tuple(sorted(acc)))
-            return
-        if total > 4 or not pool:
-            return
-        head, rest = pool[0], pool[1:]
-        dim = (head[0] + 1) * (head[1] + 1)
-        rec(rest, total, acc)
-        if total + dim <= 4:
-            rec(pool, total + dim, acc + [head])
-
-    rec(irreps, 0, [])
-    out = []
-    for ws, (label, parts) in sorted(homs.items()):
-        nontrivial = any(p != (0, 0) for p in parts)
-        out.append((label, ws, nontrivial))
-    return out
-
-
-def _pair_label(a, b):
-    if (a, b) == (0, 0):
-        return "C"
-    parts = []
-    if a:
-        parts.append("V1" if a == 1 else "S%dV1" % a)
-    if b:
-        parts.append("V2" if b == 1 else "S%dV2" % b)
-    return "*".join(parts) if parts else "C"
-
-
-def _su2xsu2_label(acc):
-    c = Counter(acc)
-    out = []
-    for (a, b) in sorted(c, key=lambda p: (-p[0], -p[1])):
-        lab = _pair_label(a, b)
-        out.append(lab if c[(a, b)] == 1 else "%d%s" % (c[(a, b)], lab))
-    return "+".join(out)
+_SP4_TRIVIAL = su2_power_rep([(0, 0)] * 4)
 
 
 def sp4_su2squared_search():
-    """Free SU(2)^2 actions on Sp(4), up to swapping sides and factors.
+    """SU(2)^2 acting on both sides of Sp(4); returns (all, free).  Each
+    pair of distinct classes (the trivial one included, all sorted by
+    weights) is taken once up to swapping the sides and the two factors.
+    Expected free: the one-sided block embedding and the split pair."""
+    def weights(rep, swap):
+        return tuple(sorted(w[::-1] if swap else w for w in rep.weights))
 
-    A genuine action of the full SU(2)^2 needs a full kernel lattice (no
-    subgroup acting trivially).  Expected: the one-sided standard block
-    embedding and the split standard/doubled-standard pair.
-    """
-    homs = _su2xsu2_sp4_homs()
-    seen = {}
-    results = []
-    for (ll, lw, lnt) in homs:
-        for (rl, rw, rnt) in homs:
-            if not (lnt or rnt):
-                continue
-            key = _sp4_pair_key(lw, rw)
-            if key in seen:
-                continue
-            seen[key] = True
-            action = TwoSidedAction(2, [GroupFactor(lw, rw)])
-            verdict = is_free(action)
-            genuine = verdict.kernel.is_full()
-            matrix = [[_factor_energy(lw, k) - _factor_energy(rw, k)]
-                      for k in range(2)]
-            results.append({
-                "pair": (ll, rl),
-                "free": bool(verdict.free and genuine),
-                "effective_free": verdict.free,
-                "genuine_su2xsu2": genuine,
-                "witness_order": verdict.witness_order,
-                "one_sided": all(all(x == 0 for x in w) for w in rw)
-                or all(all(x == 0 for x in w) for w in lw),
-                "pi3": pi3_cokernel(matrix) if verdict.free else None,
-            })
-    free = [r for r in results if r["free"]]
-    return results, free
-
-
-def _factor_energy(weights, k):
-    """Dynkin index of the restriction to the k-th SU(2) factor."""
-    val = sum(w[k] * w[k] for w in weights)
-    if val % 2 != 0:
-        raise AssertionError("odd weight-square sum on an SU(2) factor")
-    return val // 2
-
-
-def _sp4_pair_key(lw, rw):
-    def swap(ws):
-        return tuple(sorted((b, a) for a, b in ws))
-
-    variants = []
-    for l, r in ((lw, rw), (rw, lw)):
-        variants.append((tuple(sorted(l)), tuple(sorted(r))))
-        variants.append((swap(l), swap(r)))
-    return min(variants)
+    classes = sorted(su2_homs(Sp(4), 2) + [_SP4_TRIVIAL],
+                     key=lambda r: weights(r, False))
+    pairs = {}
+    for a, b in combinations(classes, 2):
+        # keep the first pair of each orbit under swapping the two factors
+        orbit = min(tuple(sorted((weights(a, s), weights(b, s))))
+                    for s in (False, True))
+        pairs.setdefault(orbit, (a, b))
+    return _pair_search(Sp(4), pairs.values())
 
 
 def finiteness_bounds(n):
@@ -281,6 +187,12 @@ def _entry_label(entry):
                           entry.dynkin_index)
 
 
+def _two_sided_profile(g, k):
+    """Dimension and (added, removed) degrees of g//SU(2)^k."""
+    return ((group_dimension(g) - k * group_dimension(SU(2)),)
+            + degree_ledger(degrees_of(g), degrees_of(SU(2)) * k))
+
+
 def rhs_search(max_dim):
     """Biquotients that are simply connected rational homology spheres of
     dimension 3..max_dim, up to relabeling presentations.
@@ -322,25 +234,25 @@ def rhs_search(max_dim):
 
     # two-sided SU(2) on the rank-2 groups
     for g in (SU(3), Sp(4), G2):
-        dim = group_dimension(g) - 3
+        dim, added, removed = _two_sided_profile(g, 1)
         if dim > max_dim:
             continue
-        _, free = rank1_two_sided_search(g)
-        for pv in free:
+        for pv in rank1_two_sided_search(g)[1]:
             entries.append(RHSEntry(
                 "%s//(%s|%s)" % (g.name, pv.left_label, pv.right_label),
                 "%s two-sided SU(2) (%s, %s)" % (g.name, pv.left_label,
                                                  pv.right_label),
-                dim, pv.pi3, (max_degree(g),), (), False))
+                dim, pv.pi3, added, removed, False))
 
     # SU(2) x SU(2) on Sp(4): quotient is rationally the 4-sphere
-    if 4 <= max_dim:
-        _, free = sp4_su2squared_search()
-        for r in free:
-            left, right = r["pair"]
+    dim, added, removed = _two_sided_profile(Sp(4), 2)
+    if dim <= max_dim:
+        for pv in sp4_su2squared_search()[1]:
             entries.append(RHSEntry(
-                "S^4", "Sp(4)/(SU(2)xSU(2)) (%s | %s)" % (left, right),
-                4, r["pi3"], (4,), (2,), r["one_sided"]))
+                "S^4", "Sp(4)/(SU(2)xSU(2)) (%s | %s)" % (pv.left_label,
+                                                         pv.right_label),
+                dim, pv.pi3, added, removed,
+                _SP4_TRIVIAL.label in (pv.left_label, pv.right_label)))
 
     return sorted(entries, key=lambda e: (e.dim, e.label, e.presentation))
 

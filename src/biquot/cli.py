@@ -16,9 +16,10 @@ import argparse
 import json
 import sys
 
-from .groups import (SU, Sp, G2, parse_group, homogeneous_catalog,
+from .groups import (Sp, parse_group, homogeneous_catalog,
                      degrees_of, profile)
-from .weights import dynkin_index, su2_rep_from_label, make_rep
+from .weights import (dynkin_index, su2_rep_from_label, make_rep,
+                      is_su2_class)
 from .freeness import action_from_obj, is_free, brute_force_free
 from .cohomology import GradedQuotient, pi3_cokernel
 from .polyring import GradedPolyRing, poly_from_obj
@@ -109,11 +110,11 @@ def cmd_index(args):
     if args.su2_class is not None:
         try:
             rep = su2_rep_from_label(args.su2_class)
+            if not is_su2_class(target, args.su2_class):
+                raise ValueError("not a class of homomorphisms SU(2) -> %s"
+                                 % target.name)
         except ValueError as exc:
             raise SchemaError("su2-class", str(exc))
-        if target == G2 and rep.dim != 7:
-            raise SchemaError("su2-class",
-                              "G2 classes are 7-dimensional patterns")
     elif args.weights is not None:
         try:
             ws = [int(x) for x in args.weights.split(",")]
@@ -314,12 +315,12 @@ def cmd_search_rhs(args):
 def cmd_search_rank1(args):
     try:
         g = parse_group(args.group)
+        results, free = rank1_two_sided_search(g)
     except ValueError as exc:
         raise SchemaError("group", str(exc))
-    if g not in (SU(3), Sp(4), G2):
-        raise SchemaError("group", "rank-1 two-sided search runs on SU(3), "
-                          "Sp(4), or G2")
-    results, free = rank1_two_sided_search(g)
+    if args.include_su2xsu2 and g != Sp(4):
+        raise SchemaError("include-su2xsu2", "the SU(2)xSU(2) search runs "
+                          "on Sp(4) only, not %s" % g.name)
     obj = {"group": g.name, "pairs": [r.to_obj() for r in results],
            "free": [r.to_obj() for r in free]}
     lines = ["two-sided SU(2) classes on %s: %d unordered pairs"
@@ -332,11 +333,11 @@ def cmd_search_rank1(args):
             lines.append("  (%s | %s): not free [%s], witness order %d at %s"
                          % (r.left_label, r.right_label, r.mode,
                             r.witness_order, r.witness))
-    if args.include_su2xsu2 and g == Sp(4):
-        _, su2sq = sp4_su2squared_search()
-        obj["su2xsu2_free"] = [r["pair"] for r in su2sq]
-        lines.append("free SU(2)xSU(2) classes: %s"
-                     % [r["pair"] for r in su2sq])
+    if args.include_su2xsu2:
+        pairs = [(r.left_label, r.right_label)
+                 for r in sp4_su2squared_search()[1]]
+        obj["su2xsu2_free"] = pairs
+        lines.append("free SU(2)xSU(2) classes: %s" % pairs)
     _emit(args, obj, lines)
     return EXIT_OK
 

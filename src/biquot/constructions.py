@@ -9,9 +9,10 @@ cohomology presentations.
 
 from __future__ import annotations
 
-from .groups import SU, Sp, G2, profile
+from .groups import Sp, profile
 from .weights import (make_rep, su2_rep_from_label, realify, rep_tensor,
-                      rep_sum, chern_pullback, euler_class, g2_su2_class)
+                      rep_sum, chern_pullback, euler_class, g2_su2_class,
+                      is_su2_class)
 from .freeness import GroupFactor, SphereFactor, TwoSidedAction
 from .cohomology import (classifying_ring, GradedQuotient, biquotient_ring,
                          bundle_quotient_ring)
@@ -28,12 +29,17 @@ def su2_pair_action(target, left_label, right_label):
 
     Labels name composed representations into the defining representation
     of the target, e.g. 'V+2C', '2V', 'S3V' for Sp(4); 'V+C', 'S2V' for
-    SU(3); '2V+3C', 'S2V+2V', '2S2V+C', 'S6V' for G2.
+    SU(3); '2V+3C', 'S2V+2V', '2S2V+C', 'S6V' for G2.  Raises ValueError
+    when a label is not a class of the target (see weights.is_su2_class).
     """
-    profile(target)  # reject groups without a weight model
+    for label in (left_label, right_label):
+        if not is_su2_class(target, label):
+            raise ValueError("%s is not a class of homomorphisms SU(2) -> %s"
+                             % (label, target.name))
     left = su2_rep_from_label(left_label)
     right = su2_rep_from_label(right_label)
-    return TwoSidedAction(1, [GroupFactor(left.weights, right.weights)])
+    return TwoSidedAction(1, [GroupFactor(left.weights, right.weights,
+                                          target.family == "D")])
 
 
 def gromoll_meyer_action():

@@ -240,15 +240,11 @@ class CatalogEntry:
     n: int = 0
 
     def validate(self):
-        lhs = Counter(degrees_of(self.g))
-        lhs.subtract(Counter(degrees_of(self.h)))
-        rhs = Counter(self.degrees_added)
-        rhs.subtract(Counter(self.degrees_removed))
-        lhs = {d: m for d, m in lhs.items() if m}
-        rhs = {d: m for d, m in rhs.items() if m}
-        if lhs != rhs:
-            raise AssertionError(
-                "degree bookkeeping off for %s: %s vs %s" % (self, lhs, rhs))
+        want = degree_ledger(degrees_of(self.g), degrees_of(self.h))
+        got = degree_ledger(self.degrees_added, self.degrees_removed)
+        if want != got:
+            raise AssertionError("degree bookkeeping off for %s: %s vs %s"
+                                 % (self, want, got))
         return True
 
     def dimension_of_quotient(self):
@@ -295,18 +291,22 @@ def _fixed(key, entry):
     return CatalogRule(key, 0, lambda n: entry, 0)
 
 
+def degree_ledger(plus, minus):
+    """The signed multiset plus - minus as its positive and negative parts,
+    each sorted.  For plus = degrees(G) and minus = degrees(H) these are the
+    degrees a quotient G/H adds and removes."""
+    c = Counter(plus)
+    c.subtract(minus)
+    return (tuple(sorted(d for d, m in c.items() for _ in range(m))),
+            tuple(sorted(d for d, m in c.items() for _ in range(-m))))
+
+
 def _removed_degrees(g, h, added):
     """Solve for degrees_removed from the signed-multiset identity."""
-    c = Counter(degrees_of(h))
-    c.subtract(Counter(degrees_of(g)))
-    for d in added:
-        c[d] += 1
-    removed = []
-    for d, m in sorted(c.items()):
-        if m < 0:
-            raise AssertionError("inconsistent added-degree data")
-        removed.extend([d] * m)
-    return tuple(removed)
+    removed, short = degree_ledger(degrees_of(h) + tuple(added), degrees_of(g))
+    if short:
+        raise AssertionError("inconsistent added-degree data")
+    return removed
 
 
 def _e(g, h, hom, index, added, centralizer, name="", top_equal=False, n=0):

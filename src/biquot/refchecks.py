@@ -732,7 +732,7 @@ def _(_=None):
 @check("sp4-su2xsu2-search")
 def _(_=None):
     _, free = sp4_su2squared_search()
-    pairs = sorted(r["pair"] for r in free)
+    pairs = sorted((r.left_label, r.right_label) for r in free)
     return _expect(pairs == [("2V1", "V2+2C"), ("V1+V2", "4C")],
                    "got %s" % pairs)
 

@@ -21,6 +21,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 from .groups import SimpleGroupId, SU, Sp, Spin, G2, UnsupportedGroupError, \
     has_weight_data, profile
@@ -122,36 +124,41 @@ def su2_irrep(k):
     """Sym^k of the standard SU(2) representation; weights k, k-2, ..., -k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return make_rep(1, [(k - 2 * i,) for i in range(k + 1)],
-                    label=_irrep_label(k))
+    return su2_power_rep([(k,)])
 
 
-def _irrep_label(k):
-    return {0: "C", 1: "V"}.get(k, "S%dV" % k)
+def _irrep_label(a):
+    """C, V, S3V for Sym^a of SU(2); V1, S3V2, V1*V2 for the irrep
+    Sym^a1 x ... x Sym^ak of SU(2)^k (C when trivial)."""
+    names = ["%sV%s" % ("" if x == 1 else "S%d" % x,
+                        "" if len(a) == 1 else i + 1)
+             for i, x in enumerate(a) if x]
+    return "*".join(names) or "C"
+
+
+def su2_power_rep(irreps, reality=COMPLEX):
+    """Sum of irreps Sym^a1 x ... x Sym^ak of SU(2)^k, one tuple (a1..ak)
+    per summand, largest first, labeled like S3V, V+2C at k = 1 and 2V1,
+    V1+V2, V2+2C at k = 2."""
+    irreps = sorted(irreps, reverse=True)
+    weights = [w for a in irreps
+               for w in product(*(range(x, -x - 1, -2) for x in a))]
+    c = Counter(irreps)
+    label = "+".join(("%d" % c[a] if c[a] > 1 else "") + _irrep_label(a)
+                     for a in sorted(c, reverse=True))
+    return make_rep(len(irreps[0]), weights, reality=reality, label=label)
 
 
 def su2_rep(parts, reality=COMPLEX):
     """Sum of SU(2) irreps given by dimensions (partition parts)."""
-    weights = []
-    for d in sorted(parts, reverse=True):
-        weights.extend((d - 1 - 2 * i,) for i in range(d))
-    return make_rep(1, weights, reality=reality, label=partition_label(parts))
-
-
-def partition_label(parts):
-    c = Counter(sorted(parts, reverse=True))
-    out = []
-    for d in sorted(c, reverse=True):
-        lab = _irrep_label(d - 1)
-        out.append(lab if c[d] == 1 else "%d%s" % (c[d], lab))
-    return "+".join(out)
+    return su2_power_rep([(d - 1,) for d in parts], reality)
 
 
 _LABEL_PIECE = re.compile(r"^(\d*)(C|V|S(\d+)V)$")
 
 
-def su2_rep_from_label(label, reality=COMPLEX):
-    """Parse labels like 'V+2C', 'S3V', '2S2V+C' back into a weight rep."""
+def _label_parts(label):
+    """Dimensions of the SU(2) irreps a label like 'V+2C' or 'S3V' names."""
     parts = []
     for piece in label.split("+"):
         m = _LABEL_PIECE.match(piece.strip())
@@ -167,7 +174,12 @@ def su2_rep_from_label(label, reality=COMPLEX):
         else:
             d = int(m.group(3)) + 1
         parts.extend([d] * mult)
-    return su2_rep(parts, reality=reality)
+    return parts
+
+
+def su2_rep_from_label(label, reality=COMPLEX):
+    """Parse labels like 'V+2C', 'S3V', '2S2V+C' back into a weight rep."""
+    return su2_rep(_label_parts(label), reality=reality)
 
 
 def zero_weights(rank, count):
@@ -521,19 +533,8 @@ def _composed_rep(entry):
 
 
 # ---------------------------------------------------------------------------
-# Homomorphisms SU(2) -> G, by conjugacy class
+# Homomorphisms SU(2)^k -> G, by conjugacy class
 # ---------------------------------------------------------------------------
-
-
-def _partitions(n, max_part=None):
-    if n == 0:
-        yield ()
-        return
-    if max_part is None:
-        max_part = n
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
 
 
 G2_SU2_CLASSES = (
@@ -544,41 +545,70 @@ G2_SU2_CLASSES = (
 )
 
 
-def su2_homs(target):
-    """Conjugacy classes of nontrivial homomorphisms SU(2) -> target.
+def _classical_shape(target):
+    """Defining dimension and reality of a classical target, and the parity
+    of a1 + ... + ak of the irreps it needs in even multiplicity."""
+    l = target.rank
+    shapes = {"A": (l + 1, COMPLEX, None), "C": (2 * l, COMPLEX, 0),
+              "B": (2 * l + 1, REAL, 1), "D": (2 * l, REAL, 1)}
+    if target.family not in shapes:
+        raise UnsupportedGroupError("no classical weight data for %s"
+                                    % (target,))
+    return shapes[target.family]
 
-    Classical targets are enumerated by partitions with parity constraints:
-    odd-dimensional irreps in even multiplicity for Sp(2n), even-dimensional
-    irreps in even multiplicity for Spin(m).  The four G2 classes are fixed
+
+def _paired(irreps, parity):
+    """Whether each irrep whose a1 + ... + ak has the given parity comes in
+    even multiplicity."""
+    c = Counter(irreps)
+    return all(m % 2 == 0 for a, m in c.items() if sum(a) % 2 == parity)
+
+
+def _multisets(irreps, n):
+    """Multisets of the given irreps with total dimension n."""
+    if n == 0:
+        yield ()
+    for i, a in enumerate(irreps):
+        d = prod(x + 1 for x in a)
+        if d <= n:
+            yield from ((a,) + rest for rest in _multisets(irreps[i:], n - d))
+
+
+def is_su2_class(target, label):
+    """Whether a label names a class of homomorphisms SU(2) -> target: for
+    G2 one of its four classes or the trivial one, otherwise a
+    representation of the defining dimension that passes su2_homs' parity
+    rule.  Raises ValueError on a malformed label or an unsupported target.
+    """
+    parts = sorted(_label_parts(label))
+    if target == G2:
+        return parts in [sorted(_label_parts(lab))
+                         for lab in ["7C"] + [l for l, _ in G2_SU2_CLASSES]]
+    n, _, parity = _classical_shape(target)
+    return sum(parts) == n and _paired([(d - 1,) for d in parts], parity)
+
+
+def su2_homs(target, k=1):
+    """Conjugacy classes of nontrivial homomorphisms SU(2)^k -> target.
+
+    A classical target's classes are the multisets of irreps
+    Sym^a1 x ... x Sym^ak that fill its defining representation.  An irrep
+    is quaternionic when a1 + ... + ak is odd and real otherwise; Sp(2n)
+    needs its real irreps, and Spin(m) its quaternionic irreps, in even
+    multiplicity.  The classes come sorted by their Dynkin indices on the
+    k factors, then by label.  The four G2 classes (k = 1 only) are fixed
     catalog data, identifiable by their Dynkin indices 1, 3, 4, 28.
     """
-    if target == G2:
+    if target == G2 and k == 1:
         return [su2_rep_from_label(lab, reality=REAL) for lab, _ in G2_SU2_CLASSES]
-    if not has_weight_data(target):
-        raise UnsupportedGroupError("no weight data for %s" % (target,))
-    f, l = target.family, target.rank
-    if f == "A":
-        n, constraint, reality = l + 1, None, COMPLEX
-    elif f == "C":
-        n, constraint, reality = 2 * l, "odd-even", COMPLEX
-    elif f == "B":
-        n, constraint, reality = 2 * l + 1, "even-even", REAL
-    else:
-        n, constraint, reality = 2 * l, "even-even", REAL
-    out = []
-    for parts in _partitions(n):
-        if all(p == 1 for p in parts):
-            continue
-        c = Counter(parts)
-        if constraint == "odd-even" and any(p % 2 == 1 and m % 2 == 1
-                                            for p, m in c.items()):
-            continue
-        if constraint == "even-even" and any(p % 2 == 0 and m % 2 == 1
-                                             for p, m in c.items()):
-            continue
-        out.append(su2_rep(parts, reality=reality))
+    n, reality, parity = _classical_shape(target)
+    out = [su2_power_rep(c, reality)
+           for c in _multisets(list(product(range(n), repeat=k)), n)
+           if c != ((0,) * k,) * n and _paired(c, parity)]
     norm = profile(target).vector_index_norm
-    return sorted(out, key=lambda r: (dynkin_index(r, norm), r.label))
+    return sorted(out, key=lambda r: (
+        [dynkin_index(restrict_coords(r, (i,)), norm) for i in range(k)],
+        r.label))
 
 
 def g2_su2_class(index):

@@ -1,6 +1,9 @@
 import pytest
 
 from biquot.groups import SU, Sp, G2, parse_group, max_degree
+from biquot.weights import su2_homs, su2_power_rep
+from biquot.freeness import GroupFactor, TwoSidedAction, is_free, \
+    brute_force_free
 from biquot.classifier import (
     rank1_two_sided_search, sp4_su2squared_search, rhs_search,
     rhs_manifold_classes, finiteness_bounds, candidate_g_factors,
@@ -34,17 +37,27 @@ def test_rank1_results():
 
 def test_sp4_su2squared_search():
     results, free = sp4_su2squared_search()
-    pairs = sorted(r["pair"] for r in free)
-    assert pairs == [("2V1", "V2+2C"), ("V1+V2", "4C")]
-    assert all(str(r["pi3"]) == "0" for r in free)
-    # actions free only through a quotient are excluded from the free list
-    assert any(r["effective_free"] and not r["genuine_su2xsu2"]
-               for r in results)
+    assert len(results) == 16
+    assert [(p.left_label, p.right_label) for p in free] \
+        == [("2V1", "V2+2C"), ("V1+V2", "4C")]
+    assert all(str(p.pi3) == "0" and p.mode == "SU(2)^2" for p in free)
+    # actions free only modulo a trivially acting SU(2) factor or circle
+    # are excluded from the free list: exactly those with a rank-1 kernel
+    effective = [(p.left_label, p.right_label) for p in results
+                 if not p.free and p.witness_order is None]
+    assert effective == [("S3V1", "4C"), ("2V1", "V1+2C"), ("2V1", "4C"),
+                         ("V1+2C", "4C")]
+    classes = {r.label: r for r in su2_homs(Sp(4), 2)}
+    classes["4C"] = su2_power_rep([(0, 0)] * 4)
+    for left, right in effective:
+        v = is_free(TwoSidedAction(2, [GroupFactor(classes[left].weights,
+                                                   classes[right].weights)]))
+        assert v.free and len(v.kernel.basis) == 1
+    assert all(p.witness_order for p in results if not p.free
+               and (p.left_label, p.right_label) not in effective)
 
 
 def test_sp4_doubled_pair_not_free_with_oracle():
-    from biquot.freeness import GroupFactor, TwoSidedAction, is_free, \
-        brute_force_free
     act = TwoSidedAction(2, [GroupFactor(
         [(1, 0), (-1, 0), (1, 0), (-1, 0)],
         [(0, 1), (0, -1), (0, 1), (0, -1)])])
@@ -83,8 +96,13 @@ def test_rhs_search_presentation_counts():
         == {"Spin(7)/Sp(4) via standard inclusion",
             "G2/SU(2) via 2V+3C"}
     assert len(classes["S^4"]) == 2
+    assert [(e.added, e.removed, e.homogeneous) for e in classes["S^4"]] \
+        == [((4,), (2,), False), ((4,), (2,), True)]
     exotic = classes["Sp(4)//(V+2C|2V)"][0]
     assert not exotic.homogeneous
+    assert (exotic.dim, exotic.added, exotic.removed) == (7, (4,), ())
+    g2 = classes["G2//(S2V+2V|2S2V+C)"][0]
+    assert (g2.dim, g2.added, g2.removed) == (11, (6,), ())
 
 
 def test_rhs_search_smaller_dims():

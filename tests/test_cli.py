@@ -44,6 +44,13 @@ def test_index_command(capsys):
     assert code == EXIT_SCHEMA and "target" in err
     code, _, err = run_cli(capsys, "index", "--target", "Sp(4)")
     assert code == EXIT_SCHEMA
+    # any spelling of a class, and the trivial class, are indexed
+    code, out, _ = run_cli(capsys, "index", "--target", "G2",
+                           "--su2-class", "V+V+3C")
+    assert code == EXIT_OK and out == "dynkin index into G2: 1\n"
+    code, out, _ = run_cli(capsys, "index", "--target", "Sp4",
+                           "--su2-class", "4C")
+    assert code == EXIT_OK and out == "dynkin index into Sp(4): 0\n"
 
 
 def test_free_check_named_and_json_round_trip(capsys):
@@ -231,6 +238,16 @@ def test_free_check_accepts_declared_trivial_lattice(capsys):
     (("index", "--target", "Sp4", "--su2-class", "0V+S3V"), "su2-class"),
     (("index", "--target", "Sp4", "--su2-class", ""), "su2-class"),
     (("catalog", "--max-g-dimension", "-1"), "max-g-dimension"),
+    # labels that are not classes of the target
+    (("index", "--target", "SU(3)", "--su2-class", "S2V+V+V"), "su2-class"),
+    (("index", "--target", "G2", "--su2-class", "S4V+2C"), "su2-class"),
+    (("index", "--target", "Spin(8)", "--su2-class", "2V"), "su2-class"),
+    (("index", "--target", "Sp4", "--su2-class", "S2V+C"), "su2-class"),
+    (("search-rank1", "--group", "SU3", "--include-su2xsu2"),
+     "include-su2xsu2"),
+    (("search-rank1", "--group", "G2", "--include-su2xsu2"),
+     "include-su2xsu2"),
+    (("search-rank1", "--group", "Sp6"), "group"),
 ])
 def test_malformed_arguments_exit_1_naming_the_field(capsys, argv, field):
     code, out, err = run_cli(capsys, *argv)

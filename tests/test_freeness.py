@@ -11,7 +11,7 @@ from biquot.freeness import (
 from biquot.lattices import LatticeSubgroup
 from biquot import constructions as cons
 from biquot.refchecks import criterion3_actions
-from biquot.groups import SU
+from biquot.groups import SU, Sp, Spin, F4
 from biquot.weights import su2_rep_from_label
 
 
@@ -92,6 +92,16 @@ def test_sp4_witness_orders(left, right, order, coords):
 def test_su3_witness():
     v = is_free(cons.su2_pair_action(SU(3), "V+C", "S2V"))
     assert not v.free and v.witness_order == 3
+
+
+@pytest.mark.parametrize("target,left,right", [
+    (F4, "V", "2C"),                 # no weight data
+    (Sp(4), "S2V+C", "V+2C"),        # a real irrep once in Sp(4)
+    (SU(3), "V+C", "S2V+V"),         # dimension 5, not 3
+])
+def test_su2_pair_action_rejects_non_classes(target, left, right):
+    with pytest.raises(ValueError):
+        cons.su2_pair_action(target, left, right)
 
 
 G2_TABLE = {(1, 3): 2, (1, 4): 3, (1, 28): 3, (3, 4): None, (3, 28): 5,
@@ -204,6 +214,10 @@ def test_d_family_caveat_flag():
                                          d_family=True)])
     v = is_free(act)
     assert not v.free and v.caveats
+    # named pair actions set the flag exactly on Spin(2n) targets
+    assert cons.su2_pair_action(Spin(8), "2V+4C", "S2V+5C").factors[0].d_family
+    assert not cons.su2_pair_action(Spin(7), "2V+3C", "S2V+4C") \
+        .factors[0].d_family
 
 
 def test_hp_sum_action_free_rank3():

@@ -5,11 +5,12 @@ import pytest
 from biquot.groups import (SU, Sp, Spin, G2, F4, UnsupportedGroupError,
                            catalog_rules)
 from biquot.weights import (
-    make_rep, su2_irrep, su2_rep, su2_rep_from_label, partition_label,
+    make_rep, su2_irrep, su2_rep, su2_rep_from_label, su2_power_rep,
     standard_rep, spin_rep, spin_vector_rep, rep_sum, rep_tensor, rep_dual,
     realify, complexify, exterior_square, restrict_coords, restrict_circle,
     dynkin_index, dynkin_index_of_hom, catalog_dynkin_index,
-    su2_homs, g2_su2_class, chern_pullback, euler_class, so9_adjoint_rep,
+    su2_homs, is_su2_class, g2_su2_class, chern_pullback, euler_class,
+    so9_adjoint_rep,
 )
 from biquot.cohomology import classifying_ring
 
@@ -78,7 +79,7 @@ def test_spin_vector_rep_aliases():
 
 def test_labels_round_trip():
     for parts in [(4,), (2, 2), (2, 1, 1), (3, 3, 1), (7,), (3, 2, 2)]:
-        lab = partition_label(parts)
+        lab = su2_rep(parts).label
         back = su2_rep_from_label(lab)
         assert weights_multiset(back) == weights_multiset(su2_rep(parts))
 
@@ -210,6 +211,92 @@ def test_g2_class_lookup():
     assert g2_su2_class(28).dim == 7
     with pytest.raises(ValueError):
         g2_su2_class(2)
+
+
+def _partition_reps(n, constraint, reality, norm):
+    """The partition enumeration su2_homs used at k = 1 before it took k:
+    (label, weights, reality) of each nontrivial class, by (index, label)."""
+    def partitions(m, top):
+        if m == 0:
+            yield ()
+        for first in range(min(m, top), 0, -1):
+            for rest in partitions(m - first, first):
+                yield (first,) + rest
+
+    out = []
+    for parts in partitions(n, n):
+        c = Counter(parts)
+        if all(p == 1 for p in parts):
+            continue
+        if constraint == "odd-even" and any(p % 2 == 1 and m % 2 == 1
+                                            for p, m in c.items()):
+            continue
+        if constraint == "even-even" and any(p % 2 == 0 and m % 2 == 1
+                                             for p, m in c.items()):
+            continue
+        weights = tuple((d - 1 - 2 * i,) for d in parts for i in range(d))
+        label = "+".join(
+            ("%d" % c[d] if c[d] > 1 else "")
+            + {1: "C", 2: "V"}.get(d, "S%dV" % (d - 1))
+            for d in sorted(c, reverse=True))
+        index = sum(w[0] ** 2 for w in weights) // 2 // norm
+        out.append((index, label, weights, reality))
+    return [entry[1:] for entry in sorted(out)]
+
+
+@pytest.mark.parametrize("target,constraint,reality,norm", [
+    *((SU(n), None, "complex", 1) for n in range(2, 10)),
+    *((Sp(n), "odd-even", "complex", 1) for n in (4, 6, 8)),
+    *((Spin(m), "even-even", "real", 2) for m in (7, 8, 9)),
+])
+def test_su2_homs_match_partition_enumeration(target, constraint, reality,
+                                              norm):
+    got = [(r.label, r.weights, r.reality) for r in su2_homs(target)]
+    assert got == _partition_reps(standard_rep(target).dim, constraint,
+                                  reality, norm)
+
+
+def test_su2_homs_su2_squared_on_sp4():
+    # the seven classes SU(2)^2 -> Sp(4) as first listed by hand
+    expected = {
+        "S3V1": ((-3, 0), (-1, 0), (1, 0), (3, 0)),
+        "2V1": ((-1, 0), (-1, 0), (1, 0), (1, 0)),
+        "V1+V2": ((-1, 0), (0, -1), (0, 1), (1, 0)),
+        "V1+2C": ((-1, 0), (0, 0), (0, 0), (1, 0)),
+        "S3V2": ((0, -3), (0, -1), (0, 1), (0, 3)),
+        "2V2": ((0, -1), (0, -1), (0, 1), (0, 1)),
+        "V2+2C": ((0, -1), (0, 0), (0, 0), (0, 1)),
+    }
+    homs = su2_homs(Sp(4), 2)
+    assert len(homs) == 7
+    assert {r.label: r.sorted_weights() for r in homs} == expected
+    assert su2_power_rep([(1, 1), (0, 2), (0, 0)]).label == "V1*V2+S2V2+C"
+    with pytest.raises(UnsupportedGroupError):
+        su2_homs(G2, 2)
+
+
+def test_is_su2_class():
+    # the defining dimension, and the parity rule of su2_homs
+    assert is_su2_class(Sp(4), "V+2C") and is_su2_class(Sp(4), "V+V")
+    assert not is_su2_class(Sp(4), "S2V+C")      # a real irrep, once
+    assert not is_su2_class(SU(3), "S2V+V+V")    # dimension 7, not 3
+    assert not is_su2_class(Spin(8), "2V")       # dimension 4, not 8
+    assert not is_su2_class(Spin(8), "V+6C")     # a quaternionic irrep, once
+    assert is_su2_class(Spin(8), "2V+4C") and is_su2_class(Spin(7), "S6V")
+    # large targets are decided without enumerating their classes
+    assert is_su2_class(SU(100), "S99V") and is_su2_class(SU(100), "S2V+97C")
+    assert not is_su2_class(Sp(100), "S2V+97C")
+    assert is_su2_class(Sp(100), "S99V") and is_su2_class(Spin(99), "S98V")
+    # G2: the four classes in any spelling, and the trivial one
+    assert all(is_su2_class(G2, lab)
+               for lab in ("2V+3C", "V+V+3C", "S2V+2V", "2S2V+C", "S6V", "7C"))
+    assert not is_su2_class(G2, "S4V+2C") and not is_su2_class(G2, "S2V+4C")
+    # the trivial class of a classical target
+    assert is_su2_class(Sp(4), "4C") and is_su2_class(SU(3), "3C")
+    with pytest.raises(ValueError):
+        is_su2_class(Sp(4), "XYZ")
+    with pytest.raises(UnsupportedGroupError):
+        is_su2_class(F4, "V+24C")
 
 
 # -- characteristic classes ---------------------------------------------------
