@@ -8,7 +8,7 @@ rhs_search reads those columns directly.
 
 The searches enumerate the candidate structures the degree bounds allow:
 homogeneous catalog pairs, and two-sided SU(2)^k actions by the classes of
-weights.su2_homs (SU(2) on the rank-2 groups, SU(2) x SU(2) on Sp(4)).
+weights.su2_homs on each group of candidate_g_factors whose degrees fit.
 One pair loop decides freeness exactly by the lattice method and reads
 pi_3 off the net Dynkin index of each SU(2) factor.
 """
@@ -16,10 +16,11 @@ pi_3 off the net Dynkin index of each SU(2) factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count, permutations, takewhile
 
-from .groups import (SimpleGroupId, SU, Sp, G2, group_dimension, max_degree,
-                     profile, catalog_rules, degree_ledger, degrees_of)
+from .groups import (SimpleGroupId, SU, Sp, G2, F4, E6, E7, E8,
+                     group_dimension, max_degree, profile, catalog_rules,
+                     degree_ledger, degrees_of)
 from .weights import su2_homs, su2_power_rep, dynkin_index, restrict_coords
 from .freeness import GroupFactor, TwoSidedAction, is_free
 from .cohomology import pi3_cokernel, chi_pi, FiniteAbelianGroup
@@ -39,6 +40,7 @@ class PairVerdict:
     witness_order: int = None
     witness: str = ""
     pi3: FiniteAbelianGroup = None
+    one_sided: bool = False  # one side is the trivial class: G/H homogeneous
 
     def to_obj(self):
         obj = {"pair": [self.left_label, self.right_label],
@@ -51,17 +53,34 @@ class PairVerdict:
         return obj
 
 
-def _pair_search(g, pairs):
-    """Exact verdicts on SU(2)^k acting on both sides of g, one per pair of
-    classes; returns (all, free).  A pair is free when the action is free
-    modulo a finite kernel (a kernel lattice of rank k); the mode names the
-    effective group (SU(2)^k if the kernel lattice is full, else a quotient:
-    SO(3) at k = 1); pi_3 is the cokernel of the net Dynkin index of each
-    SU(2) factor."""
+def two_sided_search(g, k=1):
+    """SU(2)^k on both sides of g, by pairs of distinct su2_homs classes,
+    with exact verdicts; returns (all, free).
+
+    At k >= 2 the trivial class joins (one-sided pairs: homogeneous G/H)
+    and the classes are sorted by weights; at k = 1 the catalog lists the
+    one-sided quotients.  Each pair is taken once up to permuting the k
+    factors.  A pair is free when the action is free modulo a finite kernel
+    (a kernel lattice of rank k); the mode names the effective group
+    (SU(2)^k if the kernel lattice is full, else a quotient: SO(3) at
+    k = 1); pi_3 is the cokernel of the net Dynkin index of each factor.
+    """
+    classes = su2_homs(g, k)
+    trivial = su2_power_rep([(0,) * k] * classes[0].dim)
+    if k > 1:
+        classes = sorted(classes + [trivial], key=lambda r: r.sorted_weights())
+
+    permuted = [(r, [tuple(sorted(tuple(w[i] for i in p) for w in r.weights))
+                     for p in permutations(range(k))]) for r in classes]
+    pairs = {}
+    for (a, pa), (b, pb) in combinations(permuted, 2):
+        # keep the first pair of each orbit under permuting the k factors:
+        # permuted holds each class's weights under every permutation
+        orbit = min(tuple(sorted(ws)) for ws in zip(pa, pb))
+        pairs.setdefault(orbit, (a, b))
     norm = profile(g).vector_index_norm
     results = []
-    for a, b in pairs:
-        k = a.lattice.rank
+    for a, b in pairs.values():
         verdict = is_free(TwoSidedAction(
             k, [GroupFactor(a.weights, b.weights, g.family == "D")]))
         free = verdict.free and len(verdict.kernel.basis) == k
@@ -74,7 +93,7 @@ def _pair_search(g, pairs):
         results.append(PairVerdict(
             a.label, b.label, free, h, verdict.witness_order,
             "" if verdict.free else str(verdict.witness),
-            pi3_cokernel(net) if free else None))
+            pi3_cokernel(net) if free else None, trivial in (a, b)))
     return results, [r for r in results if r.free]
 
 
@@ -84,29 +103,13 @@ def rank1_two_sided_search(g):
     if g not in (SU(3), Sp(4), G2):
         raise ValueError("two-sided rank-1 search runs on the rank-2 groups "
                          "SU(3), Sp(4), G2")
-    return _pair_search(g, combinations(su2_homs(g), 2))
-
-
-_SP4_TRIVIAL = su2_power_rep([(0, 0)] * 4)
+    return two_sided_search(g)
 
 
 def sp4_su2squared_search():
-    """SU(2)^2 acting on both sides of Sp(4); returns (all, free).  Each
-    pair of distinct classes (the trivial one included, all sorted by
-    weights) is taken once up to swapping the sides and the two factors.
+    """SU(2)^2 acting on both sides of Sp(4); returns (all, free).
     Expected free: the one-sided block embedding and the split pair."""
-    def weights(rep, swap):
-        return tuple(sorted(w[::-1] if swap else w for w in rep.weights))
-
-    classes = sorted(su2_homs(Sp(4), 2) + [_SP4_TRIVIAL],
-                     key=lambda r: weights(r, False))
-    pairs = {}
-    for a, b in combinations(classes, 2):
-        # keep the first pair of each orbit under swapping the two factors
-        orbit = min(tuple(sorted((weights(a, s), weights(b, s))))
-                    for s in (False, True))
-        pairs.setdefault(orbit, (a, b))
-    return _pair_search(Sp(4), pairs.values())
+    return two_sided_search(Sp(4), 2)
 
 
 def finiteness_bounds(n):
@@ -119,27 +122,15 @@ def finiteness_bounds(n):
 
 
 def candidate_g_factors(n):
-    """All simple groups usable as factors in dimension n: top degree <= 2n."""
-    bound = 2 * n
-    out = []
-    l = 1
-    while l + 1 <= bound:
-        out.append(SimpleGroupId("A", l))
-        l += 1
-    for fam, lo in (("B", 3), ("C", 2)):
-        l = lo
-        while 2 * l <= bound:
-            out.append(SimpleGroupId(fam, l))
-            l += 1
-    l = 4
-    while 2 * l - 2 <= bound:
-        out.append(SimpleGroupId("D", l))
-        l += 1
-    for gid in (G2, SimpleGroupId("F4", 4), SimpleGroupId("E6", 6),
-                SimpleGroupId("E7", 7), SimpleGroupId("E8", 8)):
-        if max_degree(gid) <= bound:
-            out.append(gid)
-    return out
+    """All simple groups usable as factors in dimension n: top degree at
+    most finiteness_bounds(n)["max_degree"], by family, then by rank."""
+    bound = finiteness_bounds(n)["max_degree"]
+    families = [(f, count(lo)) for f, lo in
+                (("A", 1), ("B", 3), ("C", 2), ("D", 4))]
+    families += [(gid.family, [gid.rank]) for gid in (G2, F4, E6, E7, E8)]
+    return [gid for f, ranks in families
+            for gid in takewhile(lambda g: max_degree(g) <= bound,
+                                 (SimpleGroupId(f, l) for l in ranks))]
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +178,19 @@ def _entry_label(entry):
                           entry.dynkin_index)
 
 
-def _two_sided_profile(g, k):
-    """Dimension and (added, removed) degrees of g//SU(2)^k."""
-    return ((group_dimension(g) - k * group_dimension(SU(2)),)
-            + degree_ledger(degrees_of(g), degrees_of(SU(2)) * k))
-
-
 def rhs_search(max_dim):
     """Biquotients that are simply connected rational homology spheres of
-    dimension 3..max_dim, up to relabeling presentations.
+    dimension 3..max_dim, up to relabeling presentations, within a scope.
 
-    G must be simple (each simple factor contributes odd homotopy), and H
-    is semisimple (dimension at least 3 forces trivial pi_2).  Candidates:
-    H trivial; one-sided homogeneous pairs from the catalog; two-sided
-    SU(2) classes on the rank-2 groups; SU(2) x SU(2) on Sp(4).  Two-sided
-    candidates run through the exact freeness decision.
+    G is simple (each simple factor contributes odd homotopy) and H is
+    semisimple (dimension at least 3 forces trivial pi_2).  Searched: H
+    trivial; the catalog's homogeneous pairs; and H = SU(2)^k on both
+    sides, k <= min(rank G, 3), for G in candidate_g_factors(max_dim)
+    whose degrees less k 2s fit the sphere profile.  Other H, and G
+    without weight data, are not searched.  The profile passes SU(3),
+    Sp(4), G2 at k = 1 and Sp(4) at k = 2 only: no D-family group, so
+    su2_homs listing a very even class of Spin(2n) once cannot matter.
+    Two-sided candidates run through the exact freeness decision.
     """
     if max_dim < 3:
         raise ValueError("search needs max_dim >= 3")
@@ -232,27 +221,29 @@ def rhs_search(max_dim):
                 break
             n += 1
 
-    # two-sided SU(2) on the rank-2 groups
-    for g in (SU(3), Sp(4), G2):
-        dim, added, removed = _two_sided_profile(g, 1)
-        if dim > max_dim:
-            continue
-        for pv in rank1_two_sided_search(g)[1]:
-            entries.append(RHSEntry(
-                "%s//(%s|%s)" % (g.name, pv.left_label, pv.right_label),
-                "%s two-sided SU(2) (%s, %s)" % (g.name, pv.left_label,
-                                                 pv.right_label),
-                dim, pv.pi3, added, removed, False))
-
-    # SU(2) x SU(2) on Sp(4): quotient is rationally the 4-sphere
-    dim, added, removed = _two_sided_profile(Sp(4), 2)
-    if dim <= max_dim:
-        for pv in sp4_su2squared_search()[1]:
-            entries.append(RHSEntry(
-                "S^4", "Sp(4)/(SU(2)xSU(2)) (%s | %s)" % (pv.left_label,
-                                                         pv.right_label),
-                dim, pv.pi3, added, removed,
-                _SP4_TRIVIAL.label in (pv.left_label, pv.right_label)))
+    # two-sided SU(2)^k on every candidate G whose degrees allow a sphere
+    for g in candidate_g_factors(max_dim):
+        g_dim = group_dimension(g)
+        for k in range(1, min(g.rank, 3) + 1):
+            dim = g_dim - k * group_dimension(SU(2))
+            if dim > max_dim:
+                continue
+            added, removed = degree_ledger(degrees_of(g),
+                                           degrees_of(SU(2)) * k)
+            if not _rhs_profile_ok(added, removed):
+                continue
+            h = "x".join(["SU(2)"] * k)
+            # a removed degree means degrees (2, 4) less two 2s: a simply
+            # connected rational homology 4-sphere, which is S^4
+            pres = ("%s/(%s) (%s | %s)" if removed
+                    else "%s two-sided %s (%s, %s)")
+            for pv in two_sided_search(g, k)[1]:
+                l, r = pv.left_label, pv.right_label
+                entries.append(RHSEntry(
+                    "S^%d" % dim if removed
+                    else "%s//(%s|%s)" % (g.name, l, r),
+                    pres % (g.name, h, l, r), dim, pv.pi3, added, removed,
+                    pv.one_sided))
 
     return sorted(entries, key=lambda e: (e.dim, e.label, e.presentation))
 

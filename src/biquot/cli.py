@@ -315,12 +315,15 @@ def cmd_search_rhs(args):
 def cmd_search_rank1(args):
     try:
         g = parse_group(args.group)
-        results, free = rank1_two_sided_search(g)
     except ValueError as exc:
         raise SchemaError("group", str(exc))
     if args.include_su2xsu2 and g != Sp(4):
         raise SchemaError("include-su2xsu2", "the SU(2)xSU(2) search runs "
                           "on Sp(4) only, not %s" % g.name)
+    try:
+        results, free = rank1_two_sided_search(g)
+    except ValueError as exc:
+        raise SchemaError("group", str(exc))
     obj = {"group": g.name, "pairs": [r.to_obj() for r in results],
            "free": [r.to_obj() for r in free]}
     lines = ["two-sided SU(2) classes on %s: %d unordered pairs"

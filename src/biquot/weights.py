@@ -598,6 +598,9 @@ def su2_homs(target, k=1):
     multiplicity.  The classes come sorted by their Dynkin indices on the
     k factors, then by label.  The four G2 classes (k = 1 only) are fixed
     catalog data, identifiable by their Dynkin indices 1, 3, 4, 28.
+
+    A very even class of Spin(2n) (even-dimensional irreps only) is listed
+    once, though SO(2n) splits it in two: Spin(8) lists 4V and 2S3V once.
     """
     if target == G2 and k == 1:
         return [su2_rep_from_label(lab, reality=REAL) for lab, _ in G2_SU2_CLASSES]

@@ -4,6 +4,7 @@ from biquot.groups import SU, Sp, G2, parse_group, max_degree
 from biquot.weights import su2_homs, su2_power_rep
 from biquot.freeness import GroupFactor, TwoSidedAction, is_free, \
     brute_force_free
+from biquot import classifier
 from biquot.classifier import (
     rank1_two_sided_search, sp4_su2squared_search, rhs_search,
     rhs_manifold_classes, finiteness_bounds, candidate_g_factors,
@@ -57,6 +58,36 @@ def test_sp4_su2squared_search():
                and (p.left_label, p.right_label) not in effective)
 
 
+def test_two_sided_pairs_rhs_search_visits_match_the_oracle(monkeypatch):
+    visited = []
+    search = classifier.two_sided_search
+
+    def record(g, k=1):
+        visited.append((g, k))
+        return search(g, k)
+
+    monkeypatch.setattr(classifier, "two_sided_search", record)
+    rhs_search(16)
+    assert visited == [(SU(3), 1), (Sp(4), 1), (Sp(4), 2), (G2, 1)]
+    pairs = 0
+    for g, k in visited:
+        classes = su2_homs(g, k)
+        classes.append(su2_power_rep([(0,) * k] * classes[0].dim))
+        by_label = {r.label: r for r in classes}
+        for p in search(g, k)[0]:
+            act = TwoSidedAction(k, [GroupFactor(
+                by_label[p.left_label].weights,
+                by_label[p.right_label].weights)])
+            v, b = is_free(act), brute_force_free(act, 30)
+            if v.free:
+                assert not b.found_witness
+            else:
+                assert (b.witness_order, b.witness) \
+                    == (v.witness_order, v.witness)
+            pairs += 1
+    assert pairs == 26
+
+
 def test_sp4_doubled_pair_not_free_with_oracle():
     act = TwoSidedAction(2, [GroupFactor(
         [(1, 0), (-1, 0), (1, 0), (-1, 0)],
@@ -84,6 +115,8 @@ def test_candidate_factors_finite_and_bounded():
     n7 = candidate_g_factors(7)
     assert parse_group("F4") in n7 and parse_group("E6") in n7
     assert parse_group("E7") not in n7
+    assert [str(g) for g in candidate_g_factors(3)] \
+        == ["A1", "A2", "A3", "A4", "A5", "B3", "C2", "C3", "D4", "G2"]
 
 
 def test_rhs_search_presentation_counts():
@@ -103,6 +136,20 @@ def test_rhs_search_presentation_counts():
     assert (exotic.dim, exotic.added, exotic.removed) == (7, (4,), ())
     g2 = classes["G2//(S2V+2V|2S2V+C)"][0]
     assert (g2.dim, g2.added, g2.removed) == (11, (6,), ())
+
+
+def test_rhs_two_sided_entries():
+    def two_sided(entries):
+        return [(e.presentation, e.homogeneous) for e in entries
+                if e.dim > 3 and " via " not in e.presentation]
+
+    at16 = two_sided(rhs_search(16))
+    assert at16 == [("Sp(4)/(SU(2)xSU(2)) (2V1 | V2+2C)", False),
+                    ("Sp(4)/(SU(2)xSU(2)) (V1+V2 | 4C)", True),
+                    ("Sp(4) two-sided SU(2) (V+2C, 2V)", False),
+                    ("G2 two-sided SU(2) (S2V+2V, 2S2V+C)", False)]
+    # only SU(3), Sp(4) and G2 pass the degree profile, whatever the bound
+    assert two_sided(rhs_search(60)) == at16
 
 
 def test_rhs_search_smaller_dims():

@@ -360,6 +360,19 @@ def test_search_commands(capsys):
     assert code == EXIT_OK and "Berger^7" in out
 
 
+def test_su2xsu2_flag_off_sp4_rejected_before_any_search(capsys,
+                                                       monkeypatch):
+    def search(g):
+        raise AssertionError("the rank-1 search ran")
+
+    monkeypatch.setattr(cli, "rank1_two_sided_search", search)
+    code, out, err = run_cli(capsys, "search-rank1", "--group", "G2",
+                             "--include-su2xsu2")
+    assert (code, out) == (EXIT_SCHEMA, "")
+    assert err == ("input error at include-su2xsu2: the SU(2)xSU(2) search "
+                   "runs on Sp(4) only, not G2\n")
+
+
 def test_search_rhs_json_deterministic(capsys):
     code, out1, _ = run_cli(capsys, "--format", "json", "search-rhs",
                             "--max-dim", "11")
