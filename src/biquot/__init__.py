@@ -9,8 +9,7 @@ from .groups import (
     homogeneous_catalog, catalog_lookup, catalog_rules, CatalogEntry,
     UnsupportedGroupError,
 )
-from .lattices import LatticeSubgroup, hnf, smith_normal_form, \
-    invariant_factors
+from .lattices import LatticeSubgroup, hnf, smith_normal_form
 from .polyring import GradedPolyRing, Poly
 from .weights import (
     TorusLattice, WeightRep, su2_irrep, su2_rep, standard_rep,

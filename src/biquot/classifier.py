@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, count, permutations, takewhile
 
-from .groups import (SimpleGroupId, SU, Sp, G2, F4, E6, E7, E8,
+from .groups import (_MIN_RANK, SimpleGroupId, SU, Sp, G2, F4, E6, E7, E8,
                      group_dimension, max_degree, profile, catalog_rules,
                      degree_ledger, degrees_of)
 from .weights import su2_homs, su2_power_rep, dynkin_index, restrict_coords
@@ -125,8 +125,7 @@ def candidate_g_factors(n):
     """All simple groups usable as factors in dimension n: top degree at
     most finiteness_bounds(n)["max_degree"], by family, then by rank."""
     bound = finiteness_bounds(n)["max_degree"]
-    families = [(f, count(lo)) for f, lo in
-                (("A", 1), ("B", 3), ("C", 2), ("D", 4))]
+    families = [(f, count(lo)) for f, lo in _MIN_RANK.items()]
     families += [(gid.family, [gid.rank]) for gid in (G2, F4, E6, E7, E8)]
     return [gid for f, ranks in families
             for gid in takewhile(lambda g: max_degree(g) <= bound,

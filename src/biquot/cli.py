@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .groups import (Sp, parse_group, homogeneous_catalog,
+from .groups import (_MIN_RANK, Sp, parse_group, homogeneous_catalog,
                      degrees_of, profile)
 from .weights import (dynkin_index, su2_rep_from_label, make_rep,
                       is_su2_class)
@@ -74,7 +74,7 @@ def cmd_catalog(args):
     entries = homogeneous_catalog(args.max_g_dimension)
     obj = {"degrees": {}, "pairs": [e.to_obj() for e in entries]}
     lines = ["degrees:"]
-    for fam, lo in (("A", 1), ("B", 3), ("C", 2), ("D", 4)):
+    for fam, lo in _MIN_RANK.items():
         for l in range(lo, 9):
             gid = parse_group("%s%d" % (fam, l))
             obj["degrees"][str(gid)] = list(degrees_of(gid))

@@ -18,16 +18,15 @@ from fractions import Fraction
 from math import prod
 from operator import le
 
-# perfbench (tracer and self-test) patches cohomology.smith_normal_form
-from .lattices import invariant_factors, smith_normal_form  # noqa: F401
+from .lattices import smith_normal_form
 from .polyring import (GradedPolyRing, Poly, _buchberger, groebner_basis,
                        reduce_poly)
 
 
-def classifying_ring(kinds, names=None):
+def classifying_ring(kinds):
     """Polynomial ring of B(product of circles and SU(2)s).
 
-    kinds is a sequence of 'circle' / 'su2'.  Default names follow the
+    kinds is a sequence of 'circle' / 'su2'.  The names follow the
     usual conventions: a single circle is x, two circles are u, v; a single
     SU(2) is z, several are z1, z2, ...
     """
@@ -35,22 +34,21 @@ def classifying_ring(kinds, names=None):
     for k in kinds:
         if k not in ("circle", "su2"):
             raise ValueError("kinds must be 'circle' or 'su2'")
-    if names is None:
-        n_circ = kinds.count("circle")
-        n_su2 = kinds.count("su2")
-        circ_names = {1: ["x"], 2: ["u", "v"]}.get(
-            n_circ, ["x%d" % (i + 1) for i in range(n_circ)])
-        su2_names = ["z"] if n_su2 == 1 else ["z%d" % (i + 1)
-                                              for i in range(n_su2)]
-        names = []
-        ci = si = 0
-        for k in kinds:
-            if k == "circle":
-                names.append(circ_names[ci])
-                ci += 1
-            else:
-                names.append(su2_names[si])
-                si += 1
+    n_circ = kinds.count("circle")
+    n_su2 = kinds.count("su2")
+    circ_names = {1: ["x"], 2: ["u", "v"]}.get(
+        n_circ, ["x%d" % (i + 1) for i in range(n_circ)])
+    su2_names = ["z"] if n_su2 == 1 else ["z%d" % (i + 1)
+                                          for i in range(n_su2)]
+    names = []
+    ci = si = 0
+    for k in kinds:
+        if k == "circle":
+            names.append(circ_names[ci])
+            ci += 1
+        else:
+            names.append(su2_names[si])
+            si += 1
     degrees = tuple(2 if k == "circle" else 4 for k in kinds)
     return GradedPolyRing(tuple(names), degrees)
 
@@ -344,11 +342,8 @@ def cokernel(matrix, cols=None):
         if not matrix:
             raise ValueError("empty matrix needs an explicit column count")
         cols = len(matrix[0])
-    if not matrix:
-        return FiniteAbelianGroup((0,) * cols)
-    dias = invariant_factors(list(matrix), cols)
-    factors = [x for x in dias if x > 1] + [0] * (cols - len(dias))
-    return FiniteAbelianGroup(tuple(factors))
+    diag, _ = smith_normal_form(list(matrix), cols)
+    return FiniteAbelianGroup(tuple(d for d in diag if d != 1))
 
 
 def pi3_cokernel(index_matrix, cols=None):

@@ -27,13 +27,14 @@ remaining right classes mod L, HNF of L) and collects the violating
 lattices; its cost follows the number of distinct partial lattices and
 reduced multisets rather than the n! bijections of an SU(n) factor.  The
 witness of a non-free action is the lex-least non-trivial fixed-point
-element of minimal order.  It is read from one Smith form D = U*L*V per
-violating lattice L: the elements of order dividing q in Ann(L) are
-generated by the columns j of V over gcd(D[j][j], q), with D[j][j] = 0
-past the rows of L (Cohen, A Course in Computational Algebraic Number
-Theory, 1993, section 2.4).  The eigenvalue matching reported with it is
-read off the witness alone: the first full choice, in depth-first order,
-whose generators the witness annihilates.
+element of minimal order.  It is read from one Smith form per violating
+lattice L, the invariant factors d_j of L with a unimodular V such that
+L*V and the diagonal of the d_j span the same lattice: the elements of
+order dividing q in Ann(L) are generated by the columns j of V over
+gcd(d_j, q), with d_j = 0 past the rank of L (Cohen, A Course in
+Computational Algebraic Number Theory, 1993, section 2.4).  The eigenvalue
+matching reported with it is read off the witness alone: the first full
+choice, in depth-first order, whose generators the witness annihilates.
 
 An effective action (kernel lattice Z^r) of small rank is first scanned
 element by element at order 2.  If t of order q fixes a point, so does
@@ -461,13 +462,6 @@ def _first_choice(action, witness):
 # ---------------------------------------------------------------------------
 
 
-def _smith_diagonal(rows, rank):
-    """(diag, V) from the Smith form D = U*M*V of the rows M: diag[j] is
-    D[j][j], and 0 past the last row."""
-    d, _, v = smith_normal_form(list(rows), rank)
-    return [d[j][j] if j < len(d) else 0 for j in range(rank)], v
-
-
 def _torsion_generators(diag, v, q):
     """Generators (coords, order) of Ann(M)[q], the elements of order
     dividing q that pair integrally with every row of M, from the Smith
@@ -490,10 +484,11 @@ def _best_witness(basis, kernel, rank):
 
     t is the lex-least element of minimal order q in Ann(L) outside Ann(K),
     K the kernel lattice (which L does not contain).  Everything comes from
-    one Smith form D = U*L*V: Ann(L)[q] is generated by column j of V over
-    gcd(D[j][j], q) (with D[j][j] = 0 past the rows of L), so a kernel row
-    k pairs non-integrally with some element of Ann(L)[q] iff some (k*V)_j
-    is not 0 mod gcd(D[j][j], q).  q is the least order with such a row,
+    one Smith form (diag, V) of L, L*V = U*D with D the diagonal of diag:
+    Ann(L)[q] is generated by column j of V over gcd(diag[j], q) (with
+    diag[j] = 0 past the rank of L), so a kernel row k pairs non-integrally
+    with some element of Ann(L)[q] iff some (k*V)_j is not 0 mod
+    gcd(diag[j], q).  q is the least order with such a row,
     and every combination of the generators, at most q^rank elements, is a
     candidate; by the minimality of q the candidates outside Ann(K) all
     have order q.
@@ -501,11 +496,11 @@ def _best_witness(basis, kernel, rank):
     lattices is the lex-least non-trivial fixed-point element of minimal
     order: the element the exhaustive oracle returns.
     """
-    diag, v = _smith_diagonal(basis, rank)
+    diag, v = smith_normal_form(basis, rank)
     ys = [[sum(k[i] * v[i][j] for i in range(rank)) for j in range(rank)]
           for k in kernel.basis]
-    # y_j escapes at c = D[j][j] if that is not 0, else at c = |y_j| + 1,
-    # iff c does not divide y_j (gcd(D[j][j], c) = c); the least such c
+    # y_j escapes at c = diag[j] if that is not 0, else at c = |y_j| + 1,
+    # iff c does not divide y_j (gcd(diag[j], c) = c); the least such c
     # bounds q
     bound = min((c for y in ys for yj, dj in zip(y, diag)
                  for c in [dj or abs(yj) + 1] if yj % c), default=1)

@@ -236,8 +236,6 @@ class CatalogEntry:
     degrees_removed: tuple
     centralizer: str
     quotient_name: str = ""
-    top_degree_equal: bool = False
-    n: int = 0
 
     def validate(self):
         want = degree_ledger(degrees_of(self.g), degrees_of(self.h))
@@ -263,10 +261,9 @@ class CatalogEntry:
         }
 
 
-def _entry(g, h, hom, index, added, removed, centralizer, name="",
-           top_equal=False, n=0):
+def _entry(g, h, hom, index, added, removed, centralizer, name=""):
     e = CatalogEntry(g, h, hom, index, tuple(sorted(added)),
-                     tuple(sorted(removed)), centralizer, name, top_equal, n)
+                     tuple(sorted(removed)), centralizer, name)
     e.validate()
     return e
 
@@ -309,9 +306,9 @@ def _removed_degrees(g, h, added):
     return removed
 
 
-def _e(g, h, hom, index, added, centralizer, name="", top_equal=False, n=0):
+def _e(g, h, hom, index, added, centralizer, name=""):
     return _entry(g, h, hom, index, added, _removed_degrees(g, h, added),
-                  centralizer, name, top_equal, n)
+                  centralizer, name)
 
 
 def catalog_rules():
@@ -321,34 +318,32 @@ def catalog_rules():
     # --- pairs with equal maximal degree -----------------------------------
     rules.append(CatalogRule("Spin(2n)/Spin(2n-1)", 4, lambda n: _e(
         Spin(2 * n), Spin(2 * n - 1), "standard inclusion", 1, [n],
-        CENTRALIZER_FINITE, "S^%d" % (2 * n - 1), top_equal=True, n=n)))
+        CENTRALIZER_FINITE, "S^%d" % (2 * n - 1))))
     rules.append(CatalogRule("SU(2n)/Sp(2n)", 2, lambda n: _e(
         SU(2 * n), Sp(2 * n), "standard inclusion", 1,
         list(range(3, 2 * n, 2)), CENTRALIZER_FINITE,
-        "S^5" if n == 2 else "", top_equal=True, n=n)))
+        "S^5" if n == 2 else "")))
     rules.append(_fixed("Spin(7)/G2", _e(
-        Spin(7), G2, "fundamental-7", 1, [4], CENTRALIZER_FINITE, "S^7",
-        top_equal=True)))
+        Spin(7), G2, "fundamental-7", 1, [4], CENTRALIZER_FINITE, "S^7")))
     rules.append(_fixed("Spin(8)/G2", _e(
         Spin(8), G2, "fundamental-7", 1, [4, 4], CENTRALIZER_FINITE,
-        "S^7xS^7", top_equal=True)))
+        "S^7xS^7")))
     rules.append(_fixed("E6/F4", _e(
-        E6, F4, "standard inclusion", 1, [5, 9], CENTRALIZER_FINITE, "",
-        top_equal=True)))
+        E6, F4, "standard inclusion", 1, [5, 9], CENTRALIZER_FINITE, "")))
 
     # --- pairs where H kills all but one degree of G -----------------------
     rules.append(CatalogRule("SU(n)/SU(n-1)", 3, lambda n: _e(
         SU(n), SU(n - 1), "standard inclusion", 1, [n], CENTRALIZER_S1,
-        "S^%d" % (2 * n - 1), n=n)))
+        "S^%d" % (2 * n - 1))))
     rules.append(CatalogRule("Sp(2n)/Sp(2n-2)", 2, lambda n: _e(
         Sp(2 * n), Sp(2 * n - 2), "standard inclusion", 1, [2 * n],
-        CENTRALIZER_A1, "S^%d" % (4 * n - 1), n=n)))
+        CENTRALIZER_A1, "S^%d" % (4 * n - 1))))
     rules.append(CatalogRule("Spin(2n+1)/Spin(2n)", 3, lambda n: _e(
         Spin(2 * n + 1), Spin(2 * n), "standard inclusion", 1, [2 * n],
-        CENTRALIZER_FINITE, "S^%d" % (2 * n), n=n)))
+        CENTRALIZER_FINITE, "S^%d" % (2 * n))))
     rules.append(CatalogRule("Spin(2n+1)/Spin(2n-1)", 3, lambda n: _e(
         Spin(2 * n + 1), Spin(2 * n - 1), "standard inclusion", 1, [2 * n],
-        CENTRALIZER_S1, "UT(S^%d)" % (2 * n), n=n)))
+        CENTRALIZER_S1, "UT(S^%d)" % (2 * n))))
     rules.append(_fixed("Sp(4)/SU(2)i2", _e(
         Sp(4), SU(2), "V+V", 2, [4], CENTRALIZER_S1, "UT(S^4)")))
     rules.append(_fixed("Sp(4)/SU(2)i10", _e(
@@ -374,16 +369,16 @@ def catalog_rules():
     # --- pairs where H keeps two or more degrees of G ----------------------
     rules.append(CatalogRule("Spin(2n)/Spin(2n-2)", 4, lambda n: _e(
         Spin(2 * n), Spin(2 * n - 2), "standard inclusion", 1,
-        [n, 2 * n - 2], CENTRALIZER_S1, "UT(S^%d)" % (2 * n - 1), n=n)))
+        [n, 2 * n - 2], CENTRALIZER_S1, "UT(S^%d)" % (2 * n - 1))))
     rules.append(CatalogRule("Spin(2n)/Spin(2n-3)", 4, lambda n: _e(
         Spin(2 * n), Spin(2 * n - 3), "standard inclusion", 1,
-        [n, 2 * n - 2], CENTRALIZER_A1, "", n=n)))
+        [n, 2 * n - 2], CENTRALIZER_A1, "")))
     rules.append(CatalogRule("SU(2n+1)/Sp(2n)", 2, lambda n: _e(
         SU(2 * n + 1), Sp(2 * n), "standard inclusion", 1,
-        list(range(3, 2 * n + 2, 2)), CENTRALIZER_S1, "", n=n)))
+        list(range(3, 2 * n + 2, 2)), CENTRALIZER_S1, "")))
     rules.append(CatalogRule("SU(2n+1)/SO(2n+1)", 2, lambda n: _e(
         SU(2 * n + 1), Spin(2 * n + 1), "vector", 2,
-        list(range(3, 2 * n + 2, 2)), CENTRALIZER_FINITE, "", n=n)))
+        list(range(3, 2 * n + 2, 2)), CENTRALIZER_FINITE, "")))
     rules.append(_fixed("Spin(10)/Spin(7)spin", _e(
         Spin(10), Spin(7), "spin rep", 1, [5, 8], CENTRALIZER_S1)))
     rules.append(_fixed("SU(7)/G2", _e(
@@ -411,9 +406,9 @@ def homogeneous_catalog(max_g_dimension=300):
     return out
 
 
-def catalog_lookup(g, h, hom_descriptor=None, max_g_dimension=None):
+def catalog_lookup(g, h, hom_descriptor=None):
     """All catalog entries for the pair (G, H), optionally one hom class."""
-    bound = max_g_dimension or max(300, group_dimension(g))
+    bound = max(300, group_dimension(g))
     hits = [e for e in homogeneous_catalog(bound)
             if e.g == g and e.h == h
             and (hom_descriptor is None or e.hom_descriptor == hom_descriptor)]

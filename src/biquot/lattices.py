@@ -4,18 +4,15 @@ Lattices here are subgroups of Z^r presented by generator row vectors.
 Everything runs on arbitrary-precision Python ints.  The Hermite form is
 built by one-row insertion: each row is combined into the HNF basis of the
 rows before it by extended gcds on its leading columns (Cohen, A Course in
-Computational Algebraic Number Theory, 1993, section 2.4).  The Smith form
-also returns the unimodular transforms, which the freeness machinery needs
-to build torsion elements of the dual torus.
+Computational Algebraic Number Theory, 1993, section 2.4); it is the one
+elimination routine.  The Smith form alternates row and column Hermite
+forms and also returns the unimodular column transform, which the freeness
+machinery needs to build torsion elements of the dual torus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def hnf(rows, rank=None):
@@ -111,111 +108,40 @@ def _hnf_insert(basis, v):
 
 
 def smith_normal_form(rows, rank=None):
-    """Smith normal form with transforms: returns (D, U, V), D = U*M*V.
+    """Smith normal form of the matrix M with the given rows: (diag, V).
 
-    D is diagonal with d1 | d2 | ... >= 0; U and V are unimodular.  M is the
-    input matrix (list of rows); empty inputs need an explicit column count.
+    diag[j] is the j-th invariant factor (d1 | d2 | ... >= 0), 0 past the
+    rank of M; V is unimodular and M*V = U*D for some unimodular U, D the
+    diagonal matrix of diag.  Row and column Hermite forms alternate until
+    the matrix is diagonal (Kannan and Bachem, SIAM J. Comput. 8(4), 1979);
+    the column form is the row form of [M^T | V^T], whose right block
+    carries V.  Where d_i does not divide d_{i+1}, column i+1 is added to
+    column i and the matrix diagonalized again, which puts gcd and lcm in
+    their place.  Empty inputs need an explicit column count.
     """
-    if rank is None:
-        if not rows:
-            raise ValueError("empty matrix needs an explicit rank")
-        rank = len(rows[0])
-    m = len(rows)
-    a = [list(r) for r in rows]
-    u = _identity(m)
-    v = _identity(rank)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul_row(dst, src, q):
-        for k in range(rank):
-            a[dst][k] += q * a[src][k]
-        for k in range(m):
-            u[dst][k] += q * u[src][k]
-
-    def addmul_col(dst, src, q):
-        for r in a:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, rank):
-        # find a pivot
-        piv = None
-        for i in range(t, m):
-            for j in range(t, rank):
-                if a[i][j] != 0:
-                    if piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    addmul_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(i, t)
-                        dirty = True
-            for j in range(t + 1, rank):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    addmul_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(j, t)
-                        dirty = True
-            if not dirty:
+    a = hnf(rows, rank)
+    rank = len(rows[0]) if rank is None else rank
+    vt = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]  # V^T
+    while True:
+        if all(x == 0 or i == j for i, row in enumerate(a)
+               for j, x in enumerate(row)):
+            diag = [row[i] for i, row in enumerate(a)]
+            i = next((i for i in range(len(diag) - 1)
+                      if diag[i + 1] % diag[i]), None)
+            if i is None:
                 break
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            if a[i + 1][i + 1] % a[i][i] != 0:
-                # standard trick: add column i+1 to column i, then redo the
-                # local elimination
-                addmul_col(i, i + 1, 1)
-                g, x, y = _xgcd(a[i][i], a[i + 1][i])
-                # row combination bringing gcd to position (i, i)
-                _combine_rows(a, u, i, i + 1, x, y,
-                              a[i][i] // g, a[i + 1][i] // g)
-                # clear the off-diagonal remainders
-                q = a[i + 1][i] // a[i][i]
-                addmul_row(i + 1, i, -q)
-                q = a[i][i + 1] // a[i][i]
-                addmul_col(i + 1, i, -q)
-                if a[i][i] < 0:
-                    negate_row(i)
-                if a[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-    d = [[a[i][j] if i == j else 0 for j in range(rank)] for i in range(m)]
-    # a should already be diagonal; assert cheaply
-    for i in range(m):
-        for j in range(rank):
-            if i != j and a[i][j] != 0:
-                raise AssertionError("Smith reduction left a nonzero entry")
-    return d, u, v
+            # add column i + 1 to column i: only row i + 1 has an entry there
+            a[i + 1] = a[i + 1][:i] + (diag[i + 1],) + a[i + 1][i + 1:]
+            vt[i] = tuple(x + y for x, y in zip(vt[i], vt[i + 1]))
+        else:
+            m = len(a)
+            t = hnf([tuple(row[j] for row in a) + vt[j]
+                     for j in range(rank)], m + rank)
+            vt = [row[m:] for row in t]
+            a = [[row[i] for row in t] for i in range(m)]
+        a = hnf(a, rank)
+    v = [[row[i] for row in vt] for i in range(rank)]
+    return diag + [0] * (rank - len(diag)), v
 
 
 def _xgcd(p, q):
@@ -223,22 +149,6 @@ def _xgcd(p, q):
         return (abs(p), 1 if p >= 0 else -1, 0)
     g, x, y = _xgcd(q, p % q)
     return (g, y, x - (p // q) * y)
-
-
-def _combine_rows(a, u, i, j, x, y, alpha, beta):
-    """Unimodular [x y; -beta alpha] acting on rows i, j (x*alpha+y*beta=1)."""
-    ai, aj = a[i][:], a[j][:]
-    ui, uj = u[i][:], u[j][:]
-    a[i] = [x * p + y * q for p, q in zip(ai, aj)]
-    a[j] = [-beta * p + alpha * q for p, q in zip(ai, aj)]
-    u[i] = [x * p + y * q for p, q in zip(ui, uj)]
-    u[j] = [-beta * p + alpha * q for p, q in zip(ui, uj)]
-
-
-def invariant_factors(rows, rank=None):
-    d, _, _ = smith_normal_form(rows, rank)
-    n = min(len(d), rank if rank is not None else len(d[0]))
-    return [d[i][i] for i in range(n) if d[i][i] != 0]
 
 
 @dataclass(frozen=True)
@@ -251,15 +161,6 @@ class LatticeSubgroup:
     @staticmethod
     def from_rows(rank, rows):
         return LatticeSubgroup(rank, tuple(hnf(rows, rank)))
-
-    @staticmethod
-    def full(rank):
-        return LatticeSubgroup.from_rows(
-            rank, [tuple(int(i == j) for j in range(rank)) for i in range(rank)])
-
-    @staticmethod
-    def zero(rank):
-        return LatticeSubgroup(rank, ())
 
     def contains_vector(self, v):
         """Exact membership: v reduces to zero modulo the HNF basis."""

@@ -108,11 +108,9 @@ class WeightRep:
         }
 
 
-def make_rep(rank, weights, reality=COMPLEX, scale=1, label="", half=None,
-             oriented=True):
+def make_rep(rank, weights, reality=COMPLEX, scale=1, label=""):
     return WeightRep(TorusLattice(rank, scale), tuple(tuple(w) for w in weights),
-                     reality, label, None if half is None else tuple(half),
-                     oriented)
+                     reality, label)
 
 
 # ---------------------------------------------------------------------------
@@ -434,22 +432,21 @@ def _circle_energy(rep, direction):
         rep.lattice.scale ** 2)
 
 
-def dynkin_index_of_hom(h_faithful, composed, h_norm, g_norm, direction=None):
+def dynkin_index_of_hom(h_faithful, composed, h_norm, g_norm):
     """Index of H -> G from the pulled-back defining representation of G.
 
     Both representations live on H's torus; the index is the ratio of the
-    two circle energies, each divided by its group's normalization.
+    two circle energies along the first coordinate circle on which the
+    faithful weights do not all vanish, each divided by its group's
+    normalization.
     """
     rank = h_faithful.lattice.rank
-    if direction is None:
-        direction = next(
-            d for d in (tuple(int(i == j) for j in range(rank))
-                        for i in range(rank))
-            if _circle_energy(h_faithful, d) != 0)
+    direction = next(
+        d for d in (tuple(int(i == j) for j in range(rank))
+                    for i in range(rank))
+        if _circle_energy(h_faithful, d) != 0)
     qh = _circle_energy(h_faithful, direction)
     qg = _circle_energy(composed, direction)
-    if qh == 0:
-        raise ValueError("direction is orthogonal to the faithful weights")
     val = (qg / g_norm) / (qh / h_norm)
     if val.denominator != 1:
         raise ValueError("non-integral index %s" % (val,))

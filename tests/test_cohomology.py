@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 import sympy
+from sympy.matrices.normalforms import invariant_factors
 
 from biquot.polyring import GradedPolyRing, Poly, groebner_basis, reduce_poly, \
     poly_from_obj
@@ -393,6 +394,30 @@ def test_cokernel_diagonal_and_invariance():
         m3 = [[r[0], r[1] + 3 * r[0], r[2]] for r in m]
         assert pi3_cokernel(m2).invariant_factors == base.invariant_factors
         assert pi3_cokernel(m3).invariant_factors == base.invariant_factors
+
+
+def test_pi3_cokernel_matches_sympy():
+    # k x 1 and k x 2 index matrices, some with a zero column (a free Z)
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(80):
+        k, c = rng.randint(1, 4), rng.choice([1, 2])
+        m = [[rng.choice([0, rng.randint(-12, 12)]) for _ in range(c)]
+             for _ in range(k)]
+        if rng.random() < 0.3:
+            j = rng.randrange(c)
+            for row in m:
+                row[j] = 0
+        a = sympy.Matrix(m)
+        torsion = tuple(abs(int(x)) for x in invariant_factors(a)
+                        if abs(x) > 1)
+        group = pi3_cokernel(m)
+        assert group.invariant_factors == torsion + (0,) * (c - a.rank()), m
+        seen.add((c, bool(torsion), group.free_rank,
+                  any(not any(col) for col in zip(*m))))
+    assert {(1, True, 0, False), (1, False, 1, True), (2, True, 0, False),
+            (2, False, 1, True), (2, False, 2, True),
+            (2, True, 1, True)} <= seen
 
 
 def test_chi_pi():

@@ -23,10 +23,10 @@ from biquot.freeness import (GroupFactor, SphereFactor, TwoSidedAction,
                              TorusElement, BruteVerdict, kernel_lattice,
                              is_free, brute_force_free, acts_trivially,
                              has_fixed_point, action_from_obj,
-                             _numerators_of_order, _smith_diagonal,
+                             _numerators_of_order,
                              _torsion_generators, _violating_lattices,
                              _lattice_verdict, _prime_scan, _first_hit)
-from biquot.lattices import LatticeSubgroup
+from biquot.lattices import LatticeSubgroup, smith_normal_form
 from biquot.polyring import GradedPolyRing
 from biquot.cohomology import GradedQuotient
 from elimination_hnf import elimination_hnf
@@ -428,7 +428,7 @@ def test_kernel_elements_act_trivially_randomized():
         # enumerate some torsion elements of the kernel subgroup
         for q in (2, 3, 4):
             for coords, order in _torsion_generators(
-                    *_smith_diagonal(kernel.basis, act.rank), q):
+                    *smith_normal_form(kernel.basis, act.rank), q):
                 t = TorusElement(coords)
                 for f in act.factors:
                     if isinstance(f, GroupFactor):
@@ -448,7 +448,7 @@ def test_torsion_generators_pair_integrally():
         rows = [tuple(rng.randint(-4, 4) for _ in range(n))
                 for _ in range(rng.randint(0, n))]
         q = rng.choice([2, 3, 4, 5, 6])
-        for coords, order in _torsion_generators(*_smith_diagonal(rows, n),
+        for coords, order in _torsion_generators(*smith_normal_form(rows, n),
                                                  q):
             t = TorusElement(coords)
             assert q % order == 0 and t.order == order
@@ -470,7 +470,7 @@ def test_torsion_generators_span_the_whole_annihilator():
                 for nums in itertools.product(range(q), repeat=n)
                 if all(sum(a * b for a, b in zip(w, nums)) % q == 0
                        for w in rows)}
-        gens = _torsion_generators(*_smith_diagonal(rows, n), q)
+        gens = _torsion_generators(*smith_normal_form(rows, n), q)
         spanned = Counter(
             tuple(sum(c * g[j] for c, (g, _) in zip(cs, gens)) % 1
                   for j in range(n))

@@ -68,7 +68,7 @@ def test_kernel_explicit_override():
 
 def test_kernel_empty_action():
     act = TwoSidedAction(2, [])
-    assert kernel_lattice(act) == LatticeSubgroup.zero(2)
+    assert kernel_lattice(act) == LatticeSubgroup.from_rows(2, [])
 
 
 # -- verdicts -----------------------------------------------------------------

@@ -6,7 +6,7 @@ from sympy.matrices.normalforms import (hermite_normal_form,
                                         invariant_factors as sympy_invariants)
 
 from biquot.lattices import (
-    hnf, _hnf_insert, smith_normal_form, invariant_factors, LatticeSubgroup,
+    hnf, _hnf_insert, smith_normal_form, LatticeSubgroup,
 )
 from elimination_hnf import elimination_hnf
 
@@ -37,36 +37,43 @@ def det_unimodular(mat):
     return sign * a[n - 1][n - 1] if n else 1
 
 
+def assert_smith_contract(rows, n):
+    """M*V and the diagonal D span the same row lattice, V is unimodular,
+    and the diagonal is a divisibility chain of non-negative entries with
+    the zeros last; returns the diagonal."""
+    diag, v = smith_normal_form(rows, n)
+    assert len(diag) == n and len(v) == n
+    mv = [[sum(r[k] * v[k][j] for k in range(n)) for j in range(n)]
+          for r in rows]
+    d = [[diag[i] * (i == j) for j in range(n)] for i in range(n)]
+    assert hnf(mv, n) == hnf(d, n)
+    assert abs(det_unimodular(v)) == 1
+    nz = [x for x in diag if x]
+    assert all(x > 0 for x in nz) and diag == nz + [0] * (n - len(nz))
+    for a1, a2 in zip(nz, nz[1:]):
+        assert a2 % a1 == 0
+    return diag
+
+
 def test_snf_examples():
-    d, _, _ = smith_normal_form([[1, -2]])
-    assert d[0][0] == 1
-    d, _, _ = smith_normal_form([[10]])
-    assert d == [[10]]
-    d, _, _ = smith_normal_form([[2, 0], [0, 3]])
-    assert [d[0][0], d[1][1]] == [1, 6]
+    for rows, n, want in [
+            ([[1, -2]], 2, [1, 0]),
+            ([[10]], 1, [10]),
+            ([], 3, [0, 0, 0]),                      # empty, explicit rank
+            ([[0, 0], [0, 0]], 2, [0, 0]),           # zero rows
+            ([[2, 4], [6, 8], [4, 4]], 2, [2, 4]),   # more rows than columns
+            ([[2, 0], [0, 3]], 2, [1, 6]),           # the chain fold
+            ([[4, 0], [0, 6]], 2, [2, 12]),
+            ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], 3, [1, 30, 30])]:
+        assert assert_smith_contract(rows, n) == want, rows
 
 
 def test_snf_transform_contract():
     rng = random.Random(7)
     for _ in range(150):
-        m = rng.randint(1, 4)
+        m = rng.randint(0, 4)
         n = rng.randint(1, 4)
-        a = random_matrix(rng, m, n)
-        d, u, v = smith_normal_form(a, n)
-        # D = U A V exactly
-        ua = [[sum(u[i][k] * a[k][j] for k in range(m)) for j in range(n)]
-              for i in range(m)]
-        uav = [[sum(ua[i][k] * v[k][j] for k in range(n)) for j in range(n)]
-               for i in range(m)]
-        assert uav == d
-        assert abs(det_unimodular(u)) == 1
-        assert abs(det_unimodular(v)) == 1
-        # divisibility chain
-        dias = [d[i][i] for i in range(min(m, n))]
-        nz = [x for x in dias if x]
-        assert all(x >= 0 for x in dias)
-        for a1, a2 in zip(nz, nz[1:]):
-            assert a2 % a1 == 0
+        assert_smith_contract(random_matrix(rng, m, n), n)
 
 
 def test_invariant_factors_match_sympy():
@@ -75,7 +82,7 @@ def test_invariant_factors_match_sympy():
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         a = random_matrix(rng, m, n)
-        ours = invariant_factors(a, n)
+        ours = [x for x in smith_normal_form(a, n)[0] if x]
         theirs = [int(x) for x in sympy_invariants(sympy.Matrix(a)) if x != 0]
         assert ours == theirs
 
@@ -178,7 +185,6 @@ def test_membership_agrees_with_exact_solving():
         if lat.basis:
             probe = tuple(x + 1 for x in lat.basis[0])
             member = lat.contains_vector(probe)
-            d, u, v = smith_normal_form(list(lat.basis), n)
             # compare against solving over Q + integrality of the solution
             mat = sympy.Matrix(list(lat.basis)).T
             sol = mat.gauss_jordan_solve(sympy.Matrix(probe))[0] \
@@ -207,8 +213,8 @@ def test_sum_and_full():
     ab = LatticeSubgroup.from_rows(2, a.basis + b.basis)
     assert ab.rank == 2
     assert ab.contains(a) and ab.contains(b)
-    assert LatticeSubgroup.full(3).contains(
-        LatticeSubgroup.from_rows(3, [(5, -7, 11)]))
+    full3 = LatticeSubgroup.from_rows(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert full3.contains(LatticeSubgroup.from_rows(3, [(5, -7, 11)]))
     assert ab.is_full() and not a.is_full()
     assert not LatticeSubgroup.from_rows(2, [(2, 0), (0, 1)]).is_full()
     rng = random.Random(11)
@@ -216,4 +222,6 @@ def test_sum_and_full():
         n = rng.randint(1, 4)
         rows = random_matrix(rng, rng.randint(1, n + 1), n, bound=2)
         lat = LatticeSubgroup.from_rows(n, rows)
-        assert lat.is_full() == lat.contains(LatticeSubgroup.full(n))
+        full = LatticeSubgroup.from_rows(
+            n, [tuple(int(i == j) for j in range(n)) for i in range(n)])
+        assert lat.is_full() == lat.contains(full)
