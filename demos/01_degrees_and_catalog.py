@@ -31,9 +31,11 @@ for entry in catalog_lookup(Sp(4), SU(2)):
              entry.degrees_added, entry.quotient_name or "(no classical name)"))
 
 print()
-print("every instantiated row keeps the signed degree identity:")
-count = 0
-for entry in homogeneous_catalog(150):
-    entry.validate()
-    count += 1
-print("  %d rows validated (dim G <= 150)" % count)
+rows = homogeneous_catalog(150)
+print("%d catalog rows with dim G <= 150; each takes its ledger from the"
+      % len(rows))
+print("degree table, (added, removed) = degrees(G) - degrees(H):")
+for entry in (catalog_lookup(F4, Spin(9))[0], catalog_lookup(Spin(8), G2)[0]):
+    print("  %-9s %-14s - %-8s %-14s = added %s, removed %s"
+          % (entry.g.name, degrees_of(entry.g), entry.h.name,
+             degrees_of(entry.h), entry.degrees_added, entry.degrees_removed))

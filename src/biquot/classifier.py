@@ -196,17 +196,14 @@ def rhs_search(max_dim):
     entries = []
 
     # G = SU(2) with H trivial is the 3-sphere
-    entries.append(RHSEntry("S^3", "SU(2)", 3,
-                            pi3_cokernel([], cols=1), (2,), (), True))
+    entries.append(RHSEntry("S^3", "SU(2)", 3, pi3_cokernel([], cols=1),
+                            *degree_ledger(degrees_of(SU(2)), ()), True))
 
     # homogeneous pairs
     for rule in catalog_rules():
-        n = rule.min_n
-        while True:
-            entry = rule.instantiate(n)
+        for entry in takewhile(lambda e: e.dimension_of_quotient() <= max_dim,
+                               rule.entries()):
             dim = entry.dimension_of_quotient()
-            if dim > max_dim:
-                break
             if dim >= 3 and _rhs_profile_ok(entry.degrees_added,
                                             entry.degrees_removed):
                 pi3 = pi3_cokernel([[entry.dynkin_index]])
@@ -216,9 +213,6 @@ def rhs_search(max_dim):
                                       entry.hom_descriptor),
                     dim, pi3, entry.degrees_added, entry.degrees_removed,
                     True))
-            if n == rule.max_n:
-                break
-            n += 1
 
     # two-sided SU(2)^k on every candidate G whose degrees allow a sphere
     for g in candidate_g_factors(max_dim):

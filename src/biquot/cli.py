@@ -16,8 +16,8 @@ import argparse
 import json
 import sys
 
-from .groups import (_MIN_RANK, Sp, parse_group, homogeneous_catalog,
-                     degrees_of, profile)
+from .groups import (_MIN_RANK, SimpleGroupId, Sp, G2, F4, E6, E7, E8,
+                     parse_group, homogeneous_catalog, degrees_of, profile)
 from .weights import (dynkin_index, su2_rep_from_label, make_rep,
                       is_su2_class)
 from .freeness import action_from_obj, is_free, brute_force_free
@@ -76,14 +76,13 @@ def cmd_catalog(args):
     lines = ["degrees:"]
     for fam, lo in _MIN_RANK.items():
         for l in range(lo, 9):
-            gid = parse_group("%s%d" % (fam, l))
+            gid = SimpleGroupId(fam, l)
             obj["degrees"][str(gid)] = list(degrees_of(gid))
         lines.append("  %s_l within rank bounds; sample %s4: %s"
                      % (fam, fam, obj["degrees"].get("%s4" % fam, "-")))
-    for name in ("G2", "F4", "E6", "E7", "E8"):
-        gid = parse_group(name)
-        obj["degrees"][name] = list(degrees_of(gid))
-        lines.append("  %s: %s" % (name, obj["degrees"][name]))
+    for gid in (G2, F4, E6, E7, E8):
+        obj["degrees"][str(gid)] = list(degrees_of(gid))
+        lines.append("  %s: %s" % (gid, obj["degrees"][str(gid)]))
     lines.append("")
     lines.append("homogeneous pairs (dim G <= %d): %d rows"
                  % (args.max_g_dimension, len(entries)))

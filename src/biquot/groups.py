@@ -5,7 +5,8 @@ centers, and the two catalogs of homogeneous pairs H -> G used by the
 classification machinery: the pairs where H keeps the top degree of G, and
 the pairs where the top degree of H reaches at least the second-largest
 degree of G.  Catalog rows parameterized by n are stored as closed-form
-rules and instantiated on demand.
+rules whose entries() walk n upward; every entry derives its degree ledger
+from the degree table.
 
 Low-rank coincidences are handled by aliasing: Spin(3) = SU(2) = Sp(2),
 Spin(5) = Sp(4), Spin(6) = SU(4).  Profiles are keyed by (family, rank), so
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import count, takewhile
 
 FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
 
@@ -219,31 +221,38 @@ CENTRALIZER_S1 = "finite-by-S1"
 CENTRALIZER_A1 = "finite-by-A1"
 
 
+def degree_ledger(plus, minus):
+    """The signed multiset plus - minus as its positive and negative parts,
+    each sorted.  For plus = degrees(G) and minus = degrees(H) these are the
+    degrees a quotient G/H adds and removes."""
+    c = Counter(plus)
+    c.subtract(minus)
+    return (tuple(sorted(d for d, m in c.items() for _ in range(m))),
+            tuple(sorted(d for d, m in c.items() for _ in range(-m))))
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """One conjugacy class of homomorphisms H -> G with its ledger data.
 
     degrees_added are the degrees of G not occurring in H, degrees_removed
-    the degrees of H not occurring in G, both with multiplicity; their
-    signed difference always equals degrees(G) - degrees(H).
+    the degrees of H not occurring in G, both with multiplicity: the
+    degree_ledger of degrees(G) and degrees(H).
     """
 
     g: SimpleGroupId
     h: SimpleGroupId
     hom_descriptor: str
     dynkin_index: int
-    degrees_added: tuple
-    degrees_removed: tuple
+    degrees_added: tuple = field(init=False)
+    degrees_removed: tuple = field(init=False)
     centralizer: str
     quotient_name: str = ""
 
-    def validate(self):
-        want = degree_ledger(degrees_of(self.g), degrees_of(self.h))
-        got = degree_ledger(self.degrees_added, self.degrees_removed)
-        if want != got:
-            raise AssertionError("degree bookkeeping off for %s: %s vs %s"
-                                 % (self, want, got))
-        return True
+    def __post_init__(self):
+        added, removed = degree_ledger(degrees_of(self.g), degrees_of(self.h))
+        object.__setattr__(self, "degrees_added", added)
+        object.__setattr__(self, "degrees_removed", removed)
 
     def dimension_of_quotient(self):
         return group_dimension(self.g) - group_dimension(self.h)
@@ -261,155 +270,104 @@ class CatalogEntry:
         }
 
 
-def _entry(g, h, hom, index, added, removed, centralizer, name=""):
-    e = CatalogEntry(g, h, hom, index, tuple(sorted(added)),
-                     tuple(sorted(removed)), centralizer, name)
-    e.validate()
-    return e
-
-
 @dataclass(frozen=True)
 class CatalogRule:
-    """A parameterized catalog row; instantiate(n) yields a CatalogEntry."""
+    """A catalog row: make() builds a fixed row's entry; a family row
+    (min_n set) has one entry make(n) for each n >= min_n."""
 
     key: str
-    min_n: int
     make: callable = field(compare=False)
-    max_n: int | None = None
+    min_n: int | None = None
 
-    def instantiate(self, n):
-        if n < self.min_n or (self.max_n is not None and n > self.max_n):
-            raise ValueError("%s requires n in [%s, %s]"
-                             % (self.key, self.min_n, self.max_n))
-        return self.make(n)
-
-
-def _fixed(key, entry):
-    return CatalogRule(key, 0, lambda n: entry, 0)
+    def entries(self):
+        """The row's entries in order of n; endless for a family."""
+        if self.min_n is None:
+            return iter((self.make(),))
+        return map(self.make, count(self.min_n))
 
 
-def degree_ledger(plus, minus):
-    """The signed multiset plus - minus as its positive and negative parts,
-    each sorted.  For plus = degrees(G) and minus = degrees(H) these are the
-    degrees a quotient G/H adds and removes."""
-    c = Counter(plus)
-    c.subtract(minus)
-    return (tuple(sorted(d for d, m in c.items() for _ in range(m))),
-            tuple(sorted(d for d, m in c.items() for _ in range(-m))))
-
-
-def _removed_degrees(g, h, added):
-    """Solve for degrees_removed from the signed-multiset identity."""
-    removed, short = degree_ledger(degrees_of(h) + tuple(added), degrees_of(g))
-    if short:
-        raise AssertionError("inconsistent added-degree data")
-    return removed
-
-
-def _e(g, h, hom, index, added, centralizer, name=""):
-    return _entry(g, h, hom, index, added, _removed_degrees(g, h, added),
-                  centralizer, name)
+def _fixed(key, *row):
+    return CatalogRule(key, lambda: CatalogEntry(*row))
 
 
 def catalog_rules():
     """All catalog rows, parameterized rows as rules of n."""
-    rules = []
+    return [
+        # --- pairs with equal maximal degree -------------------------------
+        CatalogRule("Spin(2n)/Spin(2n-1)", lambda n: CatalogEntry(
+            Spin(2 * n), Spin(2 * n - 1), "standard inclusion", 1,
+            CENTRALIZER_FINITE, "S^%d" % (2 * n - 1)), 4),
+        CatalogRule("SU(2n)/Sp(2n)", lambda n: CatalogEntry(
+            SU(2 * n), Sp(2 * n), "standard inclusion", 1,
+            CENTRALIZER_FINITE, "S^5" if n == 2 else ""), 2),
+        _fixed("Spin(7)/G2", Spin(7), G2, "fundamental-7", 1,
+               CENTRALIZER_FINITE, "S^7"),
+        _fixed("Spin(8)/G2", Spin(8), G2, "fundamental-7", 1,
+               CENTRALIZER_FINITE, "S^7xS^7"),
+        _fixed("E6/F4", E6, F4, "standard inclusion", 1, CENTRALIZER_FINITE),
 
-    # --- pairs with equal maximal degree -----------------------------------
-    rules.append(CatalogRule("Spin(2n)/Spin(2n-1)", 4, lambda n: _e(
-        Spin(2 * n), Spin(2 * n - 1), "standard inclusion", 1, [n],
-        CENTRALIZER_FINITE, "S^%d" % (2 * n - 1))))
-    rules.append(CatalogRule("SU(2n)/Sp(2n)", 2, lambda n: _e(
-        SU(2 * n), Sp(2 * n), "standard inclusion", 1,
-        list(range(3, 2 * n, 2)), CENTRALIZER_FINITE,
-        "S^5" if n == 2 else "")))
-    rules.append(_fixed("Spin(7)/G2", _e(
-        Spin(7), G2, "fundamental-7", 1, [4], CENTRALIZER_FINITE, "S^7")))
-    rules.append(_fixed("Spin(8)/G2", _e(
-        Spin(8), G2, "fundamental-7", 1, [4, 4], CENTRALIZER_FINITE,
-        "S^7xS^7")))
-    rules.append(_fixed("E6/F4", _e(
-        E6, F4, "standard inclusion", 1, [5, 9], CENTRALIZER_FINITE, "")))
+        # --- pairs where H kills all but one degree of G -------------------
+        CatalogRule("SU(n)/SU(n-1)", lambda n: CatalogEntry(
+            SU(n), SU(n - 1), "standard inclusion", 1, CENTRALIZER_S1,
+            "S^%d" % (2 * n - 1)), 3),
+        CatalogRule("Sp(2n)/Sp(2n-2)", lambda n: CatalogEntry(
+            Sp(2 * n), Sp(2 * n - 2), "standard inclusion", 1,
+            CENTRALIZER_A1, "S^%d" % (4 * n - 1)), 2),
+        CatalogRule("Spin(2n+1)/Spin(2n)", lambda n: CatalogEntry(
+            Spin(2 * n + 1), Spin(2 * n), "standard inclusion", 1,
+            CENTRALIZER_FINITE, "S^%d" % (2 * n)), 3),
+        CatalogRule("Spin(2n+1)/Spin(2n-1)", lambda n: CatalogEntry(
+            Spin(2 * n + 1), Spin(2 * n - 1), "standard inclusion", 1,
+            CENTRALIZER_S1, "UT(S^%d)" % (2 * n)), 3),
+        _fixed("Sp(4)/SU(2)i2", Sp(4), SU(2), "V+V", 2, CENTRALIZER_S1,
+               "UT(S^4)"),
+        _fixed("Sp(4)/SU(2)i10", Sp(4), SU(2), "S3V", 10, CENTRALIZER_FINITE,
+               "Berger^7"),
+        _fixed("SU(3)/SO(3)", SU(3), SU(2), "S2V", 4, CENTRALIZER_FINITE,
+               "Wu^5"),
+        _fixed("Spin(9)/Spin(7)spin", Spin(9), Spin(7), "spin rep", 1,
+               CENTRALIZER_FINITE, "S^15"),
+        _fixed("G2/SU(3)", G2, SU(3), "standard inclusion", 1,
+               CENTRALIZER_FINITE, "S^6"),
+        _fixed("G2/SU(2)i1", G2, SU(2), "2V+3C", 1, CENTRALIZER_A1,
+               "UT(S^6)"),
+        _fixed("G2/SU(2)i3", G2, SU(2), "S2V+2V", 3, CENTRALIZER_A1),
+        _fixed("G2/SO(3)i4", G2, SU(2), "2S2V+C", 4, CENTRALIZER_FINITE),
+        _fixed("G2/SO(3)i28", G2, SU(2), "S6V", 28, CENTRALIZER_FINITE),
+        _fixed("F4/Spin(9)", F4, Spin(9), "standard inclusion", 1,
+               CENTRALIZER_FINITE, "CaP^2"),
 
-    # --- pairs where H kills all but one degree of G -----------------------
-    rules.append(CatalogRule("SU(n)/SU(n-1)", 3, lambda n: _e(
-        SU(n), SU(n - 1), "standard inclusion", 1, [n], CENTRALIZER_S1,
-        "S^%d" % (2 * n - 1))))
-    rules.append(CatalogRule("Sp(2n)/Sp(2n-2)", 2, lambda n: _e(
-        Sp(2 * n), Sp(2 * n - 2), "standard inclusion", 1, [2 * n],
-        CENTRALIZER_A1, "S^%d" % (4 * n - 1))))
-    rules.append(CatalogRule("Spin(2n+1)/Spin(2n)", 3, lambda n: _e(
-        Spin(2 * n + 1), Spin(2 * n), "standard inclusion", 1, [2 * n],
-        CENTRALIZER_FINITE, "S^%d" % (2 * n))))
-    rules.append(CatalogRule("Spin(2n+1)/Spin(2n-1)", 3, lambda n: _e(
-        Spin(2 * n + 1), Spin(2 * n - 1), "standard inclusion", 1, [2 * n],
-        CENTRALIZER_S1, "UT(S^%d)" % (2 * n))))
-    rules.append(_fixed("Sp(4)/SU(2)i2", _e(
-        Sp(4), SU(2), "V+V", 2, [4], CENTRALIZER_S1, "UT(S^4)")))
-    rules.append(_fixed("Sp(4)/SU(2)i10", _e(
-        Sp(4), SU(2), "S3V", 10, [4], CENTRALIZER_FINITE, "Berger^7")))
-    rules.append(_fixed("SU(3)/SO(3)", _e(
-        SU(3), SU(2), "S2V", 4, [3], CENTRALIZER_FINITE, "Wu^5")))
-    rules.append(_fixed("Spin(9)/Spin(7)spin", _e(
-        Spin(9), Spin(7), "spin rep", 1, [8], CENTRALIZER_FINITE, "S^15")))
-    rules.append(_fixed("G2/SU(3)", _e(
-        G2, SU(3), "standard inclusion", 1, [6], CENTRALIZER_FINITE, "S^6")))
-    rules.append(_fixed("G2/SU(2)i1", _e(
-        G2, SU(2), "2V+3C", 1, [6], CENTRALIZER_A1, "UT(S^6)")))
-    rules.append(_fixed("G2/SU(2)i3", _e(
-        G2, SU(2), "S2V+2V", 3, [6], CENTRALIZER_A1)))
-    rules.append(_fixed("G2/SO(3)i4", _e(
-        G2, SU(2), "2S2V+C", 4, [6], CENTRALIZER_FINITE)))
-    rules.append(_fixed("G2/SO(3)i28", _e(
-        G2, SU(2), "S6V", 28, [6], CENTRALIZER_FINITE)))
-    rules.append(_fixed("F4/Spin(9)", _e(
-        F4, Spin(9), "standard inclusion", 1, [12], CENTRALIZER_FINITE,
-        "CaP^2")))
-
-    # --- pairs where H keeps two or more degrees of G ----------------------
-    rules.append(CatalogRule("Spin(2n)/Spin(2n-2)", 4, lambda n: _e(
-        Spin(2 * n), Spin(2 * n - 2), "standard inclusion", 1,
-        [n, 2 * n - 2], CENTRALIZER_S1, "UT(S^%d)" % (2 * n - 1))))
-    rules.append(CatalogRule("Spin(2n)/Spin(2n-3)", 4, lambda n: _e(
-        Spin(2 * n), Spin(2 * n - 3), "standard inclusion", 1,
-        [n, 2 * n - 2], CENTRALIZER_A1, "")))
-    rules.append(CatalogRule("SU(2n+1)/Sp(2n)", 2, lambda n: _e(
-        SU(2 * n + 1), Sp(2 * n), "standard inclusion", 1,
-        list(range(3, 2 * n + 2, 2)), CENTRALIZER_S1, "")))
-    rules.append(CatalogRule("SU(2n+1)/SO(2n+1)", 2, lambda n: _e(
-        SU(2 * n + 1), Spin(2 * n + 1), "vector", 2,
-        list(range(3, 2 * n + 2, 2)), CENTRALIZER_FINITE, "")))
-    rules.append(_fixed("Spin(10)/Spin(7)spin", _e(
-        Spin(10), Spin(7), "spin rep", 1, [5, 8], CENTRALIZER_S1)))
-    rules.append(_fixed("SU(7)/G2", _e(
-        SU(7), G2, "fundamental-7", 2, [3, 4, 5, 7], CENTRALIZER_FINITE)))
-    rules.append(_fixed("Spin(9)/G2", _e(
-        Spin(9), G2, "fundamental-7", 1, [4, 8], CENTRALIZER_S1)))
-    rules.append(_fixed("Spin(10)/G2", _e(
-        Spin(10), G2, "fundamental-7", 1, [4, 5, 8], CENTRALIZER_A1)))
-    return rules
+        # --- pairs where H keeps two or more degrees of G ------------------
+        CatalogRule("Spin(2n)/Spin(2n-2)", lambda n: CatalogEntry(
+            Spin(2 * n), Spin(2 * n - 2), "standard inclusion", 1,
+            CENTRALIZER_S1, "UT(S^%d)" % (2 * n - 1)), 4),
+        CatalogRule("Spin(2n)/Spin(2n-3)", lambda n: CatalogEntry(
+            Spin(2 * n), Spin(2 * n - 3), "standard inclusion", 1,
+            CENTRALIZER_A1), 4),
+        CatalogRule("SU(2n+1)/Sp(2n)", lambda n: CatalogEntry(
+            SU(2 * n + 1), Sp(2 * n), "standard inclusion", 1,
+            CENTRALIZER_S1), 2),
+        CatalogRule("SU(2n+1)/SO(2n+1)", lambda n: CatalogEntry(
+            SU(2 * n + 1), Spin(2 * n + 1), "vector", 2,
+            CENTRALIZER_FINITE), 2),
+        _fixed("Spin(10)/Spin(7)spin", Spin(10), Spin(7), "spin rep", 1,
+               CENTRALIZER_S1),
+        _fixed("SU(7)/G2", SU(7), G2, "fundamental-7", 2, CENTRALIZER_FINITE),
+        _fixed("Spin(9)/G2", Spin(9), G2, "fundamental-7", 1, CENTRALIZER_S1),
+        _fixed("Spin(10)/G2", Spin(10), G2, "fundamental-7", 1,
+               CENTRALIZER_A1),
+    ]
 
 
-def homogeneous_catalog(max_g_dimension=300):
-    """Instantiate every catalog row with dim G at most the given bound."""
-    out = []
-    for rule in catalog_rules():
-        n = rule.min_n
-        while True:
-            entry = rule.instantiate(n)
-            if group_dimension(entry.g) > max_g_dimension:
-                break
-            out.append(entry)
-            if n == rule.max_n:
-                break
-            n += 1
-    return out
+def homogeneous_catalog(max_g_dimension):
+    """Every catalog entry with dim G at most the given bound."""
+    return [e for rule in catalog_rules()
+            for e in takewhile(lambda e: group_dimension(e.g)
+                               <= max_g_dimension, rule.entries())]
 
 
 def catalog_lookup(g, h, hom_descriptor=None):
     """All catalog entries for the pair (G, H), optionally one hom class."""
-    bound = max(300, group_dimension(g))
-    hits = [e for e in homogeneous_catalog(bound)
+    return [e for e in homogeneous_catalog(group_dimension(g))
             if e.g == g and e.h == h
             and (hom_descriptor is None or e.hom_descriptor == hom_descriptor)]
-    return hits

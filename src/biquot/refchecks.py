@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 from .groups import (SU, Sp, Spin, G2, F4, E6, E7, E8, SimpleGroupId,
                      degrees_of, group_dimension, catalog_rules,
@@ -129,7 +130,7 @@ def _(_=None):
     for rule in catalog_rules():
         if rule.key not in LOWER_TOP_INDEX_COLUMN:
             continue
-        entry = rule.instantiate(0 if rule.max_n == 0 else rule.min_n)
+        entry = next(rule.entries())
         if entry.dynkin_index != LOWER_TOP_INDEX_COLUMN[rule.key]:
             bad.append(rule.key)
     missing = set(LOWER_TOP_INDEX_COLUMN) - {r.key for r in catalog_rules()}
@@ -141,29 +142,29 @@ def _(_=None):
 def _(_=None):
     bad, unsupported = [], []
     for rule in catalog_rules():
-        ns = [0] if rule.max_n == 0 else list(range(rule.min_n,
-                                                    rule.min_n + 3))
-        for n in ns:
-            entry = rule.instantiate(n)
+        for entry in islice(rule.entries(), 3):
             try:
                 idx = catalog_dynkin_index(entry)
             except UnsupportedGroupError:
                 unsupported.append(rule.key)
                 continue
             if idx != entry.dynkin_index:
-                bad.append((rule.key, n, idx, entry.dynkin_index))
+                bad.append((rule.key, str(entry.g), idx, entry.dynkin_index))
     return _expect(not bad and unsupported == ["E6/F4"] * len(unsupported),
                    "bad: %s unsupported: %s" % (bad, sorted(set(unsupported))))
 
 
 @check("catalog-degree-bookkeeping")
 def _(_=None):
+    # every row's H keeps G's top degree, or H's top degree reaches G's
+    # second-largest degree
+    bad = []
     for rule in catalog_rules():
-        ns = [0] if rule.max_n == 0 else list(range(rule.min_n,
-                                                    rule.min_n + 4))
-        for n in ns:
-            rule.instantiate(n).validate()
-    return _expect(True)
+        for e in islice(rule.entries(), 4):
+            g, h = degrees_of(e.g), degrees_of(e.h)
+            if g[-1] not in h and h[-1] < g[-2]:
+                bad.append("%s: %s/%s" % (rule.key, e.g.name, e.h.name))
+    return _expect(not bad, "; ".join(bad))
 
 
 @check("catalog-lookup-rows")

@@ -482,8 +482,6 @@ def catalog_dynkin_index(entry):
     if h_faithful.reality == REAL:
         h_faithful = complexify(h_faithful)
     composed = _composed_rep(entry)
-    if h == SU(2):
-        return dynkin_index(composed, g_norm)
     return dynkin_index_of_hom(h_faithful, composed, h_norm, g_norm)
 
 

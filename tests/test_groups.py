@@ -1,11 +1,14 @@
 from collections import Counter
+from itertools import islice
 
 import pytest
 
+from biquot import refchecks
 from biquot.groups import (
     SU, Sp, Spin, G2, F4, E6, E7, E8, SimpleGroupId, parse_group,
     degrees_of, group_dimension, max_degree, center_order, profile,
-    catalog_rules, homogeneous_catalog, catalog_lookup,
+    CatalogEntry, CatalogRule, catalog_rules, homogeneous_catalog,
+    catalog_lookup,
 )
 
 
@@ -108,11 +111,8 @@ def test_profiles_mark_unavailable_weight_data():
 
 def test_catalog_degree_bookkeeping_everywhere():
     for rule in catalog_rules():
-        ns = [0] if rule.max_n == 0 else range(rule.min_n, rule.min_n + 5)
         indices = set()
-        for n in ns:
-            entry = rule.instantiate(n)
-            entry.validate()
+        for entry in islice(rule.entries(), 5):
             g = Counter(degrees_of(entry.g))
             g.subtract(Counter(degrees_of(entry.h)))
             signed = Counter(entry.degrees_added)
@@ -125,28 +125,32 @@ def test_catalog_degree_bookkeeping_everywhere():
         assert len(indices) == 1, rule.key
 
 
+def test_catalog_rule_entries_walk_n_upward():
+    rules = {r.key: r for r in catalog_rules()}
+    fixed = rules["G2/SU(3)"]
+    assert fixed.min_n is None
+    assert list(fixed.entries()) == [fixed.make()]
+    family = rules["SU(n)/SU(n-1)"]
+    assert list(islice(family.entries(), 4)) \
+        == [family.make(n) for n in range(family.min_n, family.min_n + 4)]
+    assert [e.g for e in islice(family.entries(), 3)] == [SU(3), SU(4), SU(5)]
+
+
+def test_catalog_bookkeeping_check_names_an_off_catalog_row(monkeypatch):
+    # SU(3) in SU(6) drops G's top degree 6 and tops out at 3 < 5
+    off = CatalogRule("SU(6)/SU(3)", lambda: CatalogEntry(
+        SU(6), SU(3), "standard inclusion", 1, "finite-by-A1"))
+    check = dict(refchecks.CHECKS)["catalog-degree-bookkeeping"]
+    assert check() == (True, "")
+    monkeypatch.setattr(refchecks, "catalog_rules",
+                        lambda: catalog_rules() + [off])
+    assert check() == (False, "SU(6)/SU(3): SU(6)/SU(3)")
+
+
 @pytest.mark.parametrize("bound", [14, 60, 77, 150])
 def test_catalog_rows_respect_the_dimension_bound(bound):
     rows = homogeneous_catalog(bound)
     assert rows and all(group_dimension(e.g) <= bound for e in rows)
-
-
-def test_catalog_parameter_ranges_enforced():
-    rule = next(r for r in catalog_rules() if r.key == "Spin(2n)/Spin(2n-1)")
-    with pytest.raises(ValueError):
-        rule.instantiate(3)
-
-
-def test_catalog_lookup_rows():
-    e = catalog_lookup(Sp(4), SU(2), "S3V")[0]
-    assert (e.dynkin_index, e.degrees_added, e.centralizer) \
-        == (10, (4,), "finite")
-    e28 = [x for x in catalog_lookup(G2, SU(2)) if x.dynkin_index == 28]
-    assert e28 and e28[0].degrees_added == (6,)
-    cap2 = catalog_lookup(F4, Spin(9))[0]
-    assert cap2.degrees_added == (12,)
-    assert cap2.degrees_removed == (4,)
-    assert cap2.quotient_name == "CaP^2"
 
 
 def test_spin_rep_rows_disambiguated_from_vector_chain():

@@ -169,7 +169,7 @@ def test_index_additivity():
 def test_f4_row_adjoint_route():
     # the one exceptional-target row checks through the adjoint rep
     f4row = [r for r in catalog_rules() if r.key == "F4/Spin(9)"][0]
-    assert catalog_dynkin_index(f4row.instantiate(0)) == 1
+    assert catalog_dynkin_index(next(f4row.entries())) == 1
     adj = so9_adjoint_rep()
     assert adj.dim == 36
     assert adj.dim + spin_rep(9).dim == 52
