@@ -7,8 +7,9 @@ conjugacy classes of homomorphisms H -> G whose quotients carry almost all
 of G's degrees, each with its Dynkin index and degree bookkeeping.
 """
 
-from biquot import (SU, Sp, Spin, G2, F4, degrees_of, group_dimension,
-                    profile, homogeneous_catalog, catalog_lookup)
+from biquot import (SU, Sp, Spin, G2, F4, E8, degrees_of, group_dimension,
+                    index_norm, homogeneous_catalog, catalog_lookup,
+                    UnsupportedGroupError)
 
 print("degree multisets:")
 for g in (SU(4), Sp(6), Spin(8), Spin(9), G2, F4):
@@ -16,12 +17,18 @@ for g in (SU(4), Sp(6), Spin(8), Spin(9), G2, F4):
           % (g, degrees_of(g), group_dimension(g)))
 
 print()
-print("the dimension identity holds for every profile up to rank 8:")
-for g in (SU(8), Spin(17), Sp(16), Spin(16)):
-    p = profile(g)
-    assert p.dimension == sum(2 * d - 1 for d in p.degrees)
-    print("  %-9s rank %d, center of order %d, reference rep: %s"
-          % (g.name, p.rank, p.center_order, p.faithful_rep))
+print("one degree per rank, and dim G = sum of 2d-1; the Dynkin index of")
+print("H -> G is normalized by G's defining representation:")
+for g in (SU(8), Spin(17), Sp(16), Spin(16), E8):
+    degrees = degrees_of(g)
+    assert len(degrees) == g.rank
+    try:
+        norm = "index norm %d" % index_norm(g)
+    except UnsupportedGroupError:
+        norm = "no weight data"
+    print("  %-9s rank %d, dim %3d = %-37s %s"
+          % (g.name, g.rank, group_dimension(g),
+             " + ".join(str(2 * d - 1) for d in degrees), norm))
 
 print()
 print("catalog rows for the pair (Sp(4), SU(2)) - three conjugacy classes:")

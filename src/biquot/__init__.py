@@ -4,8 +4,8 @@ rings over exact coefficients, pi_3 through Smith normal form, and
 classification searches driven by degree bookkeeping."""
 
 from .groups import (
-    SimpleGroupId, GroupProfile, SU, Sp, Spin, G2, F4, E6, E7, E8,
-    degrees_of, group_dimension, max_degree, profile, parse_group,
+    SimpleGroupId, SU, Sp, Spin, G2, F4, E6, E7, E8,
+    degrees_of, group_dimension, max_degree, index_norm, parse_group,
     homogeneous_catalog, catalog_lookup, catalog_rules, CatalogEntry,
     UnsupportedGroupError,
 )
@@ -23,8 +23,8 @@ from .freeness import (
     kernel_lattice, is_free, brute_force_free, has_fixed_point,
 )
 from .cohomology import (
-    classifying_ring, GradedQuotient, biquotient_ring, bundle_quotient_ring,
-    ideal_identities, FiniteAbelianGroup, pi3_cokernel, cokernel, chi_pi,
+    classifying_ring, GradedQuotient, biquotient_ring,
+    ideal_identities, FiniteAbelianGroup, pi3_cokernel, chi_pi,
 )
 
 __version__ = "0.1.0"

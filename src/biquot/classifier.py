@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations, count, permutations, takewhile
 
 from .groups import (_MIN_RANK, SimpleGroupId, SU, Sp, G2, F4, E6, E7, E8,
-                     group_dimension, max_degree, profile, catalog_rules,
+                     group_dimension, max_degree, index_norm, catalog_rules,
                      degree_ledger, degrees_of)
 from .weights import su2_homs, su2_power_rep, dynkin_index, restrict_coords
 from .freeness import GroupFactor, TwoSidedAction, is_free
@@ -78,7 +78,7 @@ def two_sided_search(g, k=1):
         # permuted holds each class's weights under every permutation
         orbit = min(tuple(sorted(ws)) for ws in zip(pa, pb))
         pairs.setdefault(orbit, (a, b))
-    norm = profile(g).vector_index_norm
+    norm = index_norm(g)
     results = []
     for a, b in pairs.values():
         verdict = is_free(TwoSidedAction(

@@ -17,7 +17,7 @@ import json
 import sys
 
 from .groups import (_MIN_RANK, SimpleGroupId, Sp, G2, F4, E6, E7, E8,
-                     parse_group, homogeneous_catalog, degrees_of, profile)
+                     parse_group, homogeneous_catalog, degrees_of, index_norm)
 from .weights import (dynkin_index, su2_rep_from_label, make_rep,
                       is_su2_class)
 from .freeness import action_from_obj, is_free, brute_force_free
@@ -101,11 +101,9 @@ def cmd_catalog(args):
 def cmd_index(args):
     try:
         target = parse_group(args.target)
+        norm = index_norm(target)
     except ValueError as exc:
         raise SchemaError("target", str(exc))
-    norm = profile(target).vector_index_norm
-    if norm <= 0:
-        raise SchemaError("target", "no weight data for %s" % target)
     if args.su2_class is not None:
         try:
             rep = su2_rep_from_label(args.su2_class)

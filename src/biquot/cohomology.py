@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import prod
 from operator import le
 
+from .groups import degrees_of
 from .lattices import smith_normal_form
 from .polyring import (GradedPolyRing, Poly, _buchberger, groebner_basis,
                        reduce_poly)
@@ -174,15 +175,9 @@ class GradedQuotient:
             else:
                 images[n] = new_ring.gen(n)
         # the substituted eliminated generator must not reference itself
-        new_rels = []
-        for other in self.relations:
-            if other is r:
-                continue
-            img = other.substitute(new_ring, images)
-            img = img.map_coeffs(lambda v: int(v) if Fraction(v).denominator == 1
-                                 else v)
-            new_rels.append(img)
-        return GradedQuotient(new_ring, new_rels)
+        return GradedQuotient(new_ring, [other.substitute(new_ring, images)
+                                         for other in self.relations
+                                         if other is not r])
 
     def to_obj(self):
         return {
@@ -196,39 +191,25 @@ class GradedQuotient:
                               ", ".join(str(r) for r in self.relations))
 
 
-def biquotient_ring(g_profile, ring, pullbacks):
+def biquotient_ring(g, ring, pullbacks):
     """Quotient presentation from one pullback pair per generator of H*(BG).
 
-    g_profile fixes how many polynomial generators H*(BG) has (one per
-    degree d of G, in cohomological degree 2d); pullbacks lists the (left,
+    The degrees of the group g fix the polynomial generators of H*(BG), one
+    per degree d in cohomological degree 2d; pullbacks lists their (left,
     right) images in the classifying ring of H.
     """
-    if len(pullbacks) != len(g_profile.degrees):
-        raise ValueError(
-            "need one pullback pair per degree of %s (%d), got %d"
-            % (g_profile.id, len(g_profile.degrees), len(pullbacks)))
-    expected = sorted(2 * d for d in g_profile.degrees)
-    rels = []
-    degs = []
-    for left, right in pullbacks:
-        rel = left - right
-        if rel.is_zero():
-            continue
-        if not rel.is_homogeneous():
-            raise ValueError("inhomogeneous pullback relation: %s" % (rel,))
-        degs.append(rel.degree())
-        rels.append(rel)
-    for d in degs:
-        if d not in expected:
+    degrees = degrees_of(g)
+    if len(pullbacks) != len(degrees):
+        raise ValueError("need one pullback pair per degree of %s (%d), got %d"
+                         % (g, len(degrees), len(pullbacks)))
+    q = GradedQuotient(ring, [left - right for left, right in pullbacks])
+    expected = sorted(2 * d for d in degrees)
+    for rel in q.relations:
+        if rel.degree() not in expected:
             raise ValueError("relation degree %d is not a generator degree "
-                             "of H*(BG) (expected %s)" % (d, expected))
-    return GradedQuotient(ring, rels)
-
-
-def bundle_quotient_ring(base, eulers):
-    """Append sphere-bundle Euler-class relations to a quotient."""
-    extra = [e for e in eulers if not e.is_zero()]
-    return GradedQuotient(base.ring, list(base.relations) + extra)
+                             "of H*(BG) (expected %s)"
+                             % (rel.degree(), expected))
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +259,8 @@ def ideal_identities(quotient, lhs, rhs):
         check = check + c * r
     if not (check - diff).is_zero():
         raise AssertionError("cofactor certificate failed to re-verify")
-    integral = all(c.is_integral() for c in cof)
-    cof = tuple(c.map_coeffs(lambda v: int(v)) if c.is_integral() else c
-                for c in cof)
-    return IdentityCertificate(True, cof, integral)
+    return IdentityCertificate(True, tuple(cof),
+                               all(c.is_integral() for c in cof))
 
 
 # ---------------------------------------------------------------------------
@@ -336,25 +315,22 @@ class FiniteAbelianGroup:
                 "name": str(self)}
 
 
-def cokernel(matrix, cols=None):
-    """Cokernel of Z^rows -> Z^cols with the matrix acting by row vectors."""
-    if cols is None:
-        if not matrix:
-            raise ValueError("empty matrix needs an explicit column count")
-        cols = len(matrix[0])
-    diag, _ = smith_normal_form(list(matrix), cols)
-    return FiniteAbelianGroup(tuple(d for d in diag if d != 1))
-
-
 def pi3_cokernel(index_matrix, cols=None):
-    """pi_3 of the quotient from the matrix of net Dynkin indices.
+    """pi_3 of the quotient from the matrix of net Dynkin indices: the
+    cokernel of Z^rows -> Z^cols, the matrix acting by row vectors.
 
     Rows index the simple factors of the acting group, columns the simple
     factors of the group acted on; each entry is the left index minus the
     right index of that factor's action (an outer twist on one side flips
-    no sign in degree 2, so equal indices cancel to zero).
+    no sign in degree 2, so equal indices cancel to zero).  An empty matrix
+    needs an explicit column count.
     """
-    return cokernel(index_matrix, cols)
+    if cols is None:
+        if not index_matrix:
+            raise ValueError("empty matrix needs an explicit column count")
+        cols = len(index_matrix[0])
+    diag, _ = smith_normal_form(list(index_matrix), cols)
+    return FiniteAbelianGroup(tuple(d for d in diag if d != 1))
 
 
 def chi_pi(even_degrees, odd_degrees):

@@ -9,13 +9,12 @@ cohomology presentations.
 
 from __future__ import annotations
 
-from .groups import Sp, profile
+from .groups import Sp
 from .weights import (make_rep, su2_rep_from_label, realify, rep_tensor,
                       rep_sum, chern_pullback, euler_class, g2_su2_class,
                       is_su2_class)
 from .freeness import GroupFactor, SphereFactor, TwoSidedAction
-from .cohomology import (classifying_ring, GradedQuotient, biquotient_ring,
-                         bundle_quotient_ring)
+from .cohomology import classifying_ring, GradedQuotient, biquotient_ring
 from .polyring import GradedPolyRing
 
 
@@ -132,7 +131,7 @@ def hp_sum_full_quotient(n):
         (chern_pullback(left, 2, ring), chern_pullback(right, 2, ring)),
         (chern_pullback(left, 4, ring), chern_pullback(right, 4, ring)),
     ]
-    base = biquotient_ring(profile(Sp(4)), ring, pullbacks)
+    base = biquotient_ring(Sp(4), ring, pullbacks)
     v3 = make_rep(3, [(0, 0, 1), (0, 0, -1)])
     v1 = make_rep(3, [(1, 0, 0), (-1, 0, 0)])
     v2 = make_rep(3, [(0, 1, 0), (0, -1, 0)])
@@ -142,7 +141,7 @@ def hp_sum_full_quotient(n):
         bundle = rep_sum(bundle, realify(v3))
     bundle = rep_sum(bundle, w12)
     e, _sign_known = euler_class(bundle, ring)
-    return bundle_quotient_ring(base, [e])
+    return GradedQuotient(ring, base.relations + (e,))
 
 
 def hp_sum_ring(n):

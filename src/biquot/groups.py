@@ -1,15 +1,16 @@
 """Static exact data for the simply connected simple compact groups.
 
-Covers the degree multisets (exponents + 1 of the Weyl group), dimensions,
-centers, and the two catalogs of homogeneous pairs H -> G used by the
-classification machinery: the pairs where H keeps the top degree of G, and
-the pairs where the top degree of H reaches at least the second-largest
-degree of G.  Catalog rows parameterized by n are stored as closed-form
-rules whose entries() walk n upward; every entry derives its degree ledger
-from the degree table.
+Covers the degree multisets (exponents + 1 of the Weyl group), which fix
+rank and dimension, the Dynkin normalization of each defining
+representation that carries weight data, and the two catalogs of
+homogeneous pairs H -> G used by the classification machinery: the pairs
+where H keeps the top degree of G, and the pairs where the top degree of H
+reaches at least the second-largest degree of G.  Catalog rows
+parameterized by n are stored as closed-form rules whose entries() walk n
+upward; every entry derives its degree ledger from the degree table.
 
 Low-rank coincidences are handled by aliasing: Spin(3) = SU(2) = Sp(2),
-Spin(5) = Sp(4), Spin(6) = SU(4).  Profiles are keyed by (family, rank), so
+Spin(5) = Sp(4), Spin(6) = SU(4).  Groups are keyed by (family, rank), so
 the B/C degree coincidence never aliases two distinct groups.
 """
 
@@ -19,9 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count, takewhile
 
-FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
-
-_EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
+# an exceptional group has fixed rank: one degree per rank
 _EXCEPTIONAL_DEGREES = {
     "G2": (2, 6),
     "F4": (2, 6, 8, 12),
@@ -42,19 +41,19 @@ class SimpleGroupId:
     rank: int
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family in _EXCEPTIONAL_DEGREES:
+            rank = len(_EXCEPTIONAL_DEGREES[self.family])
+            if self.rank != rank:
+                raise ValueError("%s has fixed rank %d" % (self.family, rank))
+        elif self.family not in _MIN_RANK:
             raise ValueError("unknown family %r" % (self.family,))
-        if self.family in _EXCEPTIONAL_RANK:
-            if self.rank != _EXCEPTIONAL_RANK[self.family]:
-                raise ValueError(
-                    "%s has fixed rank %d" % (self.family, _EXCEPTIONAL_RANK[self.family]))
         elif self.rank < _MIN_RANK[self.family]:
             raise ValueError(
                 "%s_l requires l >= %d (smaller ranks alias other families)"
                 % (self.family, _MIN_RANK[self.family]))
 
     def __str__(self):
-        if self.family in _EXCEPTIONAL_RANK:
+        if self.family in _EXCEPTIONAL_DEGREES:
             return self.family
         return "%s%d" % (self.family, self.rank)
 
@@ -119,8 +118,8 @@ E8 = SimpleGroupId("E8", 8)
 def parse_group(text):
     """Parse names like 'SU(3)', 'Sp4', 'Spin(9)', 'G2', 'A3'."""
     text = text.strip()
-    if text in _EXCEPTIONAL_RANK:
-        return SimpleGroupId(text, _EXCEPTIONAL_RANK[text])
+    if text in _EXCEPTIONAL_DEGREES:
+        return SimpleGroupId(text, len(_EXCEPTIONAL_DEGREES[text]))
     for prefix, ctor in (("Spin", Spin), ("SU", SU), ("Sp", Sp)):
         if text.startswith(prefix):
             num = text[len(prefix):].strip("()")
@@ -152,64 +151,21 @@ def group_dimension(gid):
     return sum(2 * d - 1 for d in degrees_of(gid))
 
 
-def center_order(gid):
-    f, l = gid.family, gid.rank
-    if f == "A":
-        return l + 1
-    if f in ("B", "C", "E7"):
-        return 2
-    if f == "D":
-        return 4
-    if f == "E6":
-        return 3
-    return 1
-
-
-# Dynkin normalization of the reference faithful representation: the value
-# of (1/2) sum w^2 on a coroot circle for the defining representation.
+# Dynkin normalization of the defining representation (weights.standard_rep):
+# the value of (1/2) sum w^2 on a coroot circle.  The families listed here
+# are exactly those that carry weight data.
 _VECTOR_INDEX_NORM = {"A": 1, "B": 2, "C": 1, "D": 2, "G2": 2}
 
-_FAITHFUL_REP = {
-    "A": "standard",
-    "B": "vector",
-    "C": "standard",
-    "D": "vector",
-    "G2": "fundamental-7",
-}
 
-
-@dataclass(frozen=True)
-class GroupProfile:
-    id: SimpleGroupId
-    degrees: tuple
-    max_degree: int
-    dimension: int
-    center_order: int
-    faithful_rep: str
-    vector_index_norm: int
-
-    @property
-    def rank(self):
-        return self.id.rank
-
-
-def profile(gid):
-    f = gid.family
-    rep = _FAITHFUL_REP.get(f)
-    norm = _VECTOR_INDEX_NORM.get(f)
-    return GroupProfile(
-        id=gid,
-        degrees=degrees_of(gid),
-        max_degree=max_degree(gid),
-        dimension=group_dimension(gid),
-        center_order=center_order(gid),
-        faithful_rep=rep if rep is not None else "unavailable",
-        vector_index_norm=norm if norm is not None else 0,
-    )
+def index_norm(gid):
+    """The Dynkin normalization of gid's defining representation."""
+    if gid.family not in _VECTOR_INDEX_NORM:
+        raise UnsupportedGroupError("no weight data for %s" % (gid,))
+    return _VECTOR_INDEX_NORM[gid.family]
 
 
 def has_weight_data(gid):
-    return gid.family in _FAITHFUL_REP
+    return gid.family in _VECTOR_INDEX_NORM
 
 
 # ---------------------------------------------------------------------------

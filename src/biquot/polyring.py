@@ -110,8 +110,11 @@ class GradedPolyRing:
 
 
 def _as_coeff(c):
-    if isinstance(c, (int, Fraction)):
+    """c as a coefficient: an integral Fraction is stored as its int."""
+    if isinstance(c, int):
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
 
 
@@ -315,8 +318,6 @@ def poly_from_obj(ring, obj):
         except ZeroDivisionError:
             raise ValueError("coeff %r: not a finite rational"
                              % (term["coeff"],))
-        if c.denominator == 1:
-            c = int(c)
         pairs.append((tuple(exps), c))
     return Poly.from_pairs(ring, pairs)
 
@@ -383,14 +384,6 @@ def reduce_poly(p, basis, with_quotients=False):
     if with_quotients:
         return rem, [Poly._wrap(ring, q) for q in quot]
     return rem
-
-
-def _normalize_int_coeffs(p):
-    if all(isinstance(c, int) for c in p.terms.values()):
-        return p
-    if p.is_integral():
-        return p.map_coeffs(lambda c: int(c))
-    return p
 
 
 def _buchberger(basis, certs=None):
@@ -460,6 +453,5 @@ def groebner_basis(relations):
     out = []
     for b in basis:
         lc = b.leading_coeff()
-        b = b.map_coeffs(lambda c: Fraction(c, 1) / lc)
-        out.append(_normalize_int_coeffs(b))
+        out.append(b.map_coeffs(lambda c: Fraction(c, 1) / lc))
     return sorted(out, key=lambda b: b.ring.monomial_key(b.leading_monomial()))

@@ -754,12 +754,10 @@ def _(_=None):
 # ---------------------------------------------------------------------------
 
 
-def run_all(names=None):
+def run_all():
     """Run the reference suite; returns a list of (name, ok, detail)."""
     results = []
     for name, fn in CHECKS:
-        if names and name not in names:
-            continue
         try:
             ok, detail = fn()
         except Exception as exc:  # a crash is a failure with its message

@@ -25,7 +25,7 @@ from itertools import product
 from math import prod
 
 from .groups import SimpleGroupId, SU, Sp, Spin, G2, UnsupportedGroupError, \
-    has_weight_data, profile
+    has_weight_data, index_norm
 from .polyring import Poly
 
 COMPLEX = "complex"
@@ -476,8 +476,8 @@ def catalog_dynkin_index(entry):
             complexify(standard_rep(Spin(9))), composed, h_norm=2, g_norm=18)
     if not has_weight_data(g) or not has_weight_data(h):
         raise UnsupportedGroupError("no weight data for %s -> %s" % (h, g))
-    g_norm = profile(g).vector_index_norm
-    h_norm = profile(h).vector_index_norm
+    g_norm = index_norm(g)
+    h_norm = index_norm(h)
     h_faithful = standard_rep(h)
     if h_faithful.reality == REAL:
         h_faithful = complexify(h_faithful)
@@ -532,24 +532,22 @@ def _composed_rep(entry):
 # ---------------------------------------------------------------------------
 
 
-G2_SU2_CLASSES = (
-    ("2V+3C", 1),
-    ("S2V+2V", 3),
-    ("2S2V+C", 4),
-    ("S6V", 28),
-)
+# the nontrivial classes SU(2) -> G2, by the restriction of the 7-dim rep
+_G2_SU2_LABELS = ("2V+3C", "S2V+2V", "2S2V+C", "S6V")
+
+# the parity of a1 + ... + ak of the irreps a classical family needs in even
+# multiplicity (None: no constraint)
+_PAIRED_PARITY = {"A": None, "C": 0, "B": 1, "D": 1}
 
 
 def _classical_shape(target):
-    """Defining dimension and reality of a classical target, and the parity
-    of a1 + ... + ak of the irreps it needs in even multiplicity."""
-    l = target.rank
-    shapes = {"A": (l + 1, COMPLEX, None), "C": (2 * l, COMPLEX, 0),
-              "B": (2 * l + 1, REAL, 1), "D": (2 * l, REAL, 1)}
-    if target.family not in shapes:
+    """Defining dimension and reality of a classical target, and its
+    _PAIRED_PARITY."""
+    if target.family not in _PAIRED_PARITY:
         raise UnsupportedGroupError("no classical weight data for %s"
                                     % (target,))
-    return shapes[target.family]
+    rep = standard_rep(target)
+    return rep.dim, rep.reality, _PAIRED_PARITY[target.family]
 
 
 def _paired(irreps, parity):
@@ -578,7 +576,7 @@ def is_su2_class(target, label):
     parts = sorted(_label_parts(label))
     if target == G2:
         return parts in [sorted(_label_parts(lab))
-                         for lab in ["7C"] + [l for l, _ in G2_SU2_CLASSES]]
+                         for lab in ("7C",) + _G2_SU2_LABELS]
     n, _, parity = _classical_shape(target)
     return sum(parts) == n and _paired([(d - 1,) for d in parts], parity)
 
@@ -592,18 +590,18 @@ def su2_homs(target, k=1):
     needs its real irreps, and Spin(m) its quaternionic irreps, in even
     multiplicity.  The classes come sorted by their Dynkin indices on the
     k factors, then by label.  The four G2 classes (k = 1 only) are fixed
-    catalog data, identifiable by their Dynkin indices 1, 3, 4, 28.
+    labels, in the order of their Dynkin indices 1, 3, 4, 28.
 
     A very even class of Spin(2n) (even-dimensional irreps only) is listed
     once, though SO(2n) splits it in two: Spin(8) lists 4V and 2S3V once.
     """
     if target == G2 and k == 1:
-        return [su2_rep_from_label(lab, reality=REAL) for lab, _ in G2_SU2_CLASSES]
+        return [su2_rep_from_label(lab, reality=REAL) for lab in _G2_SU2_LABELS]
     n, reality, parity = _classical_shape(target)
     out = [su2_power_rep(c, reality)
            for c in _multisets(list(product(range(n), repeat=k)), n)
            if c != ((0,) * k,) * n and _paired(c, parity)]
-    norm = profile(target).vector_index_norm
+    norm = index_norm(target)
     return sorted(out, key=lambda r: (
         [dynkin_index(restrict_coords(r, (i,)), norm) for i in range(k)],
         r.label))
@@ -611,9 +609,9 @@ def su2_homs(target, k=1):
 
 def g2_su2_class(index):
     """The SU(2) -> G2 class with the given Dynkin index (1, 3, 4, or 28)."""
-    for lab, idx in G2_SU2_CLASSES:
-        if idx == index:
-            return su2_rep_from_label(lab, reality=REAL)
+    for rep in su2_homs(G2):
+        if dynkin_index(rep, index_norm(G2)) == index:
+            return rep
     raise ValueError("no SU(2) -> G2 class of index %d" % (index,))
 
 

@@ -6,7 +6,8 @@ import pytest
 from biquot import refchecks
 from biquot.groups import (
     SU, Sp, Spin, G2, F4, E6, E7, E8, SimpleGroupId, parse_group,
-    degrees_of, group_dimension, max_degree, center_order, profile,
+    degrees_of, group_dimension, max_degree, index_norm,
+    UnsupportedGroupError,
     CatalogEntry, CatalogRule, catalog_rules, homogeneous_catalog,
     catalog_lookup,
 )
@@ -27,6 +28,10 @@ def test_constructors_and_aliases():
         SimpleGroupId("D", 3)
     with pytest.raises(ValueError):
         SimpleGroupId("G2", 3)
+    with pytest.raises(ValueError, match="^E7 has fixed rank 7$"):
+        SimpleGroupId("E7", 6)
+    with pytest.raises(ValueError, match="^unknown family 'X'$"):
+        SimpleGroupId("X", 1)
 
 
 def test_parse_group():
@@ -77,7 +82,7 @@ def test_bc_degree_coincidence_distinct_profiles():
     b, c = Spin(11), Sp(10)
     assert degrees_of(b) == degrees_of(c)
     assert b != c
-    assert profile(b).vector_index_norm != profile(c).vector_index_norm
+    assert index_norm(b) != index_norm(c)
 
 
 def test_degrees_injective_apart_from_bc():
@@ -93,20 +98,13 @@ def test_degrees_injective_apart_from_bc():
             seen[key] = gid
 
 
-def test_center_orders():
-    assert center_order(SU(5)) == 5
-    assert center_order(Sp(6)) == 2
-    assert center_order(Spin(9)) == 2
-    assert center_order(Spin(10)) == 4
-    assert center_order(G2) == 1
-    assert center_order(E6) == 3
-
-
 def test_profiles_mark_unavailable_weight_data():
-    assert profile(F4).faithful_rep == "unavailable"
-    assert profile(E7).vector_index_norm == 0
-    assert profile(G2).faithful_rep == "fundamental-7"
-    assert profile(Spin(9)).vector_index_norm == 2
+    for gid in (F4, E6, E7, E8):
+        with pytest.raises(UnsupportedGroupError,
+                           match="^no weight data for %s$" % gid):
+            index_norm(gid)
+    assert index_norm(G2) == 2
+    assert index_norm(Spin(9)) == 2
 
 
 def test_catalog_degree_bookkeeping_everywhere():

@@ -7,7 +7,7 @@ from biquot.groups import (SU, Sp, Spin, G2, F4, UnsupportedGroupError,
 from biquot.weights import (
     make_rep, su2_irrep, su2_rep, su2_rep_from_label, su2_power_rep,
     standard_rep, spin_rep, spin_vector_rep, rep_sum, rep_tensor, rep_dual,
-    realify, complexify, exterior_square, restrict_coords, restrict_circle,
+    realify, complexify, exterior_square, restrict_coords,
     dynkin_index, dynkin_index_of_hom, catalog_dynkin_index,
     su2_homs, is_su2_class, g2_su2_class, chern_pullback, euler_class,
     so9_adjoint_rep,
@@ -34,11 +34,6 @@ def test_standard_reps():
     assert g2.dim == 7 and g2.reality == "real"
     with pytest.raises(UnsupportedGroupError):
         standard_rep(F4)
-
-
-def test_g2_seven_dim_principal_circle():
-    rep = restrict_circle(standard_rep(G2), (2, 4))
-    assert sorted(w[0] for w in rep.weights) == [-6, -4, -2, 0, 2, 4, 6]
 
 
 def test_spin_rep_dimensions_and_parity():
@@ -208,7 +203,9 @@ def test_su2_homs_parity_constraints():
 
 
 def test_g2_class_lookup():
-    assert g2_su2_class(28).dim == 7
+    for index, label in ((1, "2V+3C"), (3, "S2V+2V"), (4, "2S2V+C"),
+                         (28, "S6V")):
+        assert g2_su2_class(index).label == label
     with pytest.raises(ValueError):
         g2_su2_class(2)
 
