@@ -36,15 +36,9 @@ Computational Algebraic Number Theory, 1993, section 2.4).  The eigenvalue
 matching reported with it is read off the witness alone: the first full
 choice, in depth-first order, whose generators the witness annihilates.
 
-An effective action (kernel lattice Z^r) of small rank is first scanned
-element by element at order 2.  If t of order q fixes a point, so does
-t^(q/p) for each prime p dividing q, and in an effective action t^(q/p) is
-not the identity; so the minimal witness order is a prime, and for prime p
-"order p" is "non-zero mod p".  The first hit in lex order at p = 2 is
-therefore the witness the lattice search would find.  When the scan finds
-nothing, or the action is not effective (there a power of a witness may
-act trivially, so the minimal order can be composite), the lattice search
-decides.
+Order 2 is the least order of a non-trivial element, so the oracle's first
+non-trivial fixed-point element of order 2 (see _first_hit), if any, is the
+witness the lattice search would find; is_free looks for it first.
 
 For Spin(2n) group factors the eigenvalue test is coarser than conjugacy
 in the group itself; Free verdicts remain sound, and NotFree verdicts are
@@ -475,10 +469,6 @@ def _torsion_generators(diag, v, q):
     return gens
 
 
-def _in_annihilator(t, lattice):
-    return all(t.pair(g) == 0 for g in lattice.basis)
-
-
 def _best_witness(basis, kernel, rank):
     """Witness (q, t) of a violating lattice L, given by its HNF basis.
 
@@ -525,43 +515,6 @@ def _best_witness(basis, kernel, rank):
     return q, TorusElement(tuple(Fraction(n, q) for n in best))
 
 
-# The scan covers order 2 up to rank _SCAN_MAX_RANK.  Every free effective
-# action pays for its 2^rank - 1 tests, and the bound keeps that cost from
-# growing exponentially with the rank; the value is measured at rank 1-3
-# only.  Witnesses of order 3 and up stay with the lattice search, which the
-# freeness-scale benchmark then still drives through its order-3 jobs.
-_SCAN_MAX_RANK = 6
-
-
-def _prime_scan(action):
-    """(2, t) for the lex-least element t of order 2 that fixes a point, or
-    None (also above _SCAN_MAX_RANK).
-
-    The elements of order 2 are the non-zero numerator vectors in
-    range(2)^rank.  t fixes a point iff its pairings mod 2 are equal
-    multisets (equally many odd ones) on every group factor and include 0
-    on every sphere factor without a trivial summand.  Only an effective
-    action makes every non-zero t act non-trivially (see is_free).
-    """
-    if action.rank > _SCAN_MAX_RANK:
-        return None
-    spheres = [f.weights for f in action.factors
-               if isinstance(f, SphereFactor) and not f.has_trivial_summand]
-    groups = [(f.left, f.right) for f in action.factors
-              if isinstance(f, GroupFactor)]
-
-    def odd(ws, nums):
-        return [sum(a * x for a, x in zip(w, nums)) % 2 for w in ws]
-
-    for nums in product(range(2), repeat=action.rank):
-        if (any(nums)
-                and all(0 in odd(ws, nums) for ws in spheres)
-                and all(sum(odd(left, nums)) == sum(odd(right, nums))
-                        for left, right in groups)):
-            return 2, TorusElement(tuple(Fraction(a, 2) for a in nums))
-    return None
-
-
 def _not_free(action, kernel, order, witness):
     """The NotFree verdict of a witness of the given order."""
     caveats = tuple([D_FAMILY_CAVEAT] if any(
@@ -594,20 +547,15 @@ def is_free(action):
     choice in search order whose generators it annihilates, and a caveat
     when a D-family factor is involved.
 
-    An effective action (kernel lattice Z^r, declared or computed) of rank
-    at most _SCAN_MAX_RANK is first scanned for fixed-point elements of
-    order 2.  If t of order q fixes a point, so does t^(q/p) for a prime p
-    dividing q, and in an effective action it is not the identity: the
-    minimal witness order is prime, and the scan's first hit is the
-    witness.  When the scan finds nothing, or the action is not
-    effective, the violating-lattice search decides; Free verdicts always
-    come from it.
+    Order 2 is minimal, so the first non-trivial fixed-point element of
+    order 2, if any, is the lattice search's witness.  Every other verdict,
+    Free ones included, comes from the violating-lattice search.
     """
     kernel = kernel_lattice(action)
-    if kernel.is_full():
-        hit = _prime_scan(action)
-        if hit is not None:
-            return _not_free(action, kernel, *hit)
+    nums = _first_hit(action, kernel, 2)
+    if nums is not None:
+        return _not_free(action, kernel, 2,
+                         TorusElement(tuple(Fraction(a, 2) for a in nums)))
     return _lattice_verdict(action, kernel)
 
 
@@ -651,7 +599,7 @@ def has_fixed_point(action, t):
 
 
 def acts_trivially(action, t):
-    return _in_annihilator(t, kernel_lattice(action))
+    return all(t.pair(g) == 0 for g in kernel_lattice(action).basis)
 
 
 def _prefixes(q, length):

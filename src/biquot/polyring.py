@@ -132,16 +132,6 @@ class Poly:
         self.terms = {m: _as_coeff(c) for m, c in terms.items() if c != 0}
         self._lead = None
 
-    @classmethod
-    def _wrap(cls, ring, terms):
-        """A Poly owning terms, whose coefficients are already nonzero ints
-        or Fractions."""
-        p = cls.__new__(cls)
-        p.ring = ring
-        p.terms = terms
-        p._lead = None
-        return p
-
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
@@ -239,10 +229,7 @@ class Poly:
         return self.terms[self.leading_monomial()]
 
     def is_integral(self):
-        return all(
-            isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
-            for c in self.terms.values()
-        )
+        return all(isinstance(c, int) for c in self.terms.values())
 
     def map_coeffs(self, f):
         return Poly(self.ring, {m: f(c) for m, c in self.terms.items()})
@@ -380,9 +367,9 @@ def reduce_poly(p, basis, with_quotients=False):
                 heappush(heap, heap_entry(t))
             else:
                 work[t] = old - f * bc
-    rem = Poly._wrap(ring, rem)
+    rem = Poly(ring, rem)
     if with_quotients:
-        return rem, [Poly._wrap(ring, q) for q in quot]
+        return rem, [Poly(ring, q) for q in quot]
     return rem
 
 
@@ -412,7 +399,7 @@ def _buchberger(basis, certs=None):
         for m, c in g.terms.items():
             t = tuple(map(add, ug, m))
             s[t] = s.get(t, 0) - cg * c
-        s = Poly._wrap(f.ring, {m: c for m, c in s.items() if c})
+        s = Poly(f.ring, s)
         if certs is None:
             r = reduce_poly(s, basis)
         else:
@@ -420,8 +407,8 @@ def _buchberger(basis, certs=None):
         if r.is_zero():
             continue
         if certs is not None:
-            tf = Poly._wrap(f.ring, {uf: cf})
-            tg = Poly._wrap(f.ring, {ug: cg})
+            tf = Poly(f.ring, {uf: cf})
+            tg = Poly(f.ring, {ug: cg})
             row = [tf * a - tg * b for a, b in zip(certs[i], certs[j])]
             for q, qrow in zip(quots, certs):
                 if not q.is_zero():

@@ -627,33 +627,32 @@ def g2_su2_class(index):
 # end, which requires even root powers on every degree-4 coordinate.
 
 
+def _times_form(poly, w, plus):
+    """poly * w + plus in root-exponent space, w a linear form in the roots,
+    without zero terms."""
+    acc = dict(plus)
+    for m, c in poly.items():
+        for i, x in enumerate(w):
+            if x == 0:
+                continue
+            mm = m[:i] + (m[i] + 1,) + m[i + 1:]
+            acc[mm] = acc.get(mm, 0) + c * x
+    return {m: c for m, c in acc.items() if c != 0}
+
+
 def _elementary_symmetric(weights, k, rank):
     """Polynomials e_0..e_k of the weight forms, in root-exponent space."""
     es = [{(0,) * rank: 1}] + [dict() for _ in range(k)]
     for w in weights:
         for j in range(k, 0, -1):
-            acc = es[j]
-            for m, c in es[j - 1].items():
-                for i, x in enumerate(w):
-                    if x == 0:
-                        continue
-                    mm = m[:i] + (m[i] + 1,) + m[i + 1:]
-                    acc[mm] = acc.get(mm, 0) + c * x
-            es[j] = {m: c for m, c in acc.items() if c != 0}
+            es[j] = _times_form(es[j - 1], w, es[j])
     return es
 
 
 def _product_of_roots(roots, rank):
     prod = {(0,) * rank: 1}
     for w in roots:
-        new = {}
-        for m, c in prod.items():
-            for i, x in enumerate(w):
-                if x == 0:
-                    continue
-                mm = m[:i] + (m[i] + 1,) + m[i + 1:]
-                new[mm] = new.get(mm, 0) + c * x
-        prod = {m: c for m, c in new.items() if c != 0}
+        prod = _times_form(prod, w, {})
         if not prod:
             break
     return prod

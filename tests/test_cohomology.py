@@ -310,6 +310,14 @@ def test_cp_sum_ring_identifies_the_top_classes():
         assert not q.reduce(u ** n).is_zero()
 
 
+def test_reduced_coefficients_are_normalized():
+    # an integral coefficient is stored as an int, also in a remainder
+    q = cons.cp_sum_ring(3)
+    u, v = q.ring.gens()
+    terms = q.reduce(u ** 3 + 2 * v ** 3).terms
+    assert list(terms.values()) == [3] and type(terms[(3, 0)]) is int
+
+
 def test_complete_intersection_top_degree():
     # socle degree = sum of relation degrees - sum of generator degrees
     for q in [cons.cp_sum_ring(n) for n in range(2, 7)] + \

@@ -1,20 +1,19 @@
 """Randomized cross-validation of the exact decision paths.
 
-The lattice-based freeness decision is fuzzed against element-by-element
-eigenvalue evaluation, and is_free's prime-order scan against the lattice
-search; Groebner-based Betti ranks are fuzzed against sympy normal forms
-under a different monomial order (graded ranks are intrinsic, so any
-correct Groebner basis must produce the same numbers); torsion generators
-of annihilators are checked by direct pairing.
+The violating-lattice search is fuzzed against element-by-element
+eigenvalue evaluation, and is_free, which first tries the oracle's order-2
+scan, against the lattice search; Groebner-based Betti ranks are fuzzed
+against sympy normal forms under a different monomial order (graded ranks
+are intrinsic, so any correct Groebner basis must produce the same
+numbers); torsion generators of annihilators are checked by direct
+pairing.
 """
 
 import itertools
-import json
 import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 import sympy
@@ -22,10 +21,9 @@ import sympy
 from biquot.freeness import (GroupFactor, SphereFactor, TwoSidedAction,
                              TorusElement, BruteVerdict, kernel_lattice,
                              is_free, brute_force_free, acts_trivially,
-                             has_fixed_point, action_from_obj,
-                             _numerators_of_order,
+                             has_fixed_point, _numerators_of_order,
                              _torsion_generators, _violating_lattices,
-                             _lattice_verdict, _prime_scan, _first_hit)
+                             _lattice_verdict, _first_hit)
 from biquot.lattices import LatticeSubgroup, smith_normal_form
 from biquot.polyring import GradedPolyRing
 from biquot.cohomology import GradedQuotient
@@ -62,7 +60,8 @@ def test_freeness_matches_oracle_on_random_actions():
     checked_free = checked_witness = 0
     for _ in range(250):
         act = random_action(rng)
-        exact = is_free(act)
+        # the lattice search alone: is_free shares _first_hit with the oracle
+        exact = _lattice_verdict(act, kernel_lattice(act))
         brute = brute_force_free(act, 24)
         assert brute.exhaustive
         if exact.free:
@@ -215,41 +214,6 @@ def test_violating_lattices_match_full_enumeration_su(rank, sizes):
     assert is_free(act).free == (not want)
 
 
-def test_prime_scan_agrees_with_lattice_search():
-    """is_free gives the lattice search's verdict, also when it scans: on
-    effective actions, whose minimal witness order is prime."""
-    demo = Path(__file__).resolve().parent.parent / "demos" / "actions"
-    acts = [action_from_obj(json.loads(
-        (demo / "g2_pair_3_28.json").read_text()))]  # order 5 at rank 1
-    for rank in (1, 2, 3):
-        rng = random.Random(7000 + rank)
-        acts.extend(small_action(rng, rank) for _ in range(80))
-    seen = Counter()
-    for act in acts:
-        kernel = kernel_lattice(act)
-        want = _lattice_verdict(act, kernel)
-        got = is_free(act)
-        assert (got.to_obj(), got.witness_order) \
-            == (want.to_obj(), want.witness_order), act.to_obj()
-        if not kernel.is_full():
-            seen["not effective"] += 1
-            continue
-        # the scan decides every witness of order 2, and any hit it makes
-        # is the lattice search's witness
-        hit = _prime_scan(act)
-        scanned = hit is not None
-        if scanned or want.witness_order == 2:
-            assert hit == (want.witness_order, want.witness), act.to_obj()
-        seen["free" if want.free else "scanned" if scanned
-             else "above budget"] += 1
-        seen["trivial summand"] += any(
-            isinstance(f, SphereFactor) and f.has_trivial_summand
-            for f in act.factors)
-    kinds = ("free", "scanned", "above budget", "trivial summand",
-             "not effective")
-    assert min(seen[k] for k in kinds) >= 3, seen
-
-
 def reference_first_hit(action, q):
     """The lex-least non-trivial fixed-point element of exact order q, from
     Fraction arithmetic, or None.  Declare the kernel lattice in action:
@@ -294,6 +258,32 @@ def oracle_action(rng, rank):
             rank, [tuple(rng.choice([1, 2, 3]) * int(i == j)
                          for j in range(rank)) for i in range(rank)])
     return TwoSidedAction(rank, factors, trivial)
+
+
+def test_is_free_matches_lattice_search():
+    """is_free's order-2 scan gives the lattice search's verdict, also on
+    actions that are not effective: order 2 is minimal on every action."""
+    seen = Counter()
+    for rank in (1, 2, 3):
+        rng = random.Random(7000 + rank)
+        for _ in range(80):
+            act = oracle_action(rng, rank)
+            kernel = kernel_lattice(act)
+            want = _lattice_verdict(act, kernel)
+            assert is_free(act) == want, act.to_obj()
+            if want.free:
+                seen["free"] += 1
+            elif want.witness_order > 2:
+                seen["order >= 3"] += 1
+            else:
+                seen["order 2, " + ("effective" if kernel.is_full()
+                                    else "not effective")] += 1
+            seen["trivial summand"] += any(
+                isinstance(f, SphereFactor) and f.has_trivial_summand
+                for f in act.factors)
+    kinds = ("free", "order 2, effective", "order 2, not effective",
+             "order >= 3", "trivial summand")
+    assert min(seen[k] for k in kinds) >= 3, seen
 
 
 def test_brute_force_matches_fraction_reference():

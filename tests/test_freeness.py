@@ -6,7 +6,7 @@ import pytest
 from biquot.freeness import (
     GroupFactor, SphereFactor, TwoSidedAction, TorusElement, kernel_lattice,
     is_free, brute_force_free, has_fixed_point, acts_trivially,
-    action_from_obj, _lattice_verdict, _prime_scan, _violating_lattices,
+    action_from_obj, _lattice_verdict, _violating_lattices,
 )
 from biquot.lattices import LatticeSubgroup
 from biquot import constructions as cons
@@ -74,26 +74,6 @@ def test_kernel_empty_action():
 # -- verdicts -----------------------------------------------------------------
 
 
-def test_gromoll_meyer_free():
-    assert is_free(cons.gromoll_meyer_action()).free
-
-
-@pytest.mark.parametrize("left,right,order,coords", [
-    ("S3V", "V+2C", 3, (Fraction(1, 3),)),
-    ("S3V", "2V", 4, (Fraction(1, 4),)),
-])
-def test_sp4_witness_orders(left, right, order, coords):
-    v = is_free(su2_action(left, right))
-    assert not v.free
-    assert v.witness_order == order
-    assert v.witness.coords == coords
-
-
-def test_su3_witness():
-    v = is_free(cons.su2_pair_action(SU(3), "V+C", "S2V"))
-    assert not v.free and v.witness_order == 3
-
-
 @pytest.mark.parametrize("target,left,right", [
     (F4, "V", "2C"),                 # no weight data
     (Sp(4), "S2V+C", "V+2C"),        # a real irrep once in Sp(4)
@@ -102,35 +82,6 @@ def test_su3_witness():
 def test_su2_pair_action_rejects_non_classes(target, left, right):
     with pytest.raises(ValueError):
         cons.su2_pair_action(target, left, right)
-
-
-G2_TABLE = {(1, 3): 2, (1, 4): 3, (1, 28): 3, (3, 4): None, (3, 28): 5,
-            (4, 28): 3}
-
-
-@pytest.mark.parametrize("pair,order", sorted(G2_TABLE.items()))
-def test_g2_pair_table(pair, order):
-    v = is_free(cons.g2_pair_action(*pair))
-    if order is None:
-        assert v.free
-    else:
-        assert not v.free and v.witness_order == order
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_torus_squared_sphere_actions_free(n):
-    assert is_free(cons.torus_squared_sphere_action(n)).free
-
-
-@pytest.mark.parametrize("e", range(1, 4))
-def test_circle_su2_sphere_actions_free(e):
-    assert is_free(cons.circle_su2_sphere_action(e)).free
-
-
-def test_sp4_su2xsu2_actions_free():
-    for kind in ("block", "split"):
-        v = is_free(cons.sp4_su2xsu2_action(kind))
-        assert v.free and v.kernel.is_full()
 
 
 def test_identity_action_not_free():
@@ -174,8 +125,8 @@ def test_sphere_factor_constrains_without_trivial_summand():
     (su2_action("S3V", "2V"), (Fraction(1, 4),)),
 ])
 def test_non_effective_actions_keep_composite_witness_orders(act, coords):
-    # the prime-order scan is exact only on effective actions: here the
-    # order-2 element fixes a point but acts trivially
+    # the order-2 element fixes a point but acts trivially, so the least
+    # witness order is 4
     kernel = kernel_lattice(act)
     assert not kernel.is_full()
     v = is_free(act)
@@ -187,25 +138,21 @@ def unit_weights(rank):
     return [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
 
 
-@pytest.mark.parametrize("act,scanned,order", [
+@pytest.mark.parametrize("act,order", [
     # one plane per axis: (0, ..., 0, 1/2) fixes the first plane
-    (TwoSidedAction(6, [SphereFactor(unit_weights(6))]), True, 2),
-    # the same above the scan's rank bound
-    (TwoSidedAction(7, [SphereFactor(unit_weights(7))]), False, 2),
+    (TwoSidedAction(6, [SphereFactor(unit_weights(6))]), 2),
+    (TwoSidedAction(7, [SphereFactor(unit_weights(7))]), 2),
     # every axis fixed except the first, which may turn by a third
     (TwoSidedAction(5, [SphereFactor([(3, 0, 0, 0, 0), (1, 0, 0, 0, 0)])]
-                    + [SphereFactor([w]) for w in unit_weights(5)[1:]]),
-     False, 3),
+                    + [SphereFactor([w]) for w in unit_weights(5)[1:]]), 3),
 ])
-def test_prime_scan_at_high_rank(act, scanned, order):
+def test_order_two_scan_at_high_rank(act, order):
+    # the order-2 scan has no rank bound, and at order 3 is_free falls
+    # through to the lattice search
     kernel = kernel_lattice(act)
     assert kernel.is_full()
     want = _lattice_verdict(act, kernel)
     assert not want.free and want.witness_order == order
-    hit = _prime_scan(act)
-    assert (hit is not None) == scanned
-    if scanned:
-        assert hit == (order, want.witness)
     assert is_free(act) == want
 
 
