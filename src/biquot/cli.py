@@ -5,9 +5,9 @@ search-rank1, verify-paper.  Output is a readable table by default or JSON
 with --format json; fractions serialize as "p/q" strings and torus
 witnesses as coordinate lists mod 1, so runs compare bit-exactly.
 
-Exit codes: 0 success; 1 malformed input (the message points at the
-offending field); 2 internal inconsistency (a reference check or oracle
-disagreement).
+Exit codes: 0 success; 1 malformed input or command line (the message
+points at the offending field); 2 internal inconsistency (a reference check
+or oracle disagreement).
 """
 
 from __future__ import annotations
@@ -37,6 +37,19 @@ class SchemaError(ValueError):
     def __init__(self, field, message):
         super().__init__("%s: %s" % (field, message))
         self.field = field
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose command-line errors are schema errors: argparse's
+    "argument --max-dim: invalid int value" names the field max-dim, and
+    an error that names no argument (a missing or unknown one) the field
+    arguments."""
+
+    def error(self, message):
+        name, sep, rest = message.partition(": ")
+        if sep and name.startswith("argument "):
+            raise SchemaError(name[len("argument "):].lstrip("-"), rest)
+        raise SchemaError("arguments", message)
 
 
 def _emit(args, obj, table_lines):
@@ -362,7 +375,7 @@ def cmd_verify_paper(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="biquot",
         description="Exact freeness certificates, quotient cohomology, pi3, "
                     "and classification searches for two-sided compact "
@@ -425,9 +438,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SchemaError as exc:
         print("input error at %s" % exc, file=sys.stderr)

@@ -10,9 +10,9 @@ cohomology presentations.
 from __future__ import annotations
 
 from .groups import Sp
-from .weights import (make_rep, su2_rep_from_label, realify, rep_tensor,
-                      rep_sum, chern_pullback, euler_class, g2_su2_class,
-                      is_su2_class)
+from .weights import (make_rep, su2_rep_from_label, su2_power_rep, realify,
+                      rep_tensor, rep_sum, chern_pullback, euler_class,
+                      g2_su2_class, is_su2_class)
 from .freeness import GroupFactor, SphereFactor, TwoSidedAction
 from .cohomology import classifying_ring, GradedQuotient, biquotient_ring
 from .polyring import GradedPolyRing
@@ -81,17 +81,16 @@ def sp4_su2xsu2_action(kind):
 
     kind 'block' is (V1 + V2 | trivial): the one-sided standard block
     embedding with quotient S^4.  kind 'split' is (V1 + C^2 | V2 + V2),
-    also with quotient S^4.
+    also with quotient S^4.  Each side is the su2_power_rep of its
+    summands Sym^a1 x Sym^a2, given as (a1, a2).
     """
-    if kind == "block":
-        left = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-        right = [(0, 0)] * 4
-    elif kind == "split":
-        left = [(1, 0), (-1, 0), (0, 0), (0, 0)]
-        right = [(0, 1), (0, -1), (0, 1), (0, -1)]
-    else:
+    classes = {"block": ([(1, 0), (0, 1)], [(0, 0)] * 4),  # V1+V2 | 4C
+               # V1+2C | 2V2
+               "split": ([(1, 0), (0, 0), (0, 0)], [(0, 1)] * 2)}
+    if kind not in classes:
         raise ValueError("kind must be 'block' or 'split'")
-    return TwoSidedAction(2, [GroupFactor(left, right)])
+    left, right = map(su2_power_rep, classes[kind])
+    return TwoSidedAction(2, [GroupFactor(left.weights, right.weights)])
 
 
 def hp_sum_action(n):

@@ -25,20 +25,24 @@ left to match are kept reduced modulo L, so weights that agree modulo L
 merge into one class.  The search memoizes on (factor, left class,
 remaining right classes mod L, HNF of L) and collects the violating
 lattices; its cost follows the number of distinct partial lattices and
-reduced multisets rather than the n! bijections of an SU(n) factor.  The
-witness of a non-free action is the lex-least non-trivial fixed-point
-element of minimal order.  It is read from one Smith form per violating
-lattice L, the invariant factors d_j of L with a unimodular V such that
-L*V and the diagonal of the d_j span the same lattice: the elements of
-order dividing q in Ann(L) are generated by the columns j of V over
-gcd(d_j, q), with d_j = 0 past the rank of L (Cohen, A Course in
-Computational Algebraic Number Theory, 1993, section 2.4).  The eigenvalue
-matching reported with it is read off the witness alone: the first full
-choice, in depth-first order, whose generators the witness annihilates.
+reduced multisets rather than the n! bijections of an SU(n) factor.
 
-Order 2 is the least order of a non-trivial element, so the oracle's first
-non-trivial fixed-point element of order 2 (see _first_hit), if any, is the
-witness the lattice search would find; is_free looks for it first.
+The witness of a non-free action is the lex-least non-trivial fixed-point
+element of minimal order, and one scan builds it: the oracle's scan of the
+elements of one order (see _first_hit).  Order 2 is the least order of a
+non-trivial element, so is_free scans it first.  Otherwise the search gives
+the order: every non-trivial fixed-point element lies in Ann(L) outside
+Ann(K) for some violating lattice L, K the kernel lattice, so the witness
+order is the least escape order over the violating lattices, the least q at
+which an element of order dividing q in Ann(L) leaves Ann(K).  One Smith
+form per violating lattice gives its escape order: with the invariant
+factors d_j of L and a unimodular V such that L*V and the diagonal of the
+d_j span the same lattice, the elements of order dividing q in Ann(L) are
+generated by the columns j of V over gcd(d_j, q), with d_j = 0 past the
+rank of L (Cohen, A Course in Computational Algebraic Number Theory, 1993,
+section 2.4).  The eigenvalue matching reported with the witness is read
+off the witness alone: the first full choice, in depth-first order, whose
+generators the witness annihilates.
 
 For Spin(2n) group factors the eigenvalue test is coarser than conjugacy
 in the group itself; Free verdicts remain sound, and NotFree verdicts are
@@ -50,7 +54,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 
 from .lattices import (LatticeSubgroup, _hnf_insert, _reduce,
@@ -452,39 +455,21 @@ def _first_choice(action, witness):
 
 
 # ---------------------------------------------------------------------------
-# Witness construction
+# Verdicts: the escape order of the violating lattices, the oracle's witness
 # ---------------------------------------------------------------------------
 
 
-def _torsion_generators(diag, v, q):
-    """Generators (coords, order) of Ann(M)[q], the elements of order
-    dividing q that pair integrally with every row of M, from the Smith
-    data of M: column j of V over gcd(diag[j], q), where it is not 1.
-    Their orders multiply to the order of Ann(M)[q]."""
-    gens = []
-    for j, dj in enumerate(diag):
-        g = gcd(dj, q)
-        if g > 1:
-            gens.append((tuple(Fraction(row[j], g) % 1 for row in v), g))
-    return gens
+def _escape_order(basis, kernel, rank):
+    """The escape order of a violating lattice L, given by its HNF basis:
+    the least q such that some element of order dividing q in Ann(L) lies
+    outside Ann(K), K the kernel lattice (which L does not contain).
 
-
-def _best_witness(basis, kernel, rank):
-    """Witness (q, t) of a violating lattice L, given by its HNF basis.
-
-    t is the lex-least element of minimal order q in Ann(L) outside Ann(K),
-    K the kernel lattice (which L does not contain).  Everything comes from
-    one Smith form (diag, V) of L, L*V = U*D with D the diagonal of diag:
-    Ann(L)[q] is generated by column j of V over gcd(diag[j], q) (with
-    diag[j] = 0 past the rank of L), so a kernel row k pairs non-integrally
-    with some element of Ann(L)[q] iff some (k*V)_j is not 0 mod
-    gcd(diag[j], q).  q is the least order with such a row,
-    and every combination of the generators, at most q^rank elements, is a
-    candidate; by the minimality of q the candidates outside Ann(K) all
-    have order q.
-    The answer depends on L alone, so the least one over all violating
-    lattices is the lex-least non-trivial fixed-point element of minimal
-    order: the element the exhaustive oracle returns.
+    One Smith form (diag, V) of L, L*V = U*D with D the diagonal of diag,
+    gives Ann(L)[q]: it is generated by column j of V over gcd(diag[j], q)
+    (with diag[j] = 0 past the rank of L), so a kernel row k pairs
+    non-integrally with some element of Ann(L)[q] iff some (k*V)_j is not
+    0 mod gcd(diag[j], q).  By the minimality of q, the elements of Ann(L)[q]
+    outside Ann(K) all have order q.
     """
     diag, v = smith_normal_form(basis, rank)
     ys = [[sum(k[i] * v[i][j] for i in range(rank)) for j in range(rank)]
@@ -498,43 +483,31 @@ def _best_witness(basis, kernel, rank):
         yj % gcd(dj, q) for y in ys for yj, dj in zip(y, diag))), None)
     if q is None:
         raise AssertionError("no kernel row escapes the violating lattice")
-    tors = _torsion_generators(diag, v, q)
-    # numerators over q: a generator of order d divides q
-    gens = [[int(x * q) for x in coords] for coords, _ in tors]
-    best = None
-    for cs in product(*(range(d) for _, d in tors)):
-        nums = tuple(sum(c * g[j] for c, g in zip(cs, gens)) % q
-                     for j in range(rank))
-        if best is not None and nums >= best:
-            continue
-        if any(sum(k[j] * nums[j] for j in range(rank)) % q
-               for k in kernel.basis):
-            best = nums
-    if best is None:
-        raise AssertionError("no witness found despite escape")
-    return q, TorusElement(tuple(Fraction(n, q) for n in best))
+    return q
 
 
-def _not_free(action, kernel, order, witness):
-    """The NotFree verdict of a witness of the given order."""
+def _not_free(action, kernel, witness):
+    """The NotFree verdict of a witness."""
     caveats = tuple([D_FAMILY_CAVEAT] if any(
         isinstance(f, GroupFactor) and f.d_family for f in action.factors)
         else [])
     return Verdict(free=False, kernel=kernel, witness=witness,
-                   witness_order=order, choice=_first_choice(action, witness),
-                   caveats=caveats)
+                   witness_order=witness.order,
+                   choice=_first_choice(action, witness), caveats=caveats)
 
 
 def _lattice_verdict(action, kernel):
     """The verdict of the violating-lattice search: Free when there is no
-    violating lattice, else the least witness over them by (order, coords)."""
+    violating lattice, else the first hit of the oracle's scan at the least
+    escape order over them."""
     violations = _violating_lattices(action, kernel)
     if not violations:
         return Verdict(free=True, kernel=kernel)
-    order, witness = min(
-        (_best_witness(basis, kernel, action.rank) for basis in violations),
-        key=lambda qt: (qt[0], qt[1].coords))
-    return _not_free(action, kernel, order, witness)
+    q = min(_escape_order(basis, kernel, action.rank) for basis in violations)
+    witness = _first_hit(action, kernel, q)
+    if witness is None:
+        raise AssertionError("no fixed-point element at the escape order")
+    return _not_free(action, kernel, witness)
 
 
 def is_free(action):
@@ -548,14 +521,13 @@ def is_free(action):
     when a D-family factor is involved.
 
     Order 2 is minimal, so the first non-trivial fixed-point element of
-    order 2, if any, is the lattice search's witness.  Every other verdict,
-    Free ones included, comes from the violating-lattice search.
+    order 2, if any, is the witness.  Every other verdict, Free ones
+    included, comes from the violating-lattice search.
     """
     kernel = kernel_lattice(action)
-    nums = _first_hit(action, kernel, 2)
-    if nums is not None:
-        return _not_free(action, kernel, 2,
-                         TorusElement(tuple(Fraction(a, 2) for a in nums)))
+    witness = _first_hit(action, kernel, 2)
+    if witness is not None:
+        return _not_free(action, kernel, witness)
     return _lattice_verdict(action, kernel)
 
 
@@ -620,8 +592,8 @@ def _numerators_of_order(q, rank):
 
 
 def _first_hit(action, kernel, q):
-    """Lex-least numerators of a non-trivial fixed-point element of exact
-    order q, or None.
+    """The lex-least non-trivial fixed-point element of exact order q, or
+    None.
 
     The last numerator b varies fastest.  Under each prefix of the others
     (lex order), a vector d pairs to (c + s*b) mod q, with s = d[-1] and c
@@ -686,7 +658,8 @@ def _first_hit(action, kernel, q):
         bs = [b for b, p in zip(bs, pairings(kernel.basis, prefix, bs))
               if any(p)]
         if bs:
-            return prefix + (bs[0],)
+            return TorusElement(tuple(Fraction(a, q)
+                                      for a in prefix + (bs[0],)))
     return None
 
 
@@ -709,8 +682,7 @@ def brute_force_free(action, max_order):
     """
     kernel = kernel_lattice(action)
     for q in range(2, max_order + 1):
-        nums = _first_hit(action, kernel, q)
-        if nums is not None:
-            w = TorusElement(tuple(Fraction(a, q) for a in nums))
+        w = _first_hit(action, kernel, q)
+        if w is not None:
             return BruteVerdict(True, max_order, True, w, q)
     return BruteVerdict(False, max_order, True)

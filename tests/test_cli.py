@@ -248,11 +248,28 @@ def test_free_check_accepts_declared_trivial_lattice(capsys):
     (("search-rank1", "--group", "G2", "--include-su2xsu2"),
      "include-su2xsu2"),
     (("search-rank1", "--group", "Sp6"), "group"),
+    # command lines argparse rejects
+    (("free-check", "--oracle", "x"), "oracle"),
+    (("search-rhs", "--max-dim", "3.5"), "max-dim"),
+    (("--format", "xml", "catalog"), "format"),
+    (("no-such-command",), "command"),
+    ((), "arguments"),
+    (("index",), "arguments"),
+    (("catalog", "--no-such-option"), "arguments"),
+    # the global option after the subcommand
+    (("verify-paper", "--format", "json"), "arguments"),
 ])
 def test_malformed_arguments_exit_1_naming_the_field(capsys, argv, field):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_SCHEMA and out == ""
     assert err.startswith("input error at %s" % field)
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("free-check", "--help")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0 and "usage: biquot" in capsys.readouterr().out
 
 
 def test_cohomology_presets_and_json_input(capsys, tmp_path):

@@ -2,11 +2,13 @@
 
 The violating-lattice search is fuzzed against element-by-element
 eigenvalue evaluation, and is_free, which first tries the oracle's order-2
-scan, against the lattice search; Groebner-based Betti ranks are fuzzed
-against sympy normal forms under a different monomial order (graded ranks
-are intrinsic, so any correct Groebner basis must produce the same
-numbers); torsion generators of annihilators are checked by direct
-pairing.
+scan, against the lattice search.  The lattice search and the oracle build
+their witnesses with the same scan (_first_hit), so the lattice witness is
+also checked against a Fraction reference that walks every element of the
+witness order, and each lattice's escape order against a direct enumeration
+of its annihilator.  Groebner-based Betti ranks are fuzzed against sympy
+normal forms under a different monomial order (graded ranks are intrinsic,
+so any correct Groebner basis must produce the same numbers).
 """
 
 import itertools
@@ -22,9 +24,9 @@ from biquot.freeness import (GroupFactor, SphereFactor, TwoSidedAction,
                              TorusElement, BruteVerdict, kernel_lattice,
                              is_free, brute_force_free, acts_trivially,
                              has_fixed_point, _numerators_of_order,
-                             _torsion_generators, _violating_lattices,
+                             _escape_order, _violating_lattices,
                              _lattice_verdict, _first_hit)
-from biquot.lattices import LatticeSubgroup, smith_normal_form
+from biquot.lattices import LatticeSubgroup
 from biquot.polyring import GradedPolyRing
 from biquot.cohomology import GradedQuotient
 from elimination_hnf import elimination_hnf
@@ -60,8 +62,9 @@ def test_freeness_matches_oracle_on_random_actions():
     checked_free = checked_witness = 0
     for _ in range(250):
         act = random_action(rng)
+        kernel = kernel_lattice(act)
         # the lattice search alone: is_free shares _first_hit with the oracle
-        exact = _lattice_verdict(act, kernel_lattice(act))
+        exact = _lattice_verdict(act, kernel)
         brute = brute_force_free(act, 24)
         assert brute.exhaustive
         if exact.free:
@@ -74,6 +77,10 @@ def test_freeness_matches_oracle_on_random_actions():
                 assert brute.witness_order == exact.witness_order, act.to_obj()
                 # both report the lex-least fixed-point element of that order
                 assert brute.witness == exact.witness, act.to_obj()
+            # both build it with _first_hit: check it apart from that scan
+            declared = TwoSidedAction(act.rank, act.factors, kernel)
+            assert exact.witness == reference_first_hit(
+                declared, exact.witness_order), act.to_obj()
             checked_witness += 1
     assert checked_free > 20 and checked_witness > 50
 
@@ -383,9 +390,7 @@ def test_first_hit_on_anchor_edge_cases():
         hits = {}
         for q in range(2, max_order + 1):
             want = reference_first_hit(declared, q)
-            got = _first_hit(act, kernel, q)
-            assert got == (None if want is None else tuple(
-                c * q for c in want.coords)), (act.to_obj(), q)
+            assert _first_hit(act, kernel, q) == want, (act.to_obj(), q)
             seen.update(anchor_cases(anchor, act.rank, q))
             if want is not None:
                 hits[q] = want
@@ -410,67 +415,61 @@ def test_first_hit_on_anchor_edge_cases():
     assert min(seen[k] for k in kinds) >= 3, seen
 
 
+def annihilator(rows, rank, q):
+    """Numerators over q of the elements of order dividing q that pair
+    integrally with every row, in lex order."""
+    return [nums for nums in itertools.product(range(q), repeat=rank)
+            if all(sum(a * b for a, b in zip(w, nums)) % q == 0
+                   for w in rows)]
+
+
 def test_kernel_elements_act_trivially_randomized():
     rng = random.Random(77)
     for _ in range(150):
         act = random_action(rng)
         kernel = kernel_lattice(act)
-        # enumerate some torsion elements of the kernel subgroup
+        # every torsion element of the kernel subgroup of orders 2, 3, 4
         for q in (2, 3, 4):
-            for coords, order in _torsion_generators(
-                    *smith_normal_form(kernel.basis, act.rank), q):
-                t = TorusElement(coords)
+            for nums in annihilator(kernel.basis, act.rank, q):
+                t = TorusElement(tuple(Fraction(a, q) for a in nums))
                 for f in act.factors:
                     if isinstance(f, GroupFactor):
                         left = sorted(t.pair(w) for w in f.left)
                         right = sorted(t.pair(w) for w in f.right)
-                        assert left == right
                         # equal scalars on both sides: a single eigenvalue
                         assert len(set(left)) == 1 and left == right
                     else:
                         assert all(t.pair(w) == 0 for w in f.weights)
 
 
-def test_torsion_generators_pair_integrally():
-    rng = random.Random(5150)
-    for _ in range(120):
-        n = rng.randint(1, 4)
-        rows = [tuple(rng.randint(-4, 4) for _ in range(n))
-                for _ in range(rng.randint(0, n))]
-        q = rng.choice([2, 3, 4, 5, 6])
-        for coords, order in _torsion_generators(*smith_normal_form(rows, n),
-                                                 q):
-            t = TorusElement(coords)
-            assert q % order == 0 and t.order == order
-            for w in rows:
-                assert t.pair(w) == 0
-
-
-def test_torsion_generators_span_the_whole_annihilator():
-    # the generators of Ann(L)[q] must span every element of order dividing
-    # q that pairs integrally with the rows of L, each exactly once
+def test_escape_order_matches_annihilator_enumeration():
+    # the least q at which Ann(L)[q] has an element outside Ann(K); the
+    # enumeration costs about q^(rank + 1) / (rank + 1), so rank 3 draws the
+    # rows of L from a smaller box
     rng = random.Random(6060)
-    seen = Counter()
-    for _ in range(150):
-        n = rng.randint(1, 3)
-        rows = [tuple(rng.randint(-6, 6) for _ in range(n))
-                for _ in range(rng.randint(0, 3))]
-        q = rng.randint(2, 6)
-        want = {tuple(Fraction(a, q) for a in nums)
-                for nums in itertools.product(range(q), repeat=n)
-                if all(sum(a * b for a, b in zip(w, nums)) % q == 0
-                       for w in rows)}
-        gens = _torsion_generators(*smith_normal_form(rows, n), q)
-        spanned = Counter(
-            tuple(sum(c * g[j] for c, (g, _) in zip(cs, gens)) % 1
-                  for j in range(n))
-            for cs in itertools.product(*(range(d) for _, d in gens)))
-        assert set(spanned) == want, (rows, q)
-        assert set(spanned.values()) == {1}, (rows, q)
-        seen["proper"] += len(want) < q ** n
-        seen["non-cyclic"] += len(gens) > 1
-        seen["rank-deficient"] += len(rows) < n
-    assert min(seen.values()) > 10, seen
+    seen, deficient = Counter(), 0
+    while sum(seen.values()) < 200:
+        rank = rng.randint(1, 3)
+        box = (9, 6, 4)[rank - 1]
+        lattice = LatticeSubgroup.from_rows(rank, [
+            tuple(rng.randint(-box, box) for _ in range(rank))
+            for _ in range(rng.randint(0, rank))])
+        kernel = LatticeSubgroup.from_rows(rank, [
+            tuple(rng.randint(-4, 4) for _ in range(rank))
+            for _ in range(rng.randint(1, rank))])
+        if lattice.contains(kernel):
+            continue
+        want = next(q for q in itertools.count(2) if any(
+            sum(a * b for a, b in zip(k, nums)) % q
+            for nums in annihilator(lattice.basis, rank, q)
+            for k in kernel.basis))
+        assert _escape_order(lattice.basis, kernel, rank) == want, (
+            lattice.basis, kernel.basis)
+        seen["rank %d, order %s" % (rank, "2" if want == 2 else
+                                    "3 or 4" if want < 5 else ">= 5")] += 1
+        deficient += len(lattice.basis) < rank
+    assert len(seen) == 9 and min(seen.values()) >= 2, seen
+    assert 20 <= deficient <= 180, deficient
 
 
 def sympy_graded_rank(srels, syms, weights, degree):

@@ -31,3 +31,40 @@ def test_no_unused_imports_in_src():
            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert "freeness.py" in bad
     assert not any(bad.values()), {k: v for k, v in bad.items() if v}
+
+
+def unread_private_functions(trees):
+    """The private top-level functions of the modules that no top-level
+    statement other than their own definition reads, sorted."""
+    defs, reads = [], set()
+    for tree in trees:
+        for stmt in tree.body:
+            own = None
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith(
+                    "_") and not stmt.name.startswith("__"):
+                own = stmt.name
+                defs.append(own)
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name) and n.id != own:
+                    reads.add(n.id)
+                elif isinstance(n, ast.Attribute) and n.attr != own:
+                    reads.add(n.attr)
+    return sorted(set(defs) - reads)
+
+
+def test_unread_private_functions_detector():
+    trees = [ast.parse("def _a(): return _a()\ndef _b(): pass\n"
+                       "def _c(): pass\ndef __d__(): pass\nx = [_b]\n"),
+             ast.parse("def f(m): return m._c\n")]
+    assert unread_private_functions(trees) == ["_a"]
+
+
+# read only outside the package: perfbench/selftest.py walks the numerators
+# of one order with it
+TEST_ONLY_PRIVATE = {"_numerators_of_order"}
+
+
+def test_private_functions_have_a_caller_in_src():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    assert len(trees) > 5
+    assert unread_private_functions(trees) == sorted(TEST_ONLY_PRIVATE)
