@@ -28,21 +28,22 @@ lattices; its cost follows the number of distinct partial lattices and
 reduced multisets rather than the n! bijections of an SU(n) factor.
 
 The witness of a non-free action is the lex-least non-trivial fixed-point
-element of minimal order, and one scan builds it: the oracle's scan of the
-elements of one order (see _first_hit).  Order 2 is the least order of a
-non-trivial element, so is_free scans it first.  Otherwise the search gives
-the order: every non-trivial fixed-point element lies in Ann(L) outside
-Ann(K) for some violating lattice L, K the kernel lattice, so the witness
-order is the least escape order over the violating lattices, the least q at
-which an element of order dividing q in Ann(L) leaves Ann(K).  One Smith
-form per violating lattice gives its escape order: with the invariant
-factors d_j of L and a unimodular V such that L*V and the diagonal of the
-d_j span the same lattice, the elements of order dividing q in Ann(L) are
-generated by the columns j of V over gcd(d_j, q), with d_j = 0 past the
-rank of L (Cohen, A Course in Computational Algebraic Number Theory, 1993,
-section 2.4).  The eigenvalue matching reported with the witness is read
-off the witness alone: the first full choice, in depth-first order, whose
-generators the witness annihilates.
+element of minimal order.  Order 2 is the least order of a non-trivial
+element, so is_free first runs the oracle's scan of the elements of order 2
+(see _first_hit).  Otherwise every non-trivial fixed-point element lies in
+Ann(L) outside Ann(K) for some violating lattice L, K the kernel lattice,
+and one Smith form per L gives the witness: with the invariant factors d_j
+of L and a unimodular V such that L*V and the diagonal of the d_j span the
+same lattice, the elements of order dividing q in Ann(L) are generated by
+the columns j of V over gcd(d_j, q), with d_j = 0 past the rank of L
+(Cohen, A Course in Computational Algebraic Number Theory, 1993, section
+2.4).  They give the escape order of L, the least q at which Ann(L)[q]
+leaves Ann(K); at the least escape order over all L the witness is the
+least of the |Ann(L)[q]| combinations of the generators that leaves
+Ann(K), where the oracle's scan would walk q^(rank - 1) prefixes.  The
+eigenvalue matching reported with the witness is read off the witness
+alone: the first full choice, in depth-first order, whose generators the
+witness annihilates.
 
 For Spin(2n) group factors the eigenvalue test is coarser than conjugacy
 in the group itself; Free verdicts remain sound, and NotFree verdicts are
@@ -54,6 +55,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from .lattices import (LatticeSubgroup, _hnf_insert, _reduce,
@@ -455,23 +457,34 @@ def _first_choice(action, witness):
 
 
 # ---------------------------------------------------------------------------
-# Verdicts: the escape order of the violating lattices, the oracle's witness
+# Witness construction
 # ---------------------------------------------------------------------------
 
 
-def _escape_order(basis, kernel, rank):
-    """The escape order of a violating lattice L, given by its HNF basis:
+def _torsion_generators(diag, v, q):
+    """Generators (coords, order) of Ann(M)[q], the elements of order
+    dividing q that pair integrally with every row of M, from the Smith
+    data of M: column j of V over gcd(diag[j], q), where it is not 1.
+    Their orders multiply to the order of Ann(M)[q]."""
+    gens = []
+    for j, dj in enumerate(diag):
+        g = gcd(dj, q)
+        if g > 1:
+            gens.append((tuple(Fraction(row[j], g) % 1 for row in v), g))
+    return gens
+
+
+def _escape_order(diag, v, kernel):
+    """The escape order of a violating lattice L, given by its Smith data:
     the least q such that some element of order dividing q in Ann(L) lies
     outside Ann(K), K the kernel lattice (which L does not contain).
 
-    One Smith form (diag, V) of L, L*V = U*D with D the diagonal of diag,
-    gives Ann(L)[q]: it is generated by column j of V over gcd(diag[j], q)
-    (with diag[j] = 0 past the rank of L), so a kernel row k pairs
-    non-integrally with some element of Ann(L)[q] iff some (k*V)_j is not
-    0 mod gcd(diag[j], q).  By the minimality of q, the elements of Ann(L)[q]
-    outside Ann(K) all have order q.
+    With L*V = U*D, D the diagonal of diag, Ann(L)[q] is generated by
+    column j of V over gcd(diag[j], q) (with diag[j] = 0 past the rank of
+    L), so a kernel row k pairs non-integrally with some element of
+    Ann(L)[q] iff some (k*V)_j is not 0 mod gcd(diag[j], q).
     """
-    diag, v = smith_normal_form(basis, rank)
+    rank = len(v)
     ys = [[sum(k[i] * v[i][j] for i in range(rank)) for j in range(rank)]
           for k in kernel.basis]
     # y_j escapes at c = diag[j] if that is not 0, else at c = |y_j| + 1,
@@ -486,6 +499,33 @@ def _escape_order(basis, kernel, rank):
     return q
 
 
+def _least_escape(diag, v, q, kernel):
+    """Numerators over q of the lex-least element of Ann(L)[q] outside
+    Ann(K), L given by its Smith data and q its escape order.
+
+    Every combination of the torsion generators of Ann(L)[q], |Ann(L)[q]|
+    elements, is a candidate; by the minimality of q the candidates outside
+    Ann(K) all have order q.
+    """
+    tors = _torsion_generators(diag, v, q)
+    # numerators over q: a generator of order d divides q
+    gens = [[int(x * q) for x in coords] for coords, _ in tors]
+    combos = (tuple(sum(c * g[j] for c, g in zip(cs, gens)) % q
+                    for j in range(len(v)))
+              for cs in product(*(range(d) for _, d in tors)))
+    best = min((nums for nums in combos if any(
+        sum(a * b for a, b in zip(k, nums)) % q for k in kernel.basis)),
+        default=None)
+    if best is None:
+        raise AssertionError("no witness found despite escape")
+    return best
+
+
+def _element(nums, q):
+    """The torus element with the given numerators over q."""
+    return TorusElement(tuple(Fraction(a, q) for a in nums))
+
+
 def _not_free(action, kernel, witness):
     """The NotFree verdict of a witness."""
     caveats = tuple([D_FAMILY_CAVEAT] if any(
@@ -498,16 +538,17 @@ def _not_free(action, kernel, witness):
 
 def _lattice_verdict(action, kernel):
     """The verdict of the violating-lattice search: Free when there is no
-    violating lattice, else the first hit of the oracle's scan at the least
-    escape order over them."""
+    violating lattice, else the lex-least element of the least escape order
+    over them that leaves Ann(K)."""
     violations = _violating_lattices(action, kernel)
     if not violations:
         return Verdict(free=True, kernel=kernel)
-    q = min(_escape_order(basis, kernel, action.rank) for basis in violations)
-    witness = _first_hit(action, kernel, q)
-    if witness is None:
-        raise AssertionError("no fixed-point element at the escape order")
-    return _not_free(action, kernel, witness)
+    smiths = [smith_normal_form(basis, action.rank) for basis in violations]
+    orders = [_escape_order(diag, v, kernel) for diag, v in smiths]
+    q = min(orders)
+    nums = min(_least_escape(diag, v, q, kernel)
+               for (diag, v), order in zip(smiths, orders) if order == q)
+    return _not_free(action, kernel, _element(nums, q))
 
 
 def is_free(action):
@@ -658,8 +699,7 @@ def _first_hit(action, kernel, q):
         bs = [b for b, p in zip(bs, pairings(kernel.basis, prefix, bs))
               if any(p)]
         if bs:
-            return TorusElement(tuple(Fraction(a, q)
-                                      for a in prefix + (bs[0],)))
+            return _element(prefix + (bs[0],), q)
     return None
 
 

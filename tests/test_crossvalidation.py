@@ -2,13 +2,15 @@
 
 The violating-lattice search is fuzzed against element-by-element
 eigenvalue evaluation, and is_free, which first tries the oracle's order-2
-scan, against the lattice search.  The lattice search and the oracle build
-their witnesses with the same scan (_first_hit), so the lattice witness is
-also checked against a Fraction reference that walks every element of the
-witness order, and each lattice's escape order against a direct enumeration
-of its annihilator.  Groebner-based Betti ranks are fuzzed against sympy
-normal forms under a different monomial order (graded ranks are intrinsic,
-so any correct Groebner basis must produce the same numbers).
+scan, against the lattice search.  The lattice witness is also checked
+against a Fraction reference that walks every element of the witness
+order, each lattice's escape order against a direct enumeration of its
+annihilator, and torsion generators of annihilators by direct pairing.  At
+ranks 4 to 6, out of the oracle's reach, the witness is checked on actions
+whose fixed-point set is one cyclic group of large order.  Groebner-based
+Betti ranks are fuzzed against sympy normal forms under a different
+monomial order (graded ranks are intrinsic, so any correct Groebner basis
+must produce the same numbers).
 """
 
 import itertools
@@ -24,9 +26,10 @@ from biquot.freeness import (GroupFactor, SphereFactor, TwoSidedAction,
                              TorusElement, BruteVerdict, kernel_lattice,
                              is_free, brute_force_free, acts_trivially,
                              has_fixed_point, _numerators_of_order,
-                             _escape_order, _violating_lattices,
-                             _lattice_verdict, _first_hit)
-from biquot.lattices import LatticeSubgroup
+                             _torsion_generators, _escape_order,
+                             _violating_lattices, _lattice_verdict,
+                             _first_hit)
+from biquot.lattices import LatticeSubgroup, smith_normal_form
 from biquot.polyring import GradedPolyRing
 from biquot.cohomology import GradedQuotient
 from elimination_hnf import elimination_hnf
@@ -77,7 +80,7 @@ def test_freeness_matches_oracle_on_random_actions():
                 assert brute.witness_order == exact.witness_order, act.to_obj()
                 # both report the lex-least fixed-point element of that order
                 assert brute.witness == exact.witness, act.to_obj()
-            # both build it with _first_hit: check it apart from that scan
+            # also past the oracle's orders: the Fraction reference
             declared = TwoSidedAction(act.rank, act.factors, kernel)
             assert exact.witness == reference_first_hit(
                 declared, exact.witness_order), act.to_obj()
@@ -442,6 +445,48 @@ def test_kernel_elements_act_trivially_randomized():
                         assert all(t.pair(w) == 0 for w in f.weights)
 
 
+def test_torsion_generators_pair_integrally():
+    rng = random.Random(5150)
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        rows = [tuple(rng.randint(-4, 4) for _ in range(n))
+                for _ in range(rng.randint(0, n))]
+        q = rng.choice([2, 3, 4, 5, 6])
+        for coords, order in _torsion_generators(*smith_normal_form(rows, n),
+                                                 q):
+            t = TorusElement(coords)
+            assert q % order == 0 and t.order == order
+            for w in rows:
+                assert t.pair(w) == 0
+
+
+def test_torsion_generators_span_the_whole_annihilator():
+    # the generators of Ann(L)[q] must span every element of order dividing
+    # q that pairs integrally with the rows of L, each exactly once
+    rng = random.Random(6060)
+    seen = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        rows = [tuple(rng.randint(-6, 6) for _ in range(n))
+                for _ in range(rng.randint(0, 3))]
+        q = rng.randint(2, 6)
+        want = {tuple(Fraction(a, q) for a in nums)
+                for nums in itertools.product(range(q), repeat=n)
+                if all(sum(a * b for a, b in zip(w, nums)) % q == 0
+                       for w in rows)}
+        gens = _torsion_generators(*smith_normal_form(rows, n), q)
+        spanned = Counter(
+            tuple(sum(c * g[j] for c, (g, _) in zip(cs, gens)) % 1
+                  for j in range(n))
+            for cs in itertools.product(*(range(d) for _, d in gens)))
+        assert set(spanned) == want, (rows, q)
+        assert set(spanned.values()) == {1}, (rows, q)
+        seen["proper"] += len(want) < q ** n
+        seen["non-cyclic"] += len(gens) > 1
+        seen["rank-deficient"] += len(rows) < n
+    assert min(seen.values()) > 10, seen
+
+
 def test_escape_order_matches_annihilator_enumeration():
     # the least q at which Ann(L)[q] has an element outside Ann(K); the
     # enumeration costs about q^(rank + 1) / (rank + 1), so rank 3 draws the
@@ -463,13 +508,60 @@ def test_escape_order_matches_annihilator_enumeration():
             sum(a * b for a, b in zip(k, nums)) % q
             for nums in annihilator(lattice.basis, rank, q)
             for k in kernel.basis))
-        assert _escape_order(lattice.basis, kernel, rank) == want, (
+        assert _escape_order(*smith_normal_form(lattice.basis, rank),
+                             kernel) == want, (
             lattice.basis, kernel.basis)
         seen["rank %d, order %s" % (rank, "2" if want == 2 else
                                     "3 or 4" if want < 5 else ">= 5")] += 1
         deficient += len(lattice.basis) < rank
     assert len(seen) == 9 and min(seen.values()) >= 2, seen
     assert 20 <= deficient <= 180, deficient
+
+
+def cyclic_fixed_point_action(rng, rank, q):
+    """An effective action whose non-trivial fixed-point elements are the
+    non-zero multiples of n/q, n a random numerator vector with n_j = 1.
+
+    One one-weight sphere factor per row of a random unimodular mix of the
+    basis q*e_j, e_i - n_i*e_j (i != j) of L = {w : w.n = 0 mod q}, whose
+    annihilator is generated by n/q, and one sphere factor with weights
+    q*e_j and every unit vector, which every element of Ann(L) fixes and
+    which makes the kernel lattice full."""
+    j = rng.randrange(rank)
+    n = [rng.randrange(q) for _ in range(rank)]
+    n[j] = 1
+    unit = [tuple(int(a == i) for a in range(rank)) for i in range(rank)]
+    rows = [[q * x for x in unit[j]]] + [
+        [x - n[i] * y for x, y in zip(unit[i], unit[j])]
+        for i in range(rank) if i != j]
+    for _ in range(2 * rank):
+        a, b = rng.sample(range(rank), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        rows[a] = [x + c * y for x, y in zip(rows[a], rows[b])]
+    factors = [SphereFactor([row]) for row in rows]
+    factors.append(SphereFactor([tuple(q * x for x in unit[j])] + unit))
+    return TwoSidedAction(rank, factors), n
+
+
+def test_lattice_witness_at_high_rank_and_large_order():
+    # the oracle's scan at order q walks q^(rank - 1) prefixes, out of reach
+    # here; the witness is the least non-zero multiple of n/q by (order,
+    # coordinates), which the lattice search reads from the Smith generators
+    # of Ann(L) at that order
+    rng = random.Random(4646)
+    orders = Counter()
+    for rank in (4, 5, 6):
+        for q in (101, 127, 2 * 53, 3 * 37, 7 * 11, 5 ** 3):
+            act, n = cyclic_fixed_point_action(rng, rank, q)
+            want = min((TorusElement(tuple(Fraction(k * a, q) for a in n))
+                        for k in range(1, q)),
+                       key=lambda t: (t.order, t.coords))
+            got = is_free(act)
+            assert kernel_lattice(act).is_full(), act.to_obj()
+            assert not got.free and got.witness == want, act.to_obj()
+            assert got.witness_order == want.order
+            orders[want.order] += 1
+    assert set(orders) == {2, 3, 5, 7, 101, 127}, orders
 
 
 def sympy_graded_rank(srels, syms, weights, degree):
