@@ -402,9 +402,11 @@ def build_parser():
     c.add_argument("--named", help="builtin action name: %s"
                    % ", ".join(sorted(_NAMED_ACTIONS)))
     c.add_argument("--oracle", type=int, default=0,
-                   help="also run the brute-force oracle, exhaustive over "
-                        "every torus element up to this order (cost grows "
-                        "about as order^rank / rank)")
+                   help="also run the brute-force oracle, which covers "
+                        "every torus element up to this order by visiting "
+                        "only the orders that can hold the least witness, "
+                        "p^a with p^(a-1) dividing the kernel's index, as "
+                        "its smaller-order powers act trivially")
     c.set_defaults(fn=cmd_free_check)
 
     c = sub.add_parser("cohomology", help="Betti table of a graded quotient")

@@ -706,22 +706,31 @@ def _first_hit(action, kernel, q):
 def brute_force_free(action, max_order):
     """Independent oracle: evaluate eigenvalue multisets element by element.
 
-    Exhaustive over all torus elements of order <= max_order at every rank.
-    A clean pass is reported as "no witness up to max_order", never as a
-    proof of freeness.  The pass goes through the orders q = 2, 3, ... in
-    turn and within one order through the numerator vectors in lex order,
-    per prefix of all but the last numerator (see _first_hit).  Under a
-    prefix the last numerators come from the solutions of one linear
+    Covers every torus element of order <= max_order at every rank by
+    visiting only the orders that can hold the least witness: its powers of
+    smaller order fix its point, so act trivially, which forces its order to
+    be p^a with p^(a-1) dividing the order of the trivially-acting subgroup,
+    the kernel lattice's index (0 below full rank).  A clean pass is
+    reported as "no witness up to max_order", never as a proof of freeness.
+    Within one order q the pass goes through the numerator vectors in lex
+    order, per prefix of all but the last numerator (see _first_hit).  Under
+    a prefix the last numerators come from the solutions of one linear
     congruence per vector of an anchor, a factor's condition that a fixed
     point needs but that does not imply one; each candidate is then tested
     on every factor and against the kernel.  The pass stops at the first
     survivor, which is the lex-least non-trivial fixed-point element of the
-    smallest order.  The cost grows about as max_order^rank / rank
-    elements: on 2 cores with Python 3.11 a clean rank-3 pass takes about
-    0.15 s to order 24, 0.7 s to order 40 and 2.2 s to order 60.
+    smallest order.  On an effective action only the primes are visited, and
+    the cost grows about as max_order^rank / (rank log max_order) elements:
+    on 2 cores with Python 3.11 a clean pass on the rank-3 hp_sum_action(2)
+    takes about 0.03 s to order 24, 0.13 s to order 40 and 0.36 s to order
+    60.
     """
     kernel = kernel_lattice(action)
+    index = kernel.index()
     for q in range(2, max_order + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        if pow(p, q, q) or index % (q // p):  # not p^a with p^(a-1) | index
+            continue
         w = _first_hit(action, kernel, q)
         if w is not None:
             return BruteVerdict(True, max_order, True, w, q)

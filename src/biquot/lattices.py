@@ -13,6 +13,7 @@ machinery needs to build torsion elements of the dual torus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 
 def hnf(rows, rank=None):
@@ -173,10 +174,14 @@ class LatticeSubgroup:
             raise ValueError("ambient rank mismatch")
         return all(self.contains_vector(g) for g in other.basis)
 
+    def index(self):
+        """[Z^rank : self]: the product of the HNF pivots, 0 below full rank."""
+        if len(self.basis) < self.rank:
+            return 0
+        return prod(row[i] for i, row in enumerate(self.basis))
+
     def is_full(self):
-        # the HNF of Z^rank is the identity: rank rows with pivots 1
-        return (len(self.basis) == self.rank
-                and all(row[i] == 1 for i, row in enumerate(self.basis)))
+        return self.index() == 1
 
     def to_obj(self):
         return {"rank": self.rank, "generators": [list(r) for r in self.basis]}

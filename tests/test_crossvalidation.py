@@ -5,12 +5,14 @@ eigenvalue evaluation, and is_free, which first tries the oracle's order-2
 scan, against the lattice search.  The lattice witness is also checked
 against a Fraction reference that walks every element of the witness
 order, each lattice's escape order against a direct enumeration of its
-annihilator, and torsion generators of annihilators by direct pairing.  At
-ranks 4 to 6, out of the oracle's reach, the witness is checked on actions
-whose fixed-point set is one cyclic group of large order.  Groebner-based
-Betti ranks are fuzzed against sympy normal forms under a different
-monomial order (graded ranks are intrinsic, so any correct Groebner basis
-must produce the same numbers).
+annihilator, and torsion generators of annihilators by direct pairing.  The
+brute-force oracle is checked against the same reference swept over every
+order, and the reference's least witness orders against the lemma by which
+the oracle skips orders.  At ranks 4 to 6, out of the oracle's reach, the
+witness is checked on actions whose fixed-point set is one cyclic group of
+large order.  Groebner-based Betti ranks are fuzzed against sympy normal
+forms under a different monomial order (graded ranks are intrinsic, so any
+correct Groebner basis must produce the same numbers).
 """
 
 import itertools
@@ -296,7 +298,20 @@ def test_is_free_matches_lattice_search():
     assert min(seen[k] for k in kinds) >= 3, seen
 
 
+def assert_least_order_lemma(action, verdict):
+    """Every power of a least witness t below its order q fixes t's point,
+    so acts trivially: q = p^a (t^p1 and t^p2 would generate t), and t^p,
+    of order p^(a-1), lies in the trivially-acting subgroup, whose order is
+    the kernel's index (0 below full rank)."""
+    (p, a), = sympy.factorint(verdict.witness_order).items()
+    assert kernel_lattice(action).index() % p ** (a - 1) == 0, (
+        action.to_obj(), verdict.witness_order)
+
+
 def test_brute_force_matches_fraction_reference():
+    """The oracle's verdict equals the Fraction reference's, which sweeps
+    every order, and the reference's least witness order obeys the lemma
+    that lets the oracle skip orders."""
     rng = random.Random(60)
     kinds = Counter()
     # 200 draws at rank 1 or 2, then 18 at rank 3
@@ -309,8 +324,13 @@ def test_brute_force_matches_fraction_reference():
         else:
             max_order = 12 if act.rank == 2 else 6
         got = brute_force_free(act, max_order)
-        assert got == reference_brute_force(act, max_order), act.to_obj()
+        want = reference_brute_force(act, max_order)
+        assert got == want, act.to_obj()
         kinds["found" if got.found_witness else "clean"] += 1
+        if want.found_witness:
+            assert_least_order_lemma(act, want)
+            kinds["found, order not prime"] += not sympy.isprime(
+                want.witness_order)
         if act.rank == 3:
             kinds["rank 3 found" if got.found_witness else "rank 3 clean"] += 1
         kinds["max_order %d" % max_order] += 1
@@ -323,6 +343,22 @@ def test_brute_force_matches_fraction_reference():
             isinstance(f, SphereFactor) and f.has_trivial_summand
             for f in act.factors)
     assert min(kinds.values()) > 3, kinds
+
+
+def test_brute_force_on_a_least_witness_of_order_8():
+    """A non-effective rank-3 action (kernel index 4) whose least witness
+    has order 8: the oracle sweeps 2, 3, 4, 5, 7, 8 and agrees with the
+    reference, which sweeps every order."""
+    act = TwoSidedAction(3, [
+        GroupFactor([(-2, -1, 1), (2, 1, -1)], [(0, 3, -3), (0, -3, 3)]),
+        GroupFactor([(-1, -2, -2), (-1, -2, -2), (0, -1, -1), (0, -1, -1)],
+                    [(1, 2, 2), (1, 2, 2), (1, 2, 2), (2, -2, -2)]),
+        SphereFactor([(3, 3, 3)], True)])
+    assert kernel_lattice(act).index() == 4
+    want = reference_brute_force(act, 10)
+    assert brute_force_free(act, 10) == want
+    assert want.witness_order == 8
+    assert_least_order_lemma(act, want)
 
 
 def anchor_action(rng):

@@ -9,6 +9,7 @@ from biquot.freeness import (
     action_from_obj, _lattice_verdict, _violating_lattices,
 )
 from biquot.lattices import LatticeSubgroup
+from biquot import freeness
 from biquot import constructions as cons
 from biquot.refchecks import criterion3_actions
 from biquot.groups import SU, Sp, Spin, F4
@@ -207,6 +208,28 @@ def test_brute_force_exhaustive_rank3():
     assert b2.exhaustive and b2.found_witness
     assert (b2.witness, b2.witness_order) == (v.witness, v.witness_order)
     assert has_fixed_point(bad, b2.witness)
+
+
+def test_brute_force_sweeps_the_orders_that_can_hold_the_least_witness(
+        monkeypatch):
+    """Order q = p^a is swept iff p^(a-1) divides the kernel's index: all
+    primes on a full kernel, 4 as well at index 2, every prime power below
+    full rank."""
+    primes = [q for q in range(2, 61) if all(q % d for d in range(2, q))]
+    prime_powers = sorted(p ** a for p in primes for a in range(1, 6)
+                          if p ** a <= 60)
+    swept = []
+    monkeypatch.setattr(freeness, "_first_hit",
+                        lambda action, kernel, q: swept.append(q))
+    factors = [GroupFactor([(1, 0), (0, 1)], [(0, 1), (1, 0)])]
+    assert len(primes) == 17
+    for rows, want in [([(1, 0), (0, 1)], primes),
+                       ([(2, 0), (0, 1)], sorted(primes + [4])),
+                       ([(1, 0)], prime_powers)]:
+        swept.clear()
+        kernel = LatticeSubgroup.from_rows(2, rows)
+        b = brute_force_free(TwoSidedAction(2, factors, kernel), 60)
+        assert not b.found_witness and swept == want, rows
 
 
 # -- invariance properties ------------------------------------------------------

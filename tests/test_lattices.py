@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from math import prod
 
 import pytest
 import sympy
@@ -225,3 +227,22 @@ def test_sum_and_full():
         full = LatticeSubgroup.from_rows(
             n, [tuple(int(i == j) for j in range(n)) for i in range(n)])
         assert lat.is_full() == lat.contains(full)
+
+
+def test_index_is_the_product_of_invariant_factors():
+    """[Z^n : L] is the product of the Smith invariant factors, 0 below
+    full rank, and |det| of a square generator matrix."""
+    assert LatticeSubgroup.from_rows(2, [(2, 0), (1, 3)]).index() == 6
+    assert LatticeSubgroup.from_rows(2, [(2, 4)]).index() == 0
+    rng = random.Random(12)
+    kinds = Counter()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        rows = random_matrix(rng, rng.randint(1, n + 1), n, bound=3)
+        index = LatticeSubgroup.from_rows(n, rows).index()
+        assert index == prod(smith_normal_form(rows, n)[0]), rows
+        if len(rows) == n:
+            assert index == abs(sympy.Matrix(rows).det()), rows
+        kinds["full rank" if index else "below full rank"] += 1
+        kinds["index > 1"] += index > 1
+    assert min(kinds.values()) >= 20, kinds
