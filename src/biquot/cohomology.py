@@ -79,10 +79,6 @@ class GradedQuotient:
         self.gb = tuple(groebner_basis(list(self.relations)))
         self._by_degree = []
 
-    def reduce(self, p):
-        """Canonical normal form modulo the relation ideal."""
-        return reduce_poly(p, list(self.gb))
-
     def _normal_monomials_by_degree(self, max_degree):
         """Normal-form monomials of each degree 0..max_degree, each list in
         monomial_key order.  Degrees already enumerated are kept on the

@@ -22,8 +22,8 @@ the Hermite normal form of the partial lattice L (growing it one row at a
 time), and stops as soon as L contains the kernel (every completion then
 does too).  As L + <l - r> depends on r only modulo L, the right weights
 left to match are kept reduced modulo L, so weights that agree modulo L
-merge into one class.  The search memoizes on (factor, left class,
-remaining right classes mod L, HNF of L) and collects the violating
+merge into one class.  The search visits each state (factor, left class,
+remaining right classes mod L, HNF of L) once and collects the violating
 lattices; its cost follows the number of distinct partial lattices and
 reduced multisets rather than the n! bijections of an SU(n) factor.
 
@@ -251,9 +251,12 @@ class Verdict:
     free: bool
     kernel: LatticeSubgroup
     witness: TorusElement = None
-    witness_order: int = None
     choice: tuple = None
     caveats: tuple = ()
+
+    @property
+    def witness_order(self):
+        return None if self.witness is None else self.witness.order
 
     def to_obj(self):
         obj = {"verdict": "free" if self.free else "not_free",
@@ -300,8 +303,8 @@ def kernel_lattice(action):
 # ---------------------------------------------------------------------------
 # Choice search on lattice state (multiset bijections per group factor, one
 # weight per sphere factor), pruned once the partial lattice contains the
-# kernel and memoized on the partial lattice's HNF together with the right
-# weights left to match, reduced modulo that lattice.
+# kernel, and visiting each partial lattice's HNF together with the right
+# weights left to match, reduced modulo that lattice, once.
 # ---------------------------------------------------------------------------
 
 
@@ -335,20 +338,20 @@ def _violating_lattices(action, kernel):
     """The frozenset of HNF bases of the violating lattices: those generated
     by a full choice that do not contain the kernel.
 
-    The memo maps a state (factor, left class, remaining right classes, HNF
-    basis of the partial lattice L) to the frozenset of violating lattices
-    reachable from it.  Only l - r mod L matters for L + <l - r>, so the
-    remaining right values are kept as their canonical representatives mod
-    L (reduced by the HNF pivot rows) with multiplicities, and each step
-    branches over these classes: right weights that agree mod L merge into
-    one class.
+    The search expands each state (factor, left class, remaining right
+    classes, HNF basis of the partial lattice L) once, as the lattices
+    reachable from it do not depend on the path to it.  Only l - r mod L
+    matters for L + <l - r>, so the remaining right values are kept as their
+    canonical representatives mod L (reduced by the HNF pivot rows) with
+    multiplicities, and each step branches over these classes: right
+    weights that agree mod L merge into one class.
     """
     rank = action.rank
     factors = action.factors
     plans = [_factor_plan(f) for f in factors]
     reduced = {}  # basis -> {value: its canonical representative mod L}
     covers = {}  # basis -> whether L contains the kernel
-    memo = {}
+    seen, violations = set(), set()
 
     def reduce(v, basis):
         cache = reduced.get(basis)
@@ -373,37 +376,35 @@ def _violating_lattices(action, kernel):
         return basis
 
     def enter(fi, basis):
-        """The reachable violating lattices from the start of factor fi."""
+        """Search from the start of factor fi."""
         plan = plans[fi] if fi < len(factors) else None
         rights = classes(zip(plan[1], plan[2]), basis) if plan else ()
-        return reach(fi, 0, rights, basis)
+        reach(fi, 0, rights, basis)
 
     def reach(fi, ci, rights, basis):
         key = (fi, ci, rights, basis)
-        out = memo.get(key)
-        if out is not None:
-            return out
+        if key in seen:
+            return
+        seen.add(key)
         if basis not in covers:
             covers[basis] = LatticeSubgroup(rank, basis).contains(kernel)
         if covers[basis]:  # so does every completion: prune
-            out = frozenset()
-        elif fi == len(factors):
-            out = frozenset([basis])
+            return
+        if fi == len(factors):
+            violations.add(basis)
         elif plans[fi] is None:
             f = factors[fi]
-            options = ([[]] if f.has_trivial_summand else
-                       [[w] for w in set(f.weights)])
-            out = frozenset().union(*(enter(fi + 1, grow(basis, gens))
-                                      for gens in options))
+            for gens in ([[]] if f.has_trivial_summand else
+                         [[w] for w in set(f.weights)]):
+                enter(fi + 1, grow(basis, gens))
         else:
             lclasses = plans[fi][0]
             lval, lcount = lclasses[ci]
-            parts = []
             for dist in _distributions(lcount, [m for _, m in rights]):
                 grown = grow(basis, [_sub(lval, rights[j][0])
                                      for j, _ in dist])
                 if ci + 1 == len(lclasses):
-                    parts.append(enter(fi + 1, grown))
+                    enter(fi + 1, grown)
                     continue
                 rest = list(rights)
                 for j, d in dist:
@@ -411,12 +412,10 @@ def _violating_lattices(action, kernel):
                 rest = tuple(c for c in rest if c[1])
                 if grown is not basis:
                     rest = classes(rest, grown)
-                parts.append(reach(fi, ci + 1, rest, grown))
-            out = frozenset().union(*parts)
-        memo[key] = out
-        return out
+                reach(fi, ci + 1, rest, grown)
 
-    return enter(0, ())
+    enter(0, ())
+    return frozenset(violations)
 
 
 def _first_choice(action, witness):
@@ -532,7 +531,6 @@ def _not_free(action, kernel, witness):
         isinstance(f, GroupFactor) and f.d_family for f in action.factors)
         else [])
     return Verdict(free=False, kernel=kernel, witness=witness,
-                   witness_order=witness.order,
                    choice=_first_choice(action, witness), caveats=caveats)
 
 
@@ -579,11 +577,17 @@ def is_free(action):
 
 @dataclass(frozen=True)
 class BruteVerdict:
-    found_witness: bool
     max_order: int
-    exhaustive: bool
     witness: TorusElement = None
-    witness_order: int = None
+    exhaustive = True  # every order up to max_order is covered
+
+    @property
+    def found_witness(self):
+        return self.witness is not None
+
+    @property
+    def witness_order(self):
+        return None if self.witness is None else self.witness.order
 
     def to_obj(self):
         obj = {"found_witness": self.found_witness,
@@ -733,5 +737,5 @@ def brute_force_free(action, max_order):
             continue
         w = _first_hit(action, kernel, q)
         if w is not None:
-            return BruteVerdict(True, max_order, True, w, q)
-    return BruteVerdict(False, max_order, True)
+            return BruteVerdict(max_order, w)
+    return BruteVerdict(max_order)

@@ -105,7 +105,7 @@ def test_free_check_oracle_witness_of_another_order_exits_2(capsys,
                                                             monkeypatch):
     half = TorusElement((Fraction(1, 2),))
     monkeypatch.setattr(cli, "brute_force_free",
-                        lambda action, n: BruteVerdict(True, n, True, half, 2))
+                        lambda action, n: BruteVerdict(n, half))
     code, out, _ = run_cli(capsys, "free-check", "--json", ORDER_3_ACTION,
                            "--oracle", "4")
     assert code == EXIT_INCONSISTENT

@@ -231,12 +231,12 @@ def test_normal_form_idempotent_and_relations_vanish():
     for q in (cons.cp_sum_ring(4), cons.cp_hp_sum_ring(1),
               cons.hp_sum_full_quotient(3), cons.spin_bundle_ring()):
         for r in q.relations:
-            assert q.reduce(r).is_zero()
+            assert reduce_poly(r, list(q.gb)).is_zero()
         probe = q.ring.one()
         for g in q.ring.gens():
             probe = probe + g ** 2
-        nf = q.reduce(probe)
-        assert q.reduce(nf) == nf
+        nf = reduce_poly(probe, list(q.gb))
+        assert reduce_poly(nf, list(q.gb)) == nf
 
 
 def test_inhomogeneous_relation_rejected():
@@ -306,15 +306,15 @@ def test_cp_sum_ring_identifies_the_top_classes():
     for n in range(2, 7):
         q = cons.cp_sum_ring(n)
         u, v = q.ring.gens()
-        assert q.reduce(u ** n - v ** n).is_zero()
-        assert not q.reduce(u ** n).is_zero()
+        assert reduce_poly(u ** n - v ** n, list(q.gb)).is_zero()
+        assert not reduce_poly(u ** n, list(q.gb)).is_zero()
 
 
 def test_reduced_coefficients_are_normalized():
     # an integral coefficient is stored as an int, also in a remainder
     q = cons.cp_sum_ring(3)
     u, v = q.ring.gens()
-    terms = q.reduce(u ** 3 + 2 * v ** 3).terms
+    terms = reduce_poly(u ** 3 + 2 * v ** 3, list(q.gb)).terms
     assert list(terms.values()) == [3] and type(terms[(3, 0)]) is int
 
 

@@ -246,8 +246,8 @@ def reference_brute_force(action, max_order):
     for q in range(2, max_order + 1):
         t = reference_first_hit(action, q)
         if t is not None:
-            return BruteVerdict(True, max_order, True, t, q)
-    return BruteVerdict(False, max_order, True)
+            return BruteVerdict(max_order, t)
+    return BruteVerdict(max_order)
 
 
 def oracle_action(rng, rank):
@@ -435,8 +435,8 @@ def test_first_hit_on_anchor_edge_cases():
                 hits[q] = want
         first = min(hits, default=None)
         assert brute_force_free(act, max_order) == (
-            BruteVerdict(False, max_order, True) if first is None else
-            BruteVerdict(True, max_order, True, hits[first], first))
+            BruteVerdict(max_order) if first is None else
+            BruteVerdict(max_order, hits[first]))
         seen["found" if hits else "clean"] += 1
         seen["no anchor"] += anchor == {(0,) * act.rank}
         for f in act.factors:

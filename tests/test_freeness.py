@@ -299,6 +299,28 @@ def test_monotone_pruning_safe():
             assert grown.contains(kernel)
 
 
+def test_search_expands_each_state_once(monkeypatch):
+    # each of 20 sphere factors picks (2, 0) or (3, 0), 2^20 paths, through
+    # at most three partial lattices per factor; the last factor has a
+    # trivial summand and only puts (0, 1) in the kernel.  Expanding each
+    # state once makes two inserts per state; the count fails fast, before
+    # a search that walks the paths would end
+    act = TwoSidedAction(2, [SphereFactor([(2, 0), (3, 0)])] * 20
+                         + [SphereFactor([(0, 1), (0, 0)])])
+    inserts = []
+    insert = freeness._hnf_insert
+
+    def counted(basis, g):
+        inserts.append(g)
+        assert len(inserts) <= 6 * 21
+        return insert(basis, g)
+
+    monkeypatch.setattr(freeness, "_hnf_insert", counted)
+    got = _violating_lattices(act, kernel_lattice(act))
+    assert got == {LatticeSubgroup.from_rows(2, [(d, 0)]).basis
+                   for d in (1, 2, 3)}
+
+
 def test_serialization_round_trip():
     for act in criterion3_actions():
         again = action_from_obj(act.to_obj())
