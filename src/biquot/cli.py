@@ -190,10 +190,9 @@ def cmd_free_check(args):
         obj["oracle"] = brute.to_obj()
         # the oracle finds exactly the verdict's witness when its order is
         # in range, and nothing otherwise
-        expect = not verdict.free and verdict.witness_order <= args.oracle
-        agree = brute.found_witness == expect and (
-            not expect or (brute.witness_order == verdict.witness_order
-                           and brute.witness == verdict.witness))
+        agree = brute.witness == (
+            verdict.witness if not verdict.free
+            and verdict.witness_order <= args.oracle else None)
         lines.append("oracle up to order %d: %s" % (
             args.oracle,
             "witness found at order %d" % brute.witness_order

@@ -22,9 +22,10 @@ the Hermite normal form of the partial lattice L (growing it one row at a
 time), and stops as soon as L contains the kernel (every completion then
 does too).  As L + <l - r> depends on r only modulo L, the right weights
 left to match are kept reduced modulo L, so weights that agree modulo L
-merge into one class.  The search visits each state (factor, left class,
-remaining right classes mod L, HNF of L) once and collects the violating
-lattices; its cost follows the number of distinct partial lattices and
+merge into one class.  The search sweeps the factors breadth first, one
+left class at a time, over the set of distinct states (remaining right
+classes mod L, HNF of L); at each factor boundary only the HNF bases
+remain.  Its cost follows the number of distinct partial lattices and
 reduced multisets rather than the n! bijections of an SU(n) factor.
 
 The witness of a non-free action is the lex-least non-trivial fixed-point
@@ -42,8 +43,9 @@ leaves Ann(K); at the least escape order over all L the witness is the
 least of the |Ann(L)[q]| combinations of the generators that leaves
 Ann(K), where the oracle's scan would walk q^(rank - 1) prefixes.  The
 eigenvalue matching reported with the witness is read off the witness
-alone: the first full choice, in depth-first order, whose generators the
-witness annihilates.
+alone: the first full choice whose generators the witness annihilates,
+with left classes and right values sorted and the lex-greatest count
+vector first.
 
 For Spin(2n) group factors the eigenvalue test is coarser than conjugacy
 in the group itself; Free verdicts remain sound, and NotFree verdicts are
@@ -302,9 +304,9 @@ def kernel_lattice(action):
 
 # ---------------------------------------------------------------------------
 # Choice search on lattice state (multiset bijections per group factor, one
-# weight per sphere factor), pruned once the partial lattice contains the
-# kernel, and visiting each partial lattice's HNF together with the right
-# weights left to match, reduced modulo that lattice, once.
+# weight per sphere factor): a frontier sweep over the distinct partial
+# lattices' HNFs with the right weights left to match, reduced modulo that
+# lattice, pruned once the partial lattice contains the kernel.
 # ---------------------------------------------------------------------------
 
 
@@ -338,91 +340,73 @@ def _violating_lattices(action, kernel):
     """The frozenset of HNF bases of the violating lattices: those generated
     by a full choice that do not contain the kernel.
 
-    The search expands each state (factor, left class, remaining right
-    classes, HNF basis of the partial lattice L) once, as the lattices
-    reachable from it do not depend on the path to it.  Only l - r mod L
-    matters for L + <l - r>, so the remaining right values are kept as their
-    canonical representatives mod L (reduced by the HNF pivot rows) with
+    The search is a sweep over the factors that keeps the set of HNF bases
+    of the partial lattices L at the factor boundary, as the lattices
+    reachable from there depend on L alone.  A sphere factor inserts each of
+    its weights into each basis; a group factor sweeps a frontier of states
+    (remaining right classes, HNF basis of L) through its left classes and
+    collapses it back to its bases.  Only l - r mod L matters for
+    L + <l - r>, so the remaining right values are kept as their canonical
+    representatives mod L (reduced by the HNF pivot rows) with
     multiplicities, and each step branches over these classes: right
-    weights that agree mod L merge into one class.
+    weights that agree mod L merge into one class.  A state is a set member,
+    so each is expanded once, and states whose L contains the kernel are
+    dropped, as every completion contains it too.
     """
-    rank = action.rank
-    factors = action.factors
-    plans = [_factor_plan(f) for f in factors]
     reduced = {}  # basis -> {value: its canonical representative mod L}
     covers = {}  # basis -> whether L contains the kernel
-    seen, violations = set(), set()
 
-    def reduce(v, basis):
-        cache = reduced.get(basis)
-        if cache is None:
-            cache = reduced[basis] = {}
-        r = cache.get(v)
-        if r is None:
-            r = cache[v] = _reduce(v, basis)
-        return r
+    def covered(basis):
+        if basis not in covers:
+            covers[basis] = LatticeSubgroup(action.rank, basis).contains(kernel)
+        return covers[basis]
 
     def classes(values, basis):
         """Sorted (representative mod L, multiplicity) of (value, count)."""
+        cache = reduced.setdefault(basis, {})
         out = {}
         for v, m in values:
-            r = reduce(v, basis)
-            out[r] = out.get(r, 0) + m
+            if v not in cache:
+                cache[v] = _reduce(v, basis)
+            out[cache[v]] = out.get(cache[v], 0) + m
         return tuple(sorted(out.items()))
 
-    def grow(basis, gens):
-        for g in gens:
-            basis = _hnf_insert(basis, g)
-        return basis
-
-    def enter(fi, basis):
-        """Search from the start of factor fi."""
-        plan = plans[fi] if fi < len(factors) else None
-        rights = classes(zip(plan[1], plan[2]), basis) if plan else ()
-        reach(fi, 0, rights, basis)
-
-    def reach(fi, ci, rights, basis):
-        key = (fi, ci, rights, basis)
-        if key in seen:
-            return
-        seen.add(key)
-        if basis not in covers:
-            covers[basis] = LatticeSubgroup(rank, basis).contains(kernel)
-        if covers[basis]:  # so does every completion: prune
-            return
-        if fi == len(factors):
-            violations.add(basis)
-        elif plans[fi] is None:
-            f = factors[fi]
-            for gens in ([[]] if f.has_trivial_summand else
-                         [[w] for w in set(f.weights)]):
-                enter(fi + 1, grow(basis, gens))
-        else:
-            lclasses = plans[fi][0]
-            lval, lcount = lclasses[ci]
-            for dist in _distributions(lcount, [m for _, m in rights]):
-                grown = grow(basis, [_sub(lval, rights[j][0])
-                                     for j, _ in dist])
-                if ci + 1 == len(lclasses):
-                    enter(fi + 1, grown)
-                    continue
-                rest = list(rights)
-                for j, d in dist:
-                    rest[j] = (rest[j][0], rest[j][1] - d)
-                rest = tuple(c for c in rest if c[1])
-                if grown is not basis:
-                    rest = classes(rest, grown)
-                reach(fi, ci + 1, rest, grown)
-
-    enter(0, ())
-    return frozenset(violations)
+    bases = set() if covered(()) else {()}
+    for f in action.factors:
+        plan = _factor_plan(f)
+        if plan is None:
+            if not f.has_trivial_summand:
+                bases = {g for b in bases for w in set(f.weights)
+                         for g in [_hnf_insert(b, w)] if not covered(g)}
+            continue
+        lclasses, rvals, counts = plan
+        frontier = {(classes(zip(rvals, counts), b), b) for b in bases}
+        for lval, lcount in lclasses:
+            grown_states = set()
+            for rights, basis in frontier:
+                for dist in _distributions(lcount, [m for _, m in rights]):
+                    grown = basis
+                    for j, _ in dist:
+                        grown = _hnf_insert(grown, _sub(lval, rights[j][0]))
+                    if covered(grown):
+                        continue
+                    rest = list(rights)
+                    for j, d in dist:
+                        rest[j] = (rest[j][0], rest[j][1] - d)
+                    rest = tuple(c for c in rest if c[1])
+                    if grown is not basis:
+                        rest = classes(rest, grown)
+                    grown_states.add((rest, grown))
+            frontier = grown_states
+        bases = {b for _, b in frontier}
+    return frozenset(bases)
 
 
 def _first_choice(action, witness):
-    """The first full choice, in depth-first order (left classes and right
-    values sorted, lex-greatest count vector first), whose generators the
-    witness annihilates: per group factor its (left, right, multiplicity)
-    steps, per sphere factor its step.
+    """The first full choice, with left classes and right values sorted and
+    the lex-greatest count vector first, whose generators the witness
+    annihilates: per group factor its (left, right, multiplicity) steps, per
+    sphere factor its step.
 
     Each left class goes greedily to the right values with the same pairing
     with the witness, as many to each as it still has.  The witness fixes a
@@ -556,7 +540,7 @@ def is_free(action):
     the kernel lattice: a full kernel lattice means H itself acts
     effectively).  NotFree verdicts carry a minimal-order witness (the
     lex-least non-trivial fixed-point element of minimal order), the first
-    choice in search order whose generators it annihilates, and a caveat
+    choice in sorted order whose generators it annihilates, and a caveat
     when a D-family factor is involved.
 
     Order 2 is minimal, so the first non-trivial fixed-point element of

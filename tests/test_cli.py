@@ -103,13 +103,16 @@ def test_free_check_oracle_below_and_at_the_witness_order(capsys, order):
 
 def test_free_check_oracle_witness_of_another_order_exits_2(capsys,
                                                             monkeypatch):
-    half = TorusElement((Fraction(1, 2),))
-    monkeypatch.setattr(cli, "brute_force_free",
-                        lambda action, n: BruteVerdict(n, half))
-    code, out, _ = run_cli(capsys, "free-check", "--json", ORDER_3_ACTION,
-                           "--oracle", "4")
-    assert code == EXIT_INCONSISTENT
-    assert "INTERNAL INCONSISTENCY" in out
+    # another order, the same order but another element, and no witness at
+    # all each contradict the verdict's witness 1/3
+    for coord in (Fraction(1, 2), Fraction(2, 3), None):
+        witness = None if coord is None else TorusElement((coord,))
+        monkeypatch.setattr(cli, "brute_force_free",
+                            lambda action, n: BruteVerdict(n, witness))
+        code, out, _ = run_cli(capsys, "free-check", "--json",
+                               ORDER_3_ACTION, "--oracle", "4")
+        assert code == EXIT_INCONSISTENT, coord
+        assert "INTERNAL INCONSISTENCY" in out
 
 
 @pytest.mark.parametrize("factor", [

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from biquot.freeness import (
 )
 from biquot.lattices import LatticeSubgroup
 from biquot import freeness
+from biquot.cli import main, EXIT_OK
 from biquot import constructions as cons
 from biquot.refchecks import criterion3_actions
 from biquot.groups import SU, Sp, Spin, F4
@@ -319,6 +321,18 @@ def test_search_expands_each_state_once(monkeypatch):
     got = _violating_lattices(act, kernel_lattice(act))
     assert got == {LatticeSubgroup.from_rows(2, [(d, 0)]).basis
                    for d in (1, 2, 3)}
+
+
+def test_search_decides_deep_actions(capsys):
+    # 400 factors, each with two left classes: a search that recursed per
+    # factor and class would pass Python's recursion limit.  The kernel is
+    # 2Z, so 1/2 acts trivially and the witness 1/4 has order 4
+    factor = {"type": "group", "left": [[1], [-1]], "right": [[3], [-3]]}
+    obj = {"rank": 1, "factors": [factor] * 400}
+    verdict = is_free(action_from_obj(obj))
+    assert not verdict.free and verdict.witness_order == 4
+    assert main(["free-check", "--json", json.dumps(obj)]) == EXIT_OK
+    assert "order 4" in capsys.readouterr().out
 
 
 def test_serialization_round_trip():
