@@ -17,16 +17,17 @@ effective action is free iff for every choice of sigma/weight per factor
 the resulting difference lattice contains the kernel lattice.
 
 Only the lattice a choice generates matters, not the choice.  The search
-therefore adds the differences of one left weight class at a time, keeps
-the Hermite normal form of the partial lattice L (growing it one row at a
+therefore matches one weight at a time, from the side with more distinct
+weights, to a class of the other side's remaining weights, keeps the
+Hermite normal form of the partial lattice L (growing it one row at a
 time), and stops as soon as L contains the kernel (every completion then
-does too).  As L + <l - r> depends on r only modulo L, the right weights
-left to match are kept reduced modulo L, so weights that agree modulo L
-merge into one class.  The search sweeps the factors breadth first, one
-left class at a time, over the set of distinct states (remaining right
-classes mod L, HNF of L); at each factor boundary only the HNF bases
-remain.  Its cost follows the number of distinct partial lattices and
-reduced multisets rather than the n! bijections of an SU(n) factor.
+does too).  As L + <l - r> depends on r only modulo L, the weights left to
+match are kept reduced modulo L, so weights that agree modulo L merge into
+one class.  The search sweeps the factors breadth first, one weight per
+step, over the set of distinct states (remaining classes mod L, HNF of L);
+at each factor boundary only the HNF bases remain.  Its cost follows the
+number of distinct partial lattices and reduced multisets rather than the
+n! bijections of an SU(n) factor, or the splits of a run of equal weights.
 
 The witness of a non-free action is the lex-least non-trivial fixed-point
 element of minimal order.  Order 2 is the least order of a non-trivial
@@ -305,31 +306,9 @@ def kernel_lattice(action):
 # ---------------------------------------------------------------------------
 # Choice search on lattice state (multiset bijections per group factor, one
 # weight per sphere factor): a frontier sweep over the distinct partial
-# lattices' HNFs with the right weights left to match, reduced modulo that
+# lattices' HNFs with the weights left to match, reduced modulo that
 # lattice, pruned once the partial lattice contains the kernel.
 # ---------------------------------------------------------------------------
-
-
-def _distributions(total, caps, start=0):
-    """Yield the ways to put total items into bins of capacities caps, as
-    ((bin, count), ...) with every count positive."""
-    if total == 0:
-        yield ()
-        return
-    for j in range(start, len(caps)):
-        for d in range(min(total, caps[j]), 0, -1):
-            for rest in _distributions(total - d, caps, j + 1):
-                yield ((j, d),) + rest
-
-
-def _factor_plan(f):
-    """(left classes, right values, right multiplicities) of a group factor,
-    each sorted by value; None for a sphere factor."""
-    if not isinstance(f, GroupFactor):
-        return None
-    rclasses = sorted(Counter(f.right).items())
-    return (sorted(Counter(f.left).items()), [v for v, _ in rclasses],
-            tuple(c for _, c in rclasses))
 
 
 def _sub(a, b):
@@ -344,14 +323,22 @@ def _violating_lattices(action, kernel):
     of the partial lattices L at the factor boundary, as the lattices
     reachable from there depend on L alone.  A sphere factor inserts each of
     its weights into each basis; a group factor sweeps a frontier of states
-    (remaining right classes, HNF basis of L) through its left classes and
-    collapses it back to its bases.  Only l - r mod L matters for
-    L + <l - r>, so the remaining right values are kept as their canonical
-    representatives mod L (reduced by the HNF pivot rows) with
-    multiplicities, and each step branches over these classes: right
-    weights that agree mod L merge into one class.  A state is a set member,
-    so each is expanded once, and states whose L contains the kernel are
-    dropped, as every completion contains it too.
+    (remaining classes, HNF basis of L) through its weights and collapses
+    it back to its bases.  Each step takes one weight s of one side and
+    matches it to one class of the other side's remaining weights.  Only
+    s - c mod L matters for L + <s - c>, so the remaining weights are kept
+    as their canonical representatives mod L (reduced by the HNF pivot
+    rows) with multiplicities, and each step branches over these classes:
+    weights that agree mod L merge into one class.  The side with more
+    distinct weights supplies the steps and the other the classes, so a
+    run of equal weights is one class and never a choice among its
+    splits.  Swapping the sides keeps the set of lattices: a bijection
+    read backwards is a bijection, and <l - r> = <r - l>.  The order of
+    the steps does not change it either: every order reaches the lattices
+    of the same bijections, and the result is a set.  A state is a set
+    member, so equal states reached in another order merge and each is
+    expanded once, and states whose L contains the kernel are dropped, as
+    every completion contains it too.
     """
     reduced = {}  # basis -> {value: its canonical representative mod L}
     covers = {}  # basis -> whether L contains the kernel
@@ -373,30 +360,27 @@ def _violating_lattices(action, kernel):
 
     bases = set() if covered(()) else {()}
     for f in action.factors:
-        plan = _factor_plan(f)
-        if plan is None:
+        if not isinstance(f, GroupFactor):
             if not f.has_trivial_summand:
                 bases = {g for b in bases for w in set(f.weights)
                          for g in [_hnf_insert(b, w)] if not covered(g)}
             continue
-        lclasses, rvals, counts = plan
-        frontier = {(classes(zip(rvals, counts), b), b) for b in bases}
-        for lval, lcount in lclasses:
+        steps, bins = f.left, f.right
+        if len(set(steps)) < len(set(bins)):
+            steps, bins = bins, steps
+        counts = tuple(Counter(bins).items())
+        frontier = {(classes(counts, b), b) for b in bases}
+        for step in sorted(steps):
             grown_states = set()
-            for rights, basis in frontier:
-                for dist in _distributions(lcount, [m for _, m in rights]):
-                    grown = basis
-                    for j, _ in dist:
-                        grown = _hnf_insert(grown, _sub(lval, rights[j][0]))
+            for rest, basis in frontier:
+                for j, (v, m) in enumerate(rest):
+                    grown = _hnf_insert(basis, _sub(step, v))
                     if covered(grown):
                         continue
-                    rest = list(rights)
-                    for j, d in dist:
-                        rest[j] = (rest[j][0], rest[j][1] - d)
-                    rest = tuple(c for c in rest if c[1])
+                    shrunk = rest[:j] + ((v, m - 1),) * (m > 1) + rest[j + 1:]
                     if grown is not basis:
-                        rest = classes(rest, grown)
-                    grown_states.add((rest, grown))
+                        shrunk = classes(shrunk, grown)
+                    grown_states.add((shrunk, grown))
             frontier = grown_states
         bases = {b for _, b in frontier}
     return frozenset(bases)
@@ -415,19 +399,19 @@ def _first_choice(action, witness):
     the lex-greatest feasible count vector.
     """
     choice = []
-    for f, plan in zip(action.factors, map(_factor_plan, action.factors)):
-        if plan is None:
+    for f in action.factors:
+        if not isinstance(f, GroupFactor):
             choice.append(
                 ("sphere: trivial summand, no constraint",)
                 if f.has_trivial_summand else ("sphere weight", min(
                     w for w in f.weights if witness.pair(w) == 0)))
             continue
-        lclasses, rvals, counts = plan
-        remaining, steps = list(counts), []
-        rpairs = [witness.pair(r) for r in rvals]
-        for lval, lcount in lclasses:
+        rclasses = sorted(Counter(f.right).items())
+        remaining, steps = [m for _, m in rclasses], []
+        rpairs = [witness.pair(r) for r, _ in rclasses]
+        for lval, lcount in sorted(Counter(f.left).items()):
             p = witness.pair(lval)
-            for j, r in enumerate(rvals):
+            for j, (r, _) in enumerate(rclasses):
                 d = min(lcount, remaining[j]) if rpairs[j] == p else 0
                 if d:
                     steps.append((lval, r, d))

@@ -198,8 +198,13 @@ def small_action(rng, rank):
 def test_violating_lattices_match_full_enumeration(rank):
     rng = random.Random(2024 + rank)
     seen_free = seen_not_free = 0
+    sides = Counter()  # group factors by the side the search steps through
     for _ in range(60):
         act = small_action(rng, rank)
+        for f in act.factors:
+            if isinstance(f, GroupFactor):
+                sides["right" if len(set(f.left)) < len(set(f.right))
+                      else "left"] += 1
         want = reference_violating_lattices(act)
         got = _violating_lattices(act, kernel_lattice(act))
         assert got == want, act.to_obj()
@@ -211,6 +216,7 @@ def test_violating_lattices_match_full_enumeration(rank):
         seen_free += not want
         seen_not_free += bool(want)
     assert seen_free > 3 and seen_not_free > 3
+    assert sides["left"] >= 3 and sides["right"] >= 3, sides
 
 
 @pytest.mark.parametrize("rank,sizes", [

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -333,6 +334,33 @@ def test_search_decides_deep_actions(capsys):
     assert not verdict.free and verdict.witness_order == 4
     assert main(["free-check", "--json", json.dumps(obj)]) == EXIT_OK
     assert "order 4" in capsys.readouterr().out
+
+
+def _with_negated_sum(ws):
+    return ws + [[-sum(col) for col in zip(*ws)]]
+
+
+@pytest.mark.parametrize("left,right", [
+    # one class of 1,200 equal weights against 1,200 distinct ones
+    ([[0]] * 1200, _with_negated_sum([[i] for i in range(1, 1200)])),
+    ([[0]] * 12 + [[100 + 7 * i] for i in range(12)],
+     _with_negated_sum([[i] for i in range(1, 24)])),
+    ([[0, 0]] * 12 + [[i, 1] for i in range(12)],
+     [[i, -1] for i in range(24)]),
+    # SU(2) -> SU(28) through V + 26C on the left and S^27 V on the right
+    ([[1], [-1]] + [[0]] * 26, [[27 - 2 * i] for i in range(28)]),
+], ids=["zeros-1200", "zeros-12-distinct-12", "rank2", "su2-su28"])
+def test_search_decides_repeated_weights(left, right):
+    # a search that split each class of equal weights over the other side's
+    # classes in every way would walk 2^n splits here; one weight per step
+    # over classes of the side with fewer distinct weights takes
+    # milliseconds
+    obj = {"rank": len(left[0]),
+           "factors": [{"type": "group", "left": left, "right": right}]}
+    start = time.perf_counter()
+    verdict = is_free(action_from_obj(obj))
+    assert time.perf_counter() - start < 5
+    assert verdict.free and verdict.kernel.is_full()
 
 
 def test_serialization_round_trip():
