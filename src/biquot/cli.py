@@ -119,10 +119,10 @@ def cmd_index(args):
         raise SchemaError("target", str(exc))
     if args.su2_class is not None:
         try:
-            rep = su2_rep_from_label(args.su2_class)
             if not is_su2_class(target, args.su2_class):
                 raise ValueError("not a class of homomorphisms SU(2) -> %s"
                                  % target.name)
+            rep = su2_rep_from_label(args.su2_class)
         except ValueError as exc:
             raise SchemaError("su2-class", str(exc))
     elif args.weights is not None:

@@ -3,16 +3,15 @@
 Each builder returns exact data (a TwoSidedAction or a GradedQuotient) for
 one of the stock examples: the exotic 7-sphere action on Sp(4), the
 two-sided SU(2) actions on G2, torus actions on products of spheres whose
-quotients are connected sums of projective spaces, and the corresponding
-cohomology presentations.
+quotients are connected sums of projective spaces, and the cohomology
+presentations of those sums, read off the stock actions.
 """
 
 from __future__ import annotations
 
-from .groups import Sp
-from .weights import (make_rep, su2_rep_from_label, su2_power_rep, realify,
-                      rep_tensor, rep_sum, chern_pullback, euler_class,
-                      g2_su2_class, is_su2_class)
+from .groups import Sp, degrees_of
+from .weights import (make_rep, su2_rep_from_label, su2_power_rep,
+                      chern_pullback, euler_class, g2_su2_class, is_su2_class)
 from .freeness import GroupFactor, SphereFactor, TwoSidedAction
 from .cohomology import classifying_ring, GradedQuotient, biquotient_ring
 from .polyring import GradedPolyRing
@@ -56,11 +55,11 @@ def g2_pair_action(index_left, index_right):
 def torus_squared_sphere_action(n):
     """(S^1)^2 on S^3 x S^(2n-1) by (x, y) and (x y^-1, x y, ..., x y).
 
-    Free for every n >= 2; the quotient is the connected sum of two copies
+    Free for every n >= 1; the quotient is the connected sum of two copies
     of complex projective n-space.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    if n < 1:
+        raise ValueError("need n >= 1")
     s3 = SphereFactor([(1, 0), (0, 1)])
     s2n1 = SphereFactor([(1, -1)] + [(1, 1)] * (n - 1))
     return TwoSidedAction(2, [s3, s2n1])
@@ -95,15 +94,20 @@ def sp4_su2xsu2_action(kind):
 
 def hp_sum_action(n):
     """SU(2)^3 on Sp(4) x S^(4n-1): (V1 + V2 | V3 + C^2) on the group and
-    (V3)_R^(n-1) + W12 on the sphere; the quotient is the connected sum of
-    two copies of quaternionic projective n-space."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    (V3)_R^(n-1) + W12 on the sphere.
+
+    Free for every n >= 1; the quotient is the connected sum of two copies
+    of quaternionic projective n-space (S^4 at n = 1).
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
     group = GroupFactor(
         [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)],
         [(0, 0, 1), (0, 0, -1), (0, 0, 0), (0, 0, 0)])
-    # sphere rotation planes: one weight per plane of the real representation
-    sphere = SphereFactor([(0, 0, 1)] * (2 * (n - 1)) + [(1, 1, 0), (1, -1, 0)])
+    # sphere rotation planes: one weight per plane of the real representation;
+    # each copy of V3 spans the planes +e3 and -e3, so its Euler class is -z3
+    sphere = SphereFactor([(0, 0, 1), (0, 0, -1)] * (n - 1)
+                          + [(1, 1, 0), (1, -1, 0)])
     return TwoSidedAction(3, [group, sphere])
 
 
@@ -112,35 +116,40 @@ def hp_sum_action(n):
 # ---------------------------------------------------------------------------
 
 
+def _action_ring(action, kinds, groups=()):
+    """H*(BH) modulo the relations of a free action (Eschenburg 1992).
+
+    kinds names each torus coordinate 'circle' or 'su2' (see
+    classifying_ring) and groups gives the group of each GroupFactor, in
+    order.  A group factor contributes c_d(L) - c_d(R) for each degree d of
+    its group; a sphere factor contributes the Euler class of its weights.
+    """
+    ring = classifying_ring(kinds)
+    groups = iter(groups)
+    relations = []
+    for f in action.factors:
+        if isinstance(f, SphereFactor):
+            relations.append(euler_class(make_rep(action.rank, f.weights),
+                                         ring)[0])
+            continue
+        g = next(groups)
+        left, right = (make_rep(action.rank, ws) for ws in (f.left, f.right))
+        pullbacks = [(chern_pullback(left, d, ring),
+                      chern_pullback(right, d, ring)) for d in degrees_of(g)]
+        relations.extend(biquotient_ring(g, ring, pullbacks).relations)
+    return GradedQuotient(ring, relations)
+
+
 def cp_sum_ring(n):
     """Z[u, v]/(uv, (u - v)(u + v)^(n-1)): the connected sum of two copies
     of complex projective n-space, from the torus action on S^3 x S^(2n-1)."""
-    ring = classifying_ring(["circle", "circle"])
-    u, v = ring.gens()
-    return GradedQuotient(ring, [u * v, (u - v) * (u + v) ** (n - 1)])
+    return _action_ring(torus_squared_sphere_action(n), ["circle", "circle"])
 
 
 def hp_sum_full_quotient(n):
-    """The SU(2)^3 presentation on three degree-4 generators, before
-    eliminating the linear relation."""
-    ring = classifying_ring(["su2", "su2", "su2"])
-    left = make_rep(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)])
-    right = make_rep(3, [(0, 0, 1), (0, 0, -1), (0, 0, 0), (0, 0, 0)])
-    pullbacks = [
-        (chern_pullback(left, 2, ring), chern_pullback(right, 2, ring)),
-        (chern_pullback(left, 4, ring), chern_pullback(right, 4, ring)),
-    ]
-    base = biquotient_ring(Sp(4), ring, pullbacks)
-    v3 = make_rep(3, [(0, 0, 1), (0, 0, -1)])
-    v1 = make_rep(3, [(1, 0, 0), (-1, 0, 0)])
-    v2 = make_rep(3, [(0, 1, 0), (0, -1, 0)])
-    w12 = make_rep(3, rep_tensor(v1, v2).weights, reality="real")
-    bundle = realify(v3)
-    for _ in range(n - 2):
-        bundle = rep_sum(bundle, realify(v3))
-    bundle = rep_sum(bundle, w12)
-    e, _sign_known = euler_class(bundle, ring)
-    return GradedQuotient(ring, base.relations + (e,))
+    """Z[z1, z2, z3]/(z3 - z1 - z2, z1 z2, (-z3)^(n-1)(z1 - z2)): the SU(2)^3
+    presentation of hp_sum_action, before eliminating the linear relation."""
+    return _action_ring(hp_sum_action(n), ["su2"] * 3, [Sp(4)])
 
 
 def hp_sum_ring(n):
@@ -152,17 +161,7 @@ def hp_sum_ring(n):
 def cp_hp_sum_ring(e):
     """Z[x, z]/(xz, (x^2 - z)^(2e+1)): the connected sum of complex
     projective (4e+2)-space and quaternionic projective (2e+1)-space."""
-    ring = classifying_ring(["circle", "su2"])
-    x, z = ring.gens()
-    v_plus_l = make_rep(2, [(0, 1), (0, -1), (1, 0)])
-    v_tensor_l = make_rep(2, [(1, 1), (1, -1)])
-    e1, d1 = euler_class(v_plus_l, ring)
-    bundle = v_tensor_l
-    for _ in range(2 * e):
-        bundle = rep_sum(bundle, v_tensor_l)
-    e2, d2 = euler_class(bundle, ring)
-    assert d1 and d2
-    return GradedQuotient(ring, [e1, e2])
+    return _action_ring(circle_su2_sphere_action(e), ["circle", "su2"])
 
 
 def spin_bundle_ring():

@@ -587,21 +587,9 @@ def acts_trivially(action, t):
     return all(t.pair(g) == 0 for g in kernel_lattice(action).basis)
 
 
-def _prefixes(q, length):
-    """Yield (nums, gcd(q, *nums)) over range(q)^length in lex order."""
-    def rec(acc, g):
-        if len(acc) == length:
-            yield acc, g
-            return
-        for a in range(q):
-            yield from rec(acc + (a,), gcd(g, a))
-
-    yield from rec((), q)
-
-
 def _numerators_of_order(q, rank):
     """Numerator vectors of the torus elements of exact order q, lex order."""
-    return (nums for nums, g in _prefixes(q, rank) if g == 1)
+    return (n for n in product(range(q), repeat=rank) if gcd(q, *n) == 1)
 
 
 def _first_hit(action, kernel, q):
@@ -653,7 +641,8 @@ def _first_hit(action, kernel, q):
             rows.append([(c + s * b) % q for b in bs])
         return zip(*rows)
 
-    for prefix, g in _prefixes(q, action.rank - 1):
+    for prefix in product(range(q), repeat=action.rank - 1):
+        g = gcd(q, *prefix)
         bs = set()
         for head, h, step, inv in progressions:
             c = sum(a * x for a, x in zip(head, prefix))

@@ -156,8 +156,10 @@ _LABEL_PIECE = re.compile(r"^(\d*)(C|V|S(\d+)V)$")
 
 
 def _label_parts(label):
-    """Dimensions of the SU(2) irreps a label like 'V+2C' or 'S3V' names."""
-    parts = []
+    """Multiplicity of each SU(2) irrep dimension a label like 'V+2C' or
+    'S3V' names, as a Counter; nothing is expanded, so a huge multiplicity
+    costs nothing."""
+    parts = Counter()
     for piece in label.split("+"):
         m = _LABEL_PIECE.match(piece.strip())
         if not m:
@@ -171,13 +173,13 @@ def _label_parts(label):
             d = 2
         else:
             d = int(m.group(3)) + 1
-        parts.extend([d] * mult)
+        parts[d] += mult
     return parts
 
 
 def su2_rep_from_label(label, reality=COMPLEX):
     """Parse labels like 'V+2C', 'S3V', '2S2V+C' back into a weight rep."""
-    return su2_rep(_label_parts(label), reality=reality)
+    return su2_rep(_label_parts(label).elements(), reality=reality)
 
 
 def zero_weights(rank, count):
@@ -552,7 +554,7 @@ def _classical_shape(target):
 
 def _paired(irreps, parity):
     """Whether each irrep whose a1 + ... + ak has the given parity comes in
-    even multiplicity."""
+    even multiplicity; irreps is a sequence or a mapping to multiplicities."""
     c = Counter(irreps)
     return all(m % 2 == 0 for a, m in c.items() if sum(a) % 2 == parity)
 
@@ -573,12 +575,12 @@ def is_su2_class(target, label):
     representation of the defining dimension that passes su2_homs' parity
     rule.  Raises ValueError on a malformed label or an unsupported target.
     """
-    parts = sorted(_label_parts(label))
+    parts = _label_parts(label)
     if target == G2:
-        return parts in [sorted(_label_parts(lab))
-                         for lab in ("7C",) + _G2_SU2_LABELS]
+        return parts in [_label_parts(lab) for lab in ("7C",) + _G2_SU2_LABELS]
     n, _, parity = _classical_shape(target)
-    return sum(parts) == n and _paired([(d - 1,) for d in parts], parity)
+    return (sum(d * m for d, m in parts.items()) == n
+            and _paired({(d - 1,): m for d, m in parts.items()}, parity))
 
 
 def su2_homs(target, k=1):

@@ -261,6 +261,9 @@ def test_free_check_accepts_declared_trivial_lattice(capsys):
     (("catalog", "--no-such-option"), "arguments"),
     # the global option after the subcommand
     (("verify-paper", "--format", "json"), "arguments"),
+    # a huge multiplicity is rejected before any weight is built
+    (("index", "--target", "Sp4", "--su2-class", "100000000000V"),
+     "su2-class"),
 ])
 def test_malformed_arguments_exit_1_naming_the_field(capsys, argv, field):
     code, out, err = run_cli(capsys, *argv)
@@ -282,6 +285,10 @@ def test_cohomology_presets_and_json_input(capsys, tmp_path):
                            "--preset", "hp-sum:2")
     obj = json.loads(out)
     assert obj["betti"][4] == 2 and obj["betti"][8] == 1
+    # two copies of HP^1 = S^4 sum to S^4
+    code, out, _ = run_cli(capsys, "--format", "json", "cohomology",
+                           "--preset", "hp-sum:1")
+    assert code == EXIT_OK and json.loads(out)["betti"] == [1, 0, 0, 0, 1]
     # JSON ring input round-trips through the schema
     payload = {
         "generators": [{"name": "u", "degree": 2}, {"name": "v", "degree": 2}],

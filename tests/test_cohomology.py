@@ -310,6 +310,21 @@ def test_cp_sum_ring_identifies_the_top_classes():
         assert not reduce_poly(u ** n, list(q.gb)).is_zero()
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_presentations_read_off_the_actions_are_the_closed_forms(n):
+    # relations in order and with their signs: each group factor's
+    # c_d(L) - c_d(R), then each sphere factor's Euler class
+    u, v = classifying_ring(["circle", "circle"]).gens()
+    assert cons.cp_sum_ring(n).relations == (
+        u * v, (u - v) * (u + v) ** (n - 1))
+    x, z = classifying_ring(["circle", "su2"]).gens()
+    assert cons.cp_hp_sum_ring(n).relations == (
+        -x * z, (x * x - z) ** (2 * n + 1))
+    z1, z2, z3 = classifying_ring(["su2"] * 3).gens()
+    assert cons.hp_sum_full_quotient(n).relations == (
+        z3 - z1 - z2, z1 * z2, (-z3) ** (n - 1) * (z1 - z2))
+
+
 def test_reduced_coefficients_are_normalized():
     # an integral coefficient is stored as an int, also in a remainder
     q = cons.cp_sum_ring(3)

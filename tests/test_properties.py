@@ -170,3 +170,32 @@ def test_arbitrary_json_input_exits_0_or_1(case):
         code = main([command, flag + text])
     assert code in (0, 1), (command, text, err.getvalue())
     assert code == 0 or err.getvalue().startswith("input error at ")
+
+
+_piece = st.tuples(
+    st.sampled_from(("", "0", "1", "2")) | st.integers(0, 10 ** 12).map(str),
+    st.sampled_from(("C", "V")) | st.integers(0, 12).map("S{}V".format))
+_label = (st.lists(_piece, min_size=1, max_size=3).map(
+    lambda ps: "+".join(m + p for m, p in ps))
+    | st.text("0123456789CVS+ ", max_size=8))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.tuples(st.just("index"), st.sampled_from(
+    ("Sp4", "SU(3)", "SU(6)", "G2", "Spin(8)")), _label)
+       | st.tuples(st.just("cohomology"), st.sampled_from(
+           ("cp-sum", "hp-sum", "cp-hp-sum", "spin-bundle-16", "moebius")),
+           st.integers(-1, 6)))
+def test_labels_and_presets_exit_0_or_1(case):
+    """SU(2) class labels (multiplicities up to 10^12) and preset parameters
+    exit 0 or 1, never with a traceback."""
+    command, name, value = case
+    argv = (["index", "--target", name, "--su2-class=" + value]
+            if command == "index"
+            else ["cohomology", "--preset", "%s:%d" % (name, value)])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), (argv, err.getvalue())
+    assert code == 0 or err.getvalue().startswith("input error at ")
