@@ -60,19 +60,26 @@ def _emit(args, obj, table_lines):
             print(line)
 
 
-def _load_json_input(args, field="input"):
+def _load_json(field, text=None, path=None):
+    """The JSON value of text, or of the UTF-8 file at path.  A file that
+    cannot be read, text that is not JSON, nesting deeper than the parser
+    can recurse and an integer past Python's digit limit are all schema
+    errors at field."""
+    try:
+        if path is not None:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise SchemaError(field, str(exc))
+
+
+def _load_json_input(args):
     if getattr(args, "input", None):
-        try:
-            with open(args.input) as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SchemaError(field, str(exc))
+        return _load_json("input", path=args.input)
     if getattr(args, "json", None):
-        try:
-            return json.loads(args.json)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(field, str(exc))
-    raise SchemaError(field, "provide --input FILE or --json TEXT")
+        return _load_json("input", args.json)
+    raise SchemaError("input", "provide --input FILE or --json TEXT")
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +288,7 @@ def cmd_cohomology(args):
 
 
 def cmd_pi3(args):
-    try:
-        matrix = json.loads(args.matrix)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("matrix", str(exc))
+    matrix = _load_json("matrix", args.matrix)
     if isinstance(matrix, int) and not isinstance(matrix, bool):
         matrix = [[matrix]]
     # bool is an int subclass; JSON true/false are not indices

@@ -14,6 +14,10 @@ basis element, in basis order, whose leading monomial divides it, and
 otherwise moves it to the remainder.  Arithmetic is exact (int and
 Fraction).  Those two rules fix the quotients and the remainder, so any
 implementation that keeps them returns the same values term for term.
+
+``groebner_basis`` runs Buchberger's loop once, keeps the minimal basis,
+and reduces it in one division pass; ``monomials_of_degree`` enumerates
+the monomials of a degree level by level, one generator at a time.
 """
 
 from __future__ import annotations
@@ -76,31 +80,23 @@ class GradedPolyRing:
         """All exponent tuples of the given graded degree, in increasing
         monomial_key order.
 
-        The exponents are chosen from the last generator to the first, each
-        from 0 upwards, with the degree still to fill; the first generator
-        takes what is left when its degree divides it.  Within one degree
-        monomial_key is lex on the reversed tuple, which is exactly this
-        order.
+        The exponents are chosen level by level, from the last generator to
+        the first: each suffix, with the degree it leaves to fill, is
+        extended by every exponent of the next generator from 0 upwards, and
+        the first generator takes what is left when its degree divides it.
+        Within one degree monomial_key is lex on the reversed tuple, which
+        is exactly this order.
         """
-        if degree < 0:
-            return []
-        degrees = self.degrees
-        out = []
-
-        def fill(i, left, suffix):
-            d = degrees[i]
-            if i == 0:
-                if left % d == 0:
-                    out.append((left // d,) + suffix)
-                return
-            for e in range(left // d + 1):
-                fill(i - 1, left - e * d, (e,) + suffix)
-
-        if degrees:
-            fill(len(degrees) - 1, degree, ())
-        elif degree == 0:
-            out.append(())
-        return out
+        if degree < 0 or not self.degrees:
+            return [()] if degree == 0 else []
+        first, *rest = self.degrees
+        suffixes = [((), degree)]
+        for d in reversed(rest):
+            suffixes = [((e,) + suffix, left - e * d)
+                        for suffix, left in suffixes
+                        for e in range(left // d + 1)]
+        return [(left // first,) + suffix
+                for suffix, left in suffixes if left % first == 0]
 
     def __str__(self):
         gens = ", ".join(
@@ -131,16 +127,6 @@ class Poly:
         self.ring = ring
         self.terms = {m: _as_coeff(c) for m, c in terms.items() if c != 0}
         self._lead = None
-
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def from_pairs(ring, pairs):
-        acc = {}
-        for exps, c in pairs:
-            exps = tuple(exps)
-            acc[exps] = acc.get(exps, 0) + c
-        return Poly(ring, acc)
 
     # -- ring operations -----------------------------------------------------
 
@@ -291,7 +277,7 @@ def poly_from_obj(ring, obj):
             isinstance(t, dict) and "exps" in t and "coeff" in t for t in obj):
         raise ValueError('relation %r: expected a list of terms '
                          '{"exps": [...], "coeff": "p/q"}' % (obj,))
-    pairs = []
+    acc = {}
     for term in obj:
         exps = term["exps"]
         # bool is an int subclass; JSON true/false are not exponents
@@ -305,8 +291,9 @@ def poly_from_obj(ring, obj):
         except ZeroDivisionError:
             raise ValueError("coeff %r: not a finite rational"
                              % (term["coeff"],))
-        pairs.append((tuple(exps), c))
-    return Poly.from_pairs(ring, pairs)
+        exps = tuple(exps)
+        acc[exps] = acc.get(exps, 0) + c
+    return Poly(ring, acc)
 
 
 # -- division and Groebner bases ----------------------------------------------
@@ -419,26 +406,26 @@ def _buchberger(basis, certs=None):
 
 
 def groebner_basis(relations):
-    """Buchberger's algorithm in the graded order of the common ring.
+    """The reduced Groebner basis of relations in the graded order of their
+    common ring: monic, sorted by increasing leading monomial.
 
-    The result is inter-reduced and normalized to leading coefficient +-1
-    when integral (true for every presentation in scope).
+    After Buchberger's loop, the minimal basis keeps each element whose
+    leading monomial no other element's divides (of equal ones, the first).
+    Dividing an element of a minimal basis by the others never moves its
+    leading monomial, so one pass, dividing each element by the others (the
+    earlier ones already divided), leaves no term divisible by another
+    element's leading monomial.  That basis is unique (Cox, Little and
+    O'Shea, 2.7).
     """
     basis = [p for p in relations if not p.is_zero()]
     _buchberger(basis)
-    # inter-reduce
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = [b for k, b in enumerate(basis) if k != i and not b.is_zero()]
-            r = reduce_poly(basis[i], others)
-            if r.terms != basis[i].terms:
-                basis[i] = r
-                changed = True
-        basis = [b for b in basis if not b.is_zero()]
+    leads = [b.leading_monomial() for b in basis]
+    minimal = [b for i, b in enumerate(basis) if not any(
+        all(map(le, lm, leads[i])) and (k < i or lm != leads[i])
+        for k, lm in enumerate(leads))]
     out = []
-    for b in basis:
-        lc = b.leading_coeff()
-        out.append(b.map_coeffs(lambda c: Fraction(c, 1) / lc))
+    for i, b in enumerate(minimal):
+        r = reduce_poly(b, out + minimal[i + 1:])
+        lc = r.leading_coeff()
+        out.append(r.map_coeffs(lambda c: Fraction(c, 1) / lc))
     return sorted(out, key=lambda b: b.ring.monomial_key(b.leading_monomial()))

@@ -148,7 +148,10 @@ def test_free_check_rejects_malformed_rank(capsys, payload):
     ('"action"', "input"),
     ("3", "input"),
     ('{"rank": 1, "factors": {}}', "factors"),
-], ids=["missing-rank", "list", "string", "number", "factors-object"])
+    ("[" * 100000, "input"),
+    ('{"rank": 1%s, "factors": []}' % ("0" * 5000), "input"),
+], ids=["missing-rank", "list", "string", "number", "factors-object",
+        "deep-nesting", "long-integer"])
 def test_free_check_names_top_level_field(capsys, text, field):
     code, out, err = run_cli(capsys, "free-check", "--json", text)
     assert code == EXIT_SCHEMA and out == ""
@@ -264,6 +267,10 @@ def test_free_check_accepts_declared_trivial_lattice(capsys):
     # a huge multiplicity is rejected before any weight is built
     (("index", "--target", "Sp4", "--su2-class", "100000000000V"),
      "su2-class"),
+    # JSON past the parser's recursion limit or Python's integer digit limit
+    (("pi3", "--matrix", "[" * 100000), "matrix"),
+    (("cohomology", "--json", "[" * 100000), "input"),
+    (("pi3", "--matrix", "[[1%s]]" % ("0" * 5000)), "matrix"),
 ])
 def test_malformed_arguments_exit_1_naming_the_field(capsys, argv, field):
     code, out, err = run_cli(capsys, *argv)
@@ -312,6 +319,22 @@ def test_cohomology_presets_and_json_input(capsys, tmp_path):
     assert emitted == original
     code, _, err = run_cli(capsys, "cohomology", "--preset", "moebius:2")
     assert code == EXIT_SCHEMA
+
+
+def test_cohomology_input_not_utf8_exits_1(capsys, tmp_path):
+    path = tmp_path / "ring.json"
+    path.write_bytes(b'\xff\xfe{"generators": []}')
+    code, out, err = run_cli(capsys, "cohomology", "--input", str(path))
+    assert code == EXIT_SCHEMA and out == ""
+    assert err.startswith("input error at input:")
+
+
+def test_cohomology_of_more_generators_than_the_recursion_limit(capsys):
+    payload = json.dumps({"generators": [
+        {"name": "x%d" % i, "degree": 2} for i in range(1100)]})
+    code, out, _ = run_cli(capsys, "--format", "json", "cohomology",
+                           "--json", payload, "--max-degree", "0")
+    assert code == EXIT_OK and json.loads(out)["betti"] == [1]
 
 
 UV_RING = [{"name": "u", "degree": 2}, {"name": "v", "degree": 2}]

@@ -7,7 +7,7 @@ import sympy
 from sympy.matrices.normalforms import invariant_factors
 
 from biquot.polyring import GradedPolyRing, Poly, groebner_basis, reduce_poly, \
-    poly_from_obj
+    poly_from_obj, _buchberger
 from biquot.cohomology import (
     classifying_ring, GradedQuotient, biquotient_ring,
     ideal_identities, pi3_cokernel, chi_pi, FiniteAbelianGroup,
@@ -207,6 +207,40 @@ def test_groebner_vs_sympy_random():
                                 for p in nfs])
             assert q.betti(deg)[deg] == mat.rank(), \
                 (deg, [str(r) for r in rels])
+
+
+def test_groebner_basis_equals_sympy_reduced_basis():
+    """groebner_basis is the reduced Groebner basis, element by element
+    equal to sympy's over QQ (over ZZ sympy does not make it monic).  The
+    draws include Buchberger outputs that are not minimal and ones with two
+    equal leading monomials, which the reduction must drop."""
+    rng = random.Random(29)
+    non_minimal = ties = 0
+    for _ in range(150):
+        n = rng.randint(2, 3)
+        ring = GradedPolyRing(("u", "v", "w")[:n], (2,) * n)
+        rels = []
+        for _ in range(rng.randint(1, 3)):
+            monos = ring.monomials_of_degree(2 * rng.randint(1, 3))
+            p = Poly(ring, {m: rng.randint(-2, 2) for m in monos})
+            if not p.is_zero():
+                rels.append(p)
+        gb = groebner_basis(rels)
+        gens = sympy.symbols(ring.names)
+        ref = sympy.groebner(
+            [sum(c * sympy.Mul(*(g ** e for g, e in zip(gens, m)))
+                 for m, c in p.terms.items()) for p in rels],
+            *reversed(gens), order="grlex", domain="QQ")
+        expected = [Poly(ring, {tuple(reversed(m)): Fraction(str(c))
+                                for m, c in g.terms()}) for g in ref.polys]
+        assert gb == sorted(expected, key=lambda b: ring.monomial_key(
+            b.leading_monomial())), [str(r) for r in rels]
+        basis = list(rels)
+        _buchberger(basis)
+        leads = [b.leading_monomial() for b in basis]
+        non_minimal += len(gb) < len(basis)
+        ties += len(set(leads)) < len(leads)
+    assert non_minimal and ties
 
 
 # -- classifying rings ----------------------------------------------------------
