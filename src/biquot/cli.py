@@ -406,10 +406,12 @@ def build_parser():
                    % ", ".join(sorted(_NAMED_ACTIONS)))
     c.add_argument("--oracle", type=int, default=0,
                    help="also run the brute-force oracle, which covers "
-                        "every torus element up to this order by visiting "
+                        "every torus element up to this order Q by visiting "
                         "only the orders that can hold the least witness, "
                         "p^a with p^(a-1) dividing the kernel's index, as "
-                        "its smaller-order powers act trivially")
+                        "its smaller-order powers act trivially, and by "
+                        "testing one generator per cyclic subgroup: about "
+                        "Q^(rank-1)/((rank-1) log Q) prefixes")
     c.set_defaults(fn=cmd_free_check)
 
     c = sub.add_parser("cohomology", help="Betti table of a graded quotient")

@@ -42,11 +42,11 @@ the columns j of V over gcd(d_j, q), with d_j = 0 past the rank of L
 2.4).  They give the escape order of L, the least q at which Ann(L)[q]
 leaves Ann(K); at the least escape order over all L the witness is the
 least of the |Ann(L)[q]| combinations of the generators that leaves
-Ann(K), where the oracle's scan would walk q^(rank - 1) prefixes.  The
-eigenvalue matching reported with the witness is read off the witness
-alone: the first full choice whose generators the witness annihilates,
-with left classes and right values sorted and the lex-greatest count
-vector first.
+Ann(K), where the oracle's scan would walk about q^(rank - 2) prefixes,
+one per cyclic subgroup of order q.  The eigenvalue matching reported with
+the witness is read off the witness alone: the first full choice whose
+generators the witness annihilates, with left classes and right values
+sorted and the lex-greatest count vector first.
 
 For Spin(2n) group factors the eigenvalue test is coarser than conjugacy
 in the group itself; Free verdicts remain sound, and NotFree verdicts are
@@ -58,8 +58,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
+from itertools import chain, product
+from math import gcd, isqrt, lcm
 
 from .lattices import (LatticeSubgroup, _hnf_insert, _reduce,
                        smith_normal_form)
@@ -596,6 +596,18 @@ def _first_hit(action, kernel, q):
     """The lex-least non-trivial fixed-point element of exact order q, or
     None.
 
+    For a unit u mod q, t and u*t generate one cyclic group, so they fix
+    the same points and act trivially or not together: every pairing is
+    multiplied by u, which keeps zero pairings zero, permutes Z/q (equal
+    sorted pairings stay equal) and keeps a nonzero kernel pairing nonzero.
+    The units carry the first nonzero numerator x of t to every y with
+    gcd(y, q) = gcd(x, q), the least of which is gcd(x, q).  So the lex-least
+    witness leads with a divisor of q, and only the prefixes whose first
+    nonzero numerator divides q are walked, the divisors found by trial
+    division up to sqrt(q); under the zero prefix b leads, so only b = 1.
+    At a prime q that is 1 + (q^(rank-1) - 1)/(q - 1) prefixes, one per
+    cyclic subgroup, in place of q^(rank-1); at q = 2 none is skipped.
+
     The last numerator b varies fastest.  Under each prefix of the others
     (lex order), a vector d pairs to (c + s*b) mod q, with s = d[-1] and c
     the pairing of the prefix with d[:-1].  The candidates for b come from
@@ -641,13 +653,23 @@ def _first_hit(action, kernel, q):
             rows.append([(c + s * b) % q for b in bs])
         return zip(*rows)
 
-    for prefix in product(range(q), repeat=action.rank - 1):
+    n = action.rank - 1
+    small = [d for d in range(1, isqrt(q) + 1) if q % d == 0]
+    heads = small + [q // d for d in reversed(small) if 1 < d and d * d < q]
+    # the divisors of q below q, ascending, lead every prefix but the zero
+    # one; in lex order, prefixes with more leading zeros come first
+    prefixes = chain([(0,) * n], *(
+        product(*[(0,)] * z, heads, *[range(q)] * (n - 1 - z))
+        for z in reversed(range(n))))
+    for prefix in prefixes:
         g = gcd(q, *prefix)
         bs = set()
         for head, h, step, inv in progressions:
             c = sum(a * x for a, x in zip(head, prefix))
             if c % h == 0:
                 bs.update(range(-c // h * inv % step, q, step))
+        if g == q:  # the zero prefix: b leads, and the unit dividing q is 1
+            bs &= {1}
         bs = sorted(b for b in bs if gcd(g, b) == 1)
         for ws in spheres:
             bs = [b for b, p in zip(bs, pairings(ws, prefix, bs))
@@ -674,22 +696,27 @@ def brute_force_free(action, max_order):
     the kernel lattice's index (0 below full rank).  A clean pass is
     reported as "no witness up to max_order", never as a proof of freeness.
     Within one order q the pass goes through the numerator vectors in lex
-    order, per prefix of all but the last numerator (see _first_hit).  Under
-    a prefix the last numerators come from the solutions of one linear
-    congruence per vector of an anchor, a factor's condition that a fixed
-    point needs but that does not imply one; each candidate is then tested
-    on every factor and against the kernel.  The pass stops at the first
+    order, per prefix of all but the last numerator, and walks only the
+    prefixes that lead with a divisor of q, as the least generator of each
+    cyclic subgroup does (see _first_hit).  Under a prefix the last
+    numerators come from the solutions of one linear congruence per vector
+    of an anchor, a factor's condition that a fixed point needs but that
+    does not imply one; each candidate is then tested on every factor and
+    against the kernel.  The pass stops at the first
     survivor, which is the lex-least non-trivial fixed-point element of the
-    smallest order.  On an effective action only the primes are visited, and
-    the cost grows about as max_order^rank / (rank log max_order) elements:
-    on 2 cores with Python 3.11 a clean pass on the rank-3 hp_sum_action(2)
-    takes about 0.03 s to order 24, 0.13 s to order 40 and 0.36 s to order
-    60.
+    smallest order.  Each order's least prime factor comes from trial
+    division up to its square root.  On an effective action only the primes
+    are visited, and the cost grows about as
+    max_order^(rank-1) / ((rank-1) log max_order) prefixes: on 2 cores with
+    Python 3.11 a clean pass on the rank-3 hp_sum_action(3) takes about
+    0.006 s to order 60, 0.05 s to order 200 and 0.9 s to order 1,000
+    (0.2 s to order 60 and 7 s to order 200 while every prefix was
+    walked).
     """
     kernel = kernel_lattice(action)
     index = kernel.index()
     for q in range(2, max_order + 1):
-        p = next(d for d in range(2, q + 1) if q % d == 0)
+        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
         if pow(p, q, q) or index % (q // p):  # not p^a with p^(a-1) | index
             continue
         w = _first_hit(action, kernel, q)

@@ -70,14 +70,14 @@ def test_freeness_matches_oracle_on_random_actions():
         kernel = kernel_lattice(act)
         # the lattice search alone: is_free shares _first_hit with the oracle
         exact = _lattice_verdict(act, kernel)
-        brute = brute_force_free(act, 24)
+        brute = brute_force_free(act, 60)
         assert brute.exhaustive
         if exact.free:
             # no witness may exist at any order the oracle can reach
             assert not brute.found_witness, act.to_obj()
             checked_free += 1
         else:
-            if exact.witness_order <= 24:
+            if exact.witness_order <= 60:
                 assert brute.found_witness, act.to_obj()
                 assert brute.witness_order == exact.witness_order, act.to_obj()
                 # both report the lex-least fixed-point element of that order
@@ -457,6 +457,56 @@ def test_first_hit_on_anchor_edge_cases():
              "last coordinate shares a factor, unsolvable",
              "prefix not coprime to q", "repeated right weights",
              "duplicate sphere weights", "no anchor", "found", "clean")
+    assert min(seen[k] for k in kinds) >= 3, seen
+
+
+def lead_action(rng, rank):
+    """A rank-2/3 action with a declared kernel of rank below the torus
+    rank, whose sphere weights have last coordinates 0 or sharing factors
+    with small orders: a fixed point then needs the leading numerators to
+    share those factors, or to vanish."""
+    def weight():
+        return tuple(rng.randint(-3, 3) for _ in range(rank - 1)) \
+            + (rng.choice([0, 0, 2, -2, 3, 4, 6]),)
+
+    factors = [SphereFactor([weight() for _ in range(rng.choice([1, 2]))])
+               for _ in range(rng.choice([1, 2]))]
+    if rng.random() < 0.3:
+        factors.append(GroupFactor(repeated_weights(rng, 2, rank),
+                                   repeated_weights(rng, 2, rank)))
+    rows = [tuple(rng.randint(-2, 2) for _ in range(rank))
+            for _ in range(rng.randrange(1, rank))]
+    return TwoSidedAction(rank, factors, LatticeSubgroup.from_rows(rank, rows))
+
+
+def test_first_hit_leads_with_a_divisor_of_the_order():
+    """t and u*t, u a unit mod q, generate one cyclic group, so the
+    lex-least witness of order q leads with gcd(x, q) for its first nonzero
+    numerator x, and the oracle walks only those prefixes.  At composite
+    orders the first hit matches the Fraction reference, also where it
+    leads with a proper divisor of q, like (2, 1)/4, or with the last
+    numerator, (0, ..., 0, 1)/q."""
+    rng = random.Random(31)
+    seen = Counter()
+    for rank in [2] * 20 + [3] * 8:
+        act = lead_action(rng, rank)
+        kernel = kernel_lattice(act)
+        assert not kernel.is_full()
+        for q in (4, 6, 8, 9, 12):
+            want = reference_first_hit(act, q)
+            assert _first_hit(act, kernel, q) == want, (act.to_obj(), q)
+            if want is None:
+                seen["none"] += 1
+                continue
+            nums = [c * q for c in want.coords]
+            lead = next(x for x in nums if x)
+            if not any(nums[:-1]):
+                seen["zero prefix, rank %d" % rank] += 1
+            else:
+                seen["lead %s, rank %d" % (
+                    "1" if lead == 1 else "1 < d < q", rank)] += 1
+    kinds = ["none"] + ["%s, rank %d" % (k, r) for r in (2, 3) for k in (
+        "zero prefix", "lead 1", "lead 1 < d < q")]
     assert min(seen[k] for k in kinds) >= 3, seen
 
 
