@@ -1,5 +1,10 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +12,9 @@ from biquot import cli
 from biquot.cli import main, EXIT_OK, EXIT_SCHEMA, EXIT_INCONSISTENT
 from biquot.freeness import action_from_obj, BruteVerdict, TorusElement
 from biquot import constructions as cons
+
+COMMANDS = ("catalog", "index", "free-check", "cohomology", "pi3",
+            "search-rhs", "search-rank1", "verify-paper")
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +279,11 @@ def test_free_check_accepts_declared_trivial_lattice(capsys):
     (("pi3", "--matrix", "[" * 100000), "matrix"),
     (("cohomology", "--json", "[" * 100000), "input"),
     (("pi3", "--matrix", "[[1%s]]" % ("0" * 5000)), "matrix"),
+    # a command name after a token argparse takes as the command
+    (("table", "pi3"), "command"),
+    # a command name after a --format value argparse rejects
+    (("--format", "pi3", "catalog"), "format"),
+    (("--form", "xml", "pi3", "--matrix", "[[4]]"), "format"),
 ])
 def test_malformed_arguments_exit_1_naming_the_field(capsys, argv, field):
     code, out, err = run_cli(capsys, *argv)
@@ -278,11 +291,69 @@ def test_malformed_arguments_exit_1_naming_the_field(capsys, argv, field):
     assert err.startswith("input error at %s" % field)
 
 
-@pytest.mark.parametrize("argv", [("--help",), ("free-check", "--help")])
+def test_unknown_command_lists_every_command(capsys):
+    code, _, err = run_cli(capsys, "no-such-command")
+    assert code == EXIT_SCHEMA
+    assert err == ("input error at command: invalid choice: "
+                   "'no-such-command' (choose from %s)\n"
+                   % ", ".join("'%s'" % c for c in COMMANDS))
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("free-check", "--help"),
+                                  ("-h", "pi3"), ("--he", "pi3")]
+                         + [(c, "--help") for c in COMMANDS])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
-    assert exc.value.code == 0 and "usage: biquot" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    if argv[0] in COMMANDS:
+        assert out.startswith("usage: biquot %s " % argv[0])
+    else:
+        # top-level help, even with a command name after the help flag
+        assert out.startswith("usage: biquot ")
+        assert "{%s}" % ",".join(COMMANDS) in out
+        assert all("\n    %s " % c in out for c in COMMANDS)
+
+
+def test_main_builds_only_the_named_subcommand_parser(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        counting_add_parser)
+    assert main(["pi3", "--matrix", "[[10]]"]) == EXIT_OK
+    assert built == ["pi3"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == list(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "--max-g-dimension", "10"),
+    ("--format", "json", "index", "--target", "Sp4", "--su2-class", "S3V"),
+    ("free-check", "--named", "gromoll-meyer"),
+    ("--format=json", "cohomology", "--preset", "cp-sum:2"),
+    ("pi3", "--matrix", "[[10]]"),
+    ("--format", "json", "search-rhs", "--max-dim", "5"),
+    ("search-rank1", "--group", "G2"),
+    ("verify-paper",),
+])
+def test_main_repeats_in_process_as_a_fresh_process(capfd, argv):
+    runs = []
+    for _ in range(2):
+        code = main(list(argv))
+        runs.append((code, capfd.readouterr().out))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "biquot", *argv], env=env,
+                           capture_output=True, text=True)
+    assert runs == [(fresh.returncode, fresh.stdout)] * 2
 
 
 def test_cohomology_presets_and_json_input(capsys, tmp_path):

@@ -13,7 +13,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from biquot.cli import main  # noqa: E402
+from biquot.cli import (  # noqa: E402
+    SchemaError, _COMMANDS, _command_of, build_parser, main)
 from biquot.cohomology import GradedQuotient  # noqa: E402
 from biquot.freeness import (  # noqa: E402
     GroupFactor, SphereFactor, TwoSidedAction, brute_force_free, is_free)
@@ -199,3 +200,31 @@ def test_labels_and_presets_exit_0_or_1(case):
         code = main(argv)
     assert code in (0, 1), (argv, err.getvalue())
     assert code == 0 or err.getvalue().startswith("input error at ")
+
+
+_TOKENS = tuple(c[0] for c in _COMMANDS) + (
+    "--format", "--format=json", "table", "json", "xml", "-h", "--he",
+    "--form", "--", "--matrix", "[[4]]", "--max-dim")
+
+
+def _parse_outcome(parser, argv):
+    """What parsing argv gives: the namespace, the schema error, or the
+    exit code with what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return "namespace", vars(parser.parse_args(argv))
+        except SchemaError as exc:
+            return "schema error", exc.field, str(exc)
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=6))
+def test_the_picked_subcommand_parser_parses_as_the_full_one(argv):
+    """main builds only the subcommand that _command_of picks; on every
+    command line that parser gives the full parser's namespace, schema
+    error, or exit code and output."""
+    assert _parse_outcome(build_parser(_command_of(argv)), argv) \
+        == _parse_outcome(build_parser(), argv)
