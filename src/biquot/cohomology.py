@@ -6,15 +6,17 @@ H*(B(S^1)^a x BSU(2)^b) is a polynomial ring with one degree-2 generator
 per circle and one degree-4 generator per SU(2).  A two-sided quotient of a
 group G contributes one relation per polynomial generator of H*(BG)
 (left pullback minus right pullback); a sphere bundle contributes its Euler
-class.  Rank extraction runs over the rationals on a Groebner normal-form
-basis; integral identities between presentations are certified separately
-with explicit integer cofactors.
+class.  Ranks come from the Hilbert series of the Groebner leading terms;
+integral identities between presentations are certified separately with
+explicit integer cofactors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import zip_longest
 from math import prod
 from operator import le
 
@@ -54,11 +56,46 @@ def classifying_ring(kinds):
     return GradedPolyRing(tuple(names), degrees)
 
 
+def _hilbert_numerator(ring, lead):
+    """Coefficients, by degree, of N(t) in the Hilbert series N(t) /
+    prod(1 - t^d_i) of ring modulo the monomial ideal J minimally generated
+    by lead: prod(1 - t^deg m) when no variable divides two generators, else
+    N(J + (p)) + t^deg(p) N(J : p) (Bigatti, JPAA 119, 1997).  The pivot
+    p = x_i^e, x_i dividing the most generators, takes e the lower median of
+    x_i's positive exponents, kept below its pure power so p is not in J."""
+    counts = [len(lead) - col.count(0) for col in zip(*lead)]
+    if max(counts, default=0) < 2:
+        num = [1]
+        for m in lead:
+            d = ring.monomial_degree(m)
+            num = [a - b for a, b in zip(num + [0] * d, [0] * d + num)]
+        return num
+    i = counts.index(max(counts))
+    exps = sorted(m[i] for m in lead if m[i])
+    e = min([exps[(len(exps) - 1) // 2]]
+            + [m[i] - 1 for m in lead if sum(m) == m[i]])
+    plus = [m for m in lead if m[i] < e]
+    plus.append(tuple(e if j == i else 0 for j in range(ring.ngens)))
+    # J : p is generated by each m with x_i^e divided out; keep the minimal
+    colon = []
+    for m in sorted({m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in lead},
+                    key=sum):
+        if not any(all(map(le, k, m)) for k in colon):
+            colon.append(m)
+    shift = [0] * (e * ring.degrees[i]) + _hilbert_numerator(ring, colon)
+    num = _hilbert_numerator(ring, plus)
+    num = [a + b for a, b in zip_longest(num, shift, fillvalue=0)]
+    while num[-1] == 0:
+        num.pop()
+    return num
+
+
 class GradedQuotient:
     """Quotient of a graded polynomial ring by homogeneous relations.
 
-    Normal forms come from a Groebner basis in the graded order; the
-    normal-form monomial basis gives the rank of each graded piece.
+    Normal forms come from a Groebner basis in the graded order; ranks from
+    the Hilbert series of its leading monomials, the same series as the
+    quotient's (Bayer & Stillman, J. Symb. Comp. 14, 1992).
     """
 
     def __init__(self, ring, relations):
@@ -77,50 +114,34 @@ class GradedQuotient:
             rels.append(r)
         self.relations = tuple(rels)
         self.gb = tuple(groebner_basis(list(self.relations)))
-        self._by_degree = []
 
-    def _normal_monomials_by_degree(self, max_degree):
-        """Normal-form monomials of each degree 0..max_degree, each list in
-        monomial_key order.  Degrees already enumerated are kept on the
-        instance, so top_degree() followed by betti(top) enumerates once."""
-        known = self._by_degree
-        if len(known) <= max_degree:
-            lead = [g.leading_monomial() for g in self.gb]
-            for deg in range(len(known), max_degree + 1):
-                known.append([
-                    m for m in self.ring.monomials_of_degree(deg)
-                    if not any(all(map(le, lm, m)) for lm in lead)])
-        return known[:max(max_degree + 1, 0)]
+    @cached_property
+    def _numerator(self):
+        return _hilbert_numerator(
+            self.ring, [g.leading_monomial() for g in self.gb])
 
     def betti(self, max_degree):
-        """Rank of each graded piece, as a list indexed by degree 0..max."""
-        return [len(ms) for ms in self._normal_monomials_by_degree(max_degree)]
-
-    def _pure_powers(self):
-        """The least exponent of each generator that is a pure power among
-        the Groebner leading monomials, or None when some generator has
-        none."""
-        powers = [None] * self.ring.ngens
-        for lm in (g.leading_monomial() for g in self.gb):
-            support = [i for i, e in enumerate(lm) if e]
-            if len(support) == 1:
-                i, = support
-                if powers[i] is None or lm[i] < powers[i]:
-                    powers[i] = lm[i]
-        return None if None in powers else powers
+        """Rank of each graded piece, as a list indexed by degree 0..max:
+        N(t) / prod(1 - t^d_i), one prefix-sum pass per generator."""
+        size = max(max_degree + 1, 0)
+        ranks = (self._numerator + [0] * size)[:size]
+        for d in self.ring.degrees:
+            for k in range(d, size):
+                ranks[k] += ranks[k - d]
+        return ranks
 
     def is_finite_dimensional(self):
         """A quotient is finite-dimensional iff every generator has a pure
         power among the Groebner leading monomials."""
-        return self._pure_powers() is not None
+        leads = [g.leading_monomial() for g in self.gb]
+        pure = {i for m in leads for i, e in enumerate(m) if e == sum(m)}
+        return len(pure) == self.ring.ngens
 
     def top_degree(self):
-        powers = self._pure_powers()
-        if powers is None:
+        """deg N - sum d_i, the degree of a finite quotient's series."""
+        if not self.is_finite_dimensional():
             raise ValueError("quotient is not finite-dimensional")
-        bound = sum((e - 1) * d for e, d in zip(powers, self.ring.degrees))
-        by_degree = self._normal_monomials_by_degree(bound)
-        return max(deg for deg, ms in enumerate(by_degree) if ms)
+        return len(self._numerator) - 1 - sum(self.ring.degrees)
 
     def total_rank(self):
         return sum(self.betti(self.top_degree()))

@@ -16,8 +16,7 @@ Fraction).  Those two rules fix the quotients and the remainder, so any
 implementation that keeps them returns the same values term for term.
 
 ``groebner_basis`` runs Buchberger's loop once, keeps the minimal basis,
-and reduces it in one division pass; ``monomials_of_degree`` enumerates
-the monomials of a degree level by level, one generator at a time.
+and reduces it in one division pass.
 """
 
 from __future__ import annotations
@@ -75,28 +74,6 @@ class GradedPolyRing:
         # graded (by cohomological degree), then lex with the last-listed
         # generator dominating
         return (self.monomial_degree(exps), tuple(reversed(exps)))
-
-    def monomials_of_degree(self, degree):
-        """All exponent tuples of the given graded degree, in increasing
-        monomial_key order.
-
-        The exponents are chosen level by level, from the last generator to
-        the first: each suffix, with the degree it leaves to fill, is
-        extended by every exponent of the next generator from 0 upwards, and
-        the first generator takes what is left when its degree divides it.
-        Within one degree monomial_key is lex on the reversed tuple, which
-        is exactly this order.
-        """
-        if degree < 0 or not self.degrees:
-            return [()] if degree == 0 else []
-        first, *rest = self.degrees
-        suffixes = [((), degree)]
-        for d in reversed(rest):
-            suffixes = [((e,) + suffix, left - e * d)
-                        for suffix, left in suffixes
-                        for e in range(left // d + 1)]
-        return [(left // first,) + suffix
-                for suffix, left in suffixes if left % first == 0]
 
     def __str__(self):
         gens = ", ".join(
@@ -375,8 +352,8 @@ def _buchberger(basis, certs=None):
         f, g = basis[i], basis[j]
         mf, mg = f.leading_monomial(), g.leading_monomial()
         lcm = tuple(map(max, mf, mg))
-        # Buchberger's coprimality criterion
-        if tuple(map(add, mf, mg)) == lcm:
+        # Buchberger's coprimality criterion; two terms have S-polynomial 0
+        if tuple(map(add, mf, mg)) == lcm or len(f.terms) == len(g.terms) == 1:
             continue
         # S-polynomial tf * f - tg * g with the terms tf = cf * x^uf and
         # tg = cg * x^ug that cancel the leading terms

@@ -403,9 +403,10 @@ def test_cohomology_input_not_utf8_exits_1(capsys, tmp_path):
 def test_cohomology_of_more_generators_than_the_recursion_limit(capsys):
     payload = json.dumps({"generators": [
         {"name": "x%d" % i, "degree": 2} for i in range(1100)]})
-    code, out, _ = run_cli(capsys, "--format", "json", "cohomology",
-                           "--json", payload, "--max-degree", "0")
-    assert code == EXIT_OK and json.loads(out)["betti"] == [1]
+    for max_degree, betti in (("0", [1]), ("2", [1, 0, 1100])):
+        code, out, _ = run_cli(capsys, "--format", "json", "cohomology",
+                               "--json", payload, "--max-degree", max_degree)
+        assert code == EXIT_OK and json.loads(out)["betti"] == betti
 
 
 UV_RING = [{"name": "u", "degree": 2}, {"name": "v", "degree": 2}]

@@ -95,15 +95,6 @@ def _monomials_by_box_filter(ring, degree):
                   key=ring.monomial_key)
 
 
-@pytest.mark.parametrize("degrees", [(2,), (2, 2, 2), (2, 4, 8), (4, 4)])
-def test_monomials_of_degree_matches_box_filter(degrees):
-    ring = GradedPolyRing(tuple("abc"[:len(degrees)]), degrees)
-    # negative, zero, odd and (for (4, 4)) unreachable even degrees
-    for degree in range(-3, 27):
-        assert ring.monomials_of_degree(degree) \
-            == _monomials_by_box_filter(ring, degree), degree
-
-
 def _reduce_by_polys(p, basis):
     """Reference division with one new Poly per step: the leading term by
     max() over all terms, the first divisor in basis order."""
@@ -136,7 +127,7 @@ def test_reduce_poly_matches_reference_division():
     coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
 
     def random_poly(ring, degrees, nterms):
-        pool = [m for d in degrees for m in ring.monomials_of_degree(d)]
+        pool = [m for d in degrees for m in _monomials_by_box_filter(ring, d)]
         return Poly(ring, {m: rng.choice(coeffs)
                            for m in rng.sample(pool, min(nterms, len(pool)))})
 
@@ -209,6 +200,69 @@ def test_groebner_vs_sympy_random():
                 (deg, [str(r) for r in rels])
 
 
+def _count_outside(ring, gens, top):
+    """Monomials of each degree 0..top that no generator divides, counted
+    over the exponent box filtered by degree."""
+    counts = [0] * (top + 1)
+    for m in product(*(range(top // d + 1) for d in ring.degrees)):
+        degree = ring.monomial_degree(m)
+        if degree <= top and not any(all(a <= e for a, e in zip(g, m))
+                                     for g in gens):
+            counts[degree] += 1
+    return counts
+
+
+def test_betti_matches_monomial_count_on_random_monomial_ideals():
+    """Ranks from the Hilbert series against counting the monomials outside
+    random monomial ideals: mixed generator degrees, finite quotients (a
+    pure power of every generator) and infinite ones, and every fourth
+    ideal with 20 to 28 minimal generators."""
+    rng = random.Random(32)
+    finite = infinite = 0
+    for case in range(60):
+        large = case % 4 == 0
+        n = 3 if large else rng.randint(1, 3)
+        degrees = tuple(rng.choice((2, 4, 8)) for _ in range(n))
+        ring = GradedPolyRing(("a", "b", "c")[:n], degrees)
+        # the monomials of one exponent sum divide none of the others
+        level = rng.randint(5, 6) if large else rng.randint(1, 6)
+        pool = [e for e in product(range(level + 1), repeat=n)
+                if sum(e) == level]
+        gens = rng.sample(pool, rng.randint(20 if large else 1, len(pool)))
+        if case % 3 == 1:
+            # pure powers; a large ideal takes those of its own level,
+            # which keep its antichain
+            gens += [tuple((level if large else rng.randint(1, 4)) * (j == i)
+                           for j in range(n)) for i in range(n)]
+        q = GradedQuotient(ring, [Poly(ring, {g: 1}) for g in gens])
+        assert len(q.gb) >= 20 or not large
+        if q.is_finite_dimensional():
+            finite += 1
+            top = sum((min(g[i] for g in gens if sum(g) == g[i]) - 1) * d
+                      for i, d in enumerate(degrees))
+            counts = _count_outside(ring, gens, top)
+            assert q.betti(top) == counts, (degrees, gens)
+            assert q.top_degree() == max(k for k, c in enumerate(counts) if c)
+        else:
+            infinite += 1
+            assert q.betti(24) == _count_outside(ring, gens, 24), \
+                (degrees, gens)
+            with pytest.raises(ValueError):
+                q.top_degree()
+    assert finite >= 10 and infinite >= 10, (finite, infinite)
+
+
+def test_betti_of_all_monomials_of_one_degree_in_two_variables():
+    # 601 generators, which a pivot on the least exponent would peel off
+    # one recursion level at a time
+    ring = GradedPolyRing(("x", "y"), (2, 2))
+    q = GradedQuotient(ring, [Poly(ring, {(a, 600 - a): 1})
+                              for a in range(601)])
+    b = q.betti(1198)
+    assert b[::2] == list(range(1, 601)) and not any(b[1::2])
+    assert q.top_degree() == 1198
+
+
 def test_groebner_basis_equals_sympy_reduced_basis():
     """groebner_basis is the reduced Groebner basis, element by element
     equal to sympy's over QQ (over ZZ sympy does not make it monic).  The
@@ -221,7 +275,7 @@ def test_groebner_basis_equals_sympy_reduced_basis():
         ring = GradedPolyRing(("u", "v", "w")[:n], (2,) * n)
         rels = []
         for _ in range(rng.randint(1, 3)):
-            monos = ring.monomials_of_degree(2 * rng.randint(1, 3))
+            monos = _monomials_by_box_filter(ring, 2 * rng.randint(1, 3))
             p = Poly(ring, {m: rng.randint(-2, 2) for m in monos})
             if not p.is_zero():
                 rels.append(p)
@@ -314,6 +368,7 @@ def test_trivial_quotients():
     assert q.betti(6) == [1, 0, 0, 0, 0, 0, 0]
     empty = GradedQuotient(classifying_ring([]), [])
     assert empty.betti(0) == [1]
+    assert empty.betti(-1) == []
 
 
 def test_eliminate_linear_requires_linear_relation():
@@ -330,6 +385,8 @@ def test_finite_dimensionality_detection():
     u, v = ring.gens()
     open_q = GradedQuotient(ring, [u * v])
     assert not open_q.is_finite_dimensional()
+    with pytest.raises(ValueError, match="quotient is not finite-dimensional"):
+        open_q.top_degree()
     # ranks still available through any requested degree
     assert open_q.betti(8)[8] == 2
 
