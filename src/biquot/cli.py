@@ -5,11 +5,8 @@ search-rank1, verify-paper.  Output is a readable table by default or JSON
 with --format json; fractions serialize as "p/q" strings and torus
 witnesses as coordinate lists mod 1, so runs compare bit-exactly.
 
-main builds the parser on every call.  When the command line names its
-subcommand after any leading --format X, it builds only that subcommand's
-parser: all eight cost about four times as much as one, close to half the
-time of a small free-check.  Help, errors and the parsed arguments are the
-same either way.
+main builds the parser once per process, on its first call, so that
+importing biquot does not pay for it.
 
 Exit codes: 0 success; 1 malformed input or command line (the message
 points at the offending field); 2 internal inconsistency (a reference check
@@ -19,6 +16,7 @@ or oracle disagreement).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -172,12 +170,9 @@ def _action_from_args(args):
     obj = _load_json_input(args)
     try:
         return action_from_obj(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         field, _, message = str(exc).partition(": ")
-        if field in ("input", "rank", "factors", "trivial_lattice",
-                     "d_family", "trivial_summand"):
-            raise SchemaError(field, message)
-        raise SchemaError("factors", str(exc))
+        raise SchemaError(field, message)
 
 
 def cmd_free_check(args):
@@ -429,9 +424,10 @@ _COMMANDS = (
 )
 
 
-def build_parser(command=None):
-    """The command-line parser with every subcommand, or with the named
-    one only."""
+@functools.cache
+def build_parser():
+    """The command-line parser with every subcommand, built once per
+    process; parsing leaves it unchanged."""
     p = _Parser(
         prog="biquot",
         description="Exact freeness certificates, quotient cohomology, pi3, "
@@ -440,32 +436,16 @@ def build_parser(command=None):
     p.add_argument("--format", choices=("table", "json"), default="table")
     sub = p.add_subparsers(dest="command", required=True)
     for name, help_text, fn, options in _COMMANDS:
-        if command in (None, name):
-            c = sub.add_parser(name, help=help_text)
-            for flag, kwargs in options:
-                c.add_argument(flag, **kwargs)
-            c.set_defaults(fn=fn)
+        c = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            c.add_argument(flag, **kwargs)
+        c.set_defaults(fn=fn)
     return p
 
 
-def _command_of(argv):
-    """The subcommand named right after argv's leading --format X and
-    --format=X pairs, else None.  Anything else there (top-level help as in
-    -h pi3, an abbreviated --format, a token argparse rejects as the
-    command) needs every subcommand's parser for the same help and errors."""
-    i = 0
-    while i < len(argv) and (argv[i] == "--format"
-                             or argv[i].startswith("--format=")):
-        i += 2 if argv[i] == "--format" else 1
-    if i < len(argv) and argv[i] in {c[0] for c in _COMMANDS}:
-        return argv[i]
-    return None
-
-
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(_command_of(argv)).parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SchemaError as exc:
         print("input error at %s" % exc, file=sys.stderr)

@@ -312,15 +312,6 @@ class FiniteAbelianGroup:
     def torsion(self):
         return tuple(d for d in self.invariant_factors if d != 0)
 
-    @property
-    def order(self):
-        if self.free_rank:
-            return 0
-        p = 1
-        for d in self.torsion:
-            p *= d
-        return p
-
     def __str__(self):
         if not self.invariant_factors:
             return "0"

@@ -84,8 +84,9 @@ class GroupFactor:
         object.__setattr__(self, "left", tuple(tuple(w) for w in self.left))
         object.__setattr__(self, "right", tuple(tuple(w) for w in self.right))
         if len(self.left) != len(self.right):
-            raise ValueError("left and right weight multisets must have "
-                             "equal size (same defining representation)")
+            raise ValueError("factors: left and right weight multisets "
+                             "must have equal size (same defining "
+                             "representation)")
 
     @property
     def rank(self):
@@ -174,9 +175,9 @@ _FACTOR_SHAPE = ('{"type": "group", "left": [...], "right": [...]} or '
 def action_from_obj(obj):
     """A TwoSidedAction from its JSON object (see TwoSidedAction.to_obj).
 
-    Errors about the top level, rank, the factors list and the shape of
-    each factor, trivial_lattice, d_family and trivial_summand start with
-    "<field>: " so callers can name the field.
+    Every ValueError starts with "<field>: " (input, rank, factors,
+    trivial_lattice, d_family or trivial_summand) so callers can name the
+    field.
     """
     if not isinstance(obj, dict):
         raise ValueError("input: expected a JSON object, got %s"
@@ -197,12 +198,15 @@ def action_from_obj(obj):
         if keys is None or any(k not in f for k in keys):
             raise ValueError("factors: each factor must be %s; got %r"
                              % (_FACTOR_SHAPE, f))
+        try:
+            weights = [_weights_from_obj(f[k], rank) for k in keys]
+        except ValueError as exc:
+            raise ValueError("factors: %s" % exc)
         if kind == "group":
-            factors.append(GroupFactor(_weights_from_obj(f["left"], rank),
-                                       _weights_from_obj(f["right"], rank),
+            factors.append(GroupFactor(*weights,
                                        _flag_from_obj(f, "d_family")))
         else:
-            factors.append(SphereFactor(_weights_from_obj(f["weights"], rank),
+            factors.append(SphereFactor(*weights,
                                         _flag_from_obj(f, "trivial_summand")))
     trivial = None
     if "trivial_lattice" in obj:

@@ -652,12 +652,12 @@ def _elementary_symmetric(weights, k, rank):
 
 
 def _product_of_roots(roots, rank):
-    prod = {(0,) * rank: 1}
+    poly = {(0,) * rank: 1}
     for w in roots:
-        prod = _times_form(prod, w, {})
-        if not prod:
+        poly = _times_form(poly, w, {})
+        if not poly:
             break
-    return prod
+    return poly
 
 
 def _roots_to_poly(ring, root_poly):

@@ -316,7 +316,7 @@ def test_help_exits_0(capsys, argv):
         assert all("\n    %s " % c in out for c in COMMANDS)
 
 
-def test_main_builds_only_the_named_subcommand_parser(capsys, monkeypatch):
+def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -326,15 +326,15 @@ def test_main_builds_only_the_named_subcommand_parser(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
                         counting_add_parser)
+    cli.build_parser.cache_clear()
     assert main(["pi3", "--matrix", "[[10]]"]) == EXIT_OK
-    assert built == ["pi3"]
-    built.clear()
-    with pytest.raises(SystemExit):
-        main(["--help"])
     assert built == list(COMMANDS)
+    built.clear()
+    assert main(["pi3", "--matrix", "[[10]]"]) == EXIT_OK
+    assert built == []
 
 
-@pytest.mark.parametrize("argv", [
+CHEAP_ARGVS = [
     ("catalog", "--max-g-dimension", "10"),
     ("--format", "json", "index", "--target", "Sp4", "--su2-class", "S3V"),
     ("free-check", "--named", "gromoll-meyer"),
@@ -343,17 +343,38 @@ def test_main_builds_only_the_named_subcommand_parser(capsys, monkeypatch):
     ("--format", "json", "search-rhs", "--max-dim", "5"),
     ("search-rank1", "--group", "G2"),
     ("verify-paper",),
-])
+]
+
+
+def run_fresh(argv):
+    """The exit code and stdout of biquot run as a fresh process."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "biquot", *argv], env=env,
+                           capture_output=True, text=True)
+    return fresh.returncode, fresh.stdout
+
+
+@pytest.mark.parametrize("argv", CHEAP_ARGVS)
 def test_main_repeats_in_process_as_a_fresh_process(capfd, argv):
     runs = []
     for _ in range(2):
         code = main(list(argv))
         runs.append((code, capfd.readouterr().out))
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    fresh = subprocess.run([sys.executable, "-m", "biquot", *argv], env=env,
-                           capture_output=True, text=True)
-    assert runs == [(fresh.returncode, fresh.stdout)] * 2
+    assert runs == [run_fresh(argv)] * 2
+
+
+def test_main_after_an_error_and_help_runs_as_a_fresh_process(capfd):
+    """A schema error and a --help exit leave nothing behind in the parser
+    that main shares across calls."""
+    assert main(["free-check", "--oracle", "x"]) == EXIT_SCHEMA
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    capfd.readouterr()
+    for argv in CHEAP_ARGVS:
+        code = main(list(argv))
+        assert (code, capfd.readouterr().out) == run_fresh(argv), argv
 
 
 def test_cohomology_presets_and_json_input(capsys, tmp_path):
