@@ -23,7 +23,7 @@ from .freeness import (
     kernel_lattice, is_free, brute_force_free, has_fixed_point,
 )
 from .cohomology import (
-    classifying_ring, GradedQuotient, biquotient_ring,
+    classifying_ring, GradedQuotient,
     ideal_identities, FiniteAbelianGroup, pi3_cokernel, chi_pi,
 )
 

@@ -23,7 +23,7 @@ import sys
 from .groups import (_MIN_RANK, SimpleGroupId, Sp, G2, F4, E6, E7, E8,
                      parse_group, homogeneous_catalog, degrees_of, index_norm)
 from .weights import (dynkin_index, su2_rep_from_label, make_rep,
-                      is_su2_class)
+                      is_su2_class, standard_rep)
 from .freeness import action_from_obj, is_free, brute_force_free
 from .cohomology import GradedQuotient, pi3_cokernel
 from .polyring import GradedPolyRing, poly_from_obj
@@ -35,6 +35,12 @@ from .refchecks import run_all
 EXIT_OK = 0
 EXIT_SCHEMA = 1
 EXIT_INCONSISTENT = 2
+
+# The largest cohomology --max-degree and --preset parameter accepted: far
+# past every documented use, so that no list is sized from an unchecked
+# integer (cp-hp-sum:1000, the slowest preset at the bound, takes about 20 s).
+_MAX_DEGREE = 100000
+_MAX_PRESET = 1000
 
 
 class SchemaError(ValueError):
@@ -141,6 +147,11 @@ def cmd_index(args):
             ws = [int(x) for x in args.weights.split(",")]
         except ValueError as exc:
             raise SchemaError("weights", str(exc))
+        dim = standard_rep(target).dim
+        if len(ws) != dim:
+            raise SchemaError("weights", "%s needs %d weights, one per "
+                              "dimension of its defining representation, "
+                              "got %d" % (target.name, dim, len(ws)))
         rep = make_rep(1, [(w,) for w in ws])
     else:
         raise SchemaError("weights", "provide --su2-class or --weights")
@@ -231,9 +242,10 @@ def _quotient_from_args(args):
             n = int(param) if param else 2
         except ValueError:
             n = 0
-        if n < 1:
+        if not 1 <= n <= _MAX_PRESET:
             raise SchemaError("preset", "parameter of %s must be an integer "
-                              ">= 1, got %r" % (name, param))
+                              "from 1 to %d, got %r"
+                              % (name, _MAX_PRESET, param))
         return _RING_PRESETS[name](n)
     obj = _load_json_input(args)
     if not isinstance(obj, dict):
@@ -266,12 +278,12 @@ def _quotient_from_args(args):
 
 
 def cmd_cohomology(args):
-    if args.max_degree is not None and args.max_degree < 0:
-        raise SchemaError("max-degree", "must be >= 0, got %d"
-                          % args.max_degree)
+    max_degree = args.max_degree
+    if max_degree is not None and not 0 <= max_degree <= _MAX_DEGREE:
+        raise SchemaError("max-degree", "must be from 0 to %d, got %d"
+                          % (_MAX_DEGREE, max_degree))
     q = _quotient_from_args(args)
     finite = q.is_finite_dimensional()
-    max_degree = args.max_degree
     if max_degree is None:
         max_degree = q.top_degree() if finite else 20
     b = q.betti(max_degree)
@@ -388,7 +400,8 @@ _COMMANDS = (
      cmd_index,
      (("--target", dict(required=True)),
       ("--su2-class", dict(help="label like S3V, V+2C, 2S2V+C")),
-      ("--weights", dict(help="comma-separated integers")))),
+      ("--weights", dict(help="comma-separated integers, one per dimension "
+                              "of the target's defining representation")))),
     ("free-check", "decide freeness of a two-sided action given as JSON",
      cmd_free_check,
      (("--input", dict(help="JSON file with the action")),
@@ -407,8 +420,9 @@ _COMMANDS = (
      (("--input", dict(help="JSON file with generators/relations")),
       ("--json", dict(help="inline JSON presentation")),
       ("--preset", dict(help="named family, e.g. cp-sum:4, hp-sum:3, "
-                             "cp-hp-sum:1, spin-bundle-16")),
-      ("--max-degree", dict(type=int)))),
+                             "cp-hp-sum:1, spin-bundle-16; parameter 1 to "
+                             "%d" % _MAX_PRESET)),
+      ("--max-degree", dict(type=int, help="0 to %d" % _MAX_DEGREE)))),
     ("pi3", "cokernel of a net Dynkin index matrix", cmd_pi3,
      (("--matrix", dict(required=True, help="JSON integer matrix, e.g. "
                                             "[[10]] or [[1,-2]]")),)),

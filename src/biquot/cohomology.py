@@ -20,7 +20,6 @@ from itertools import zip_longest
 from math import prod
 from operator import le
 
-from .groups import degrees_of
 from .lattices import smith_normal_form
 from .polyring import (GradedPolyRing, Poly, _buchberger, groebner_basis,
                        reduce_poly)
@@ -93,9 +92,10 @@ def _hilbert_numerator(ring, lead):
 class GradedQuotient:
     """Quotient of a graded polynomial ring by homogeneous relations.
 
-    Normal forms come from a Groebner basis in the graded order; ranks from
-    the Hilbert series of its leading monomials, the same series as the
-    quotient's (Bayer & Stillman, J. Symb. Comp. 14, 1992).
+    Normal forms come from a Groebner basis in the graded order, computed
+    on first read of gb; ranks from the Hilbert series of its leading
+    monomials, the same series as the quotient's (Bayer & Stillman, J. Symb.
+    Comp. 14, 1992).
     """
 
     def __init__(self, ring, relations):
@@ -113,7 +113,10 @@ class GradedQuotient:
                                  "be the zero ring" % (r,))
             rels.append(r)
         self.relations = tuple(rels)
-        self.gb = tuple(groebner_basis(list(self.relations)))
+
+    @cached_property
+    def gb(self):
+        return tuple(groebner_basis(list(self.relations)))
 
     @cached_property
     def _numerator(self):
@@ -206,27 +209,6 @@ class GradedQuotient:
     def __str__(self):
         return "%s / (%s)" % (self.ring,
                               ", ".join(str(r) for r in self.relations))
-
-
-def biquotient_ring(g, ring, pullbacks):
-    """Quotient presentation from one pullback pair per generator of H*(BG).
-
-    The degrees of the group g fix the polynomial generators of H*(BG), one
-    per degree d in cohomological degree 2d; pullbacks lists their (left,
-    right) images in the classifying ring of H.
-    """
-    degrees = degrees_of(g)
-    if len(pullbacks) != len(degrees):
-        raise ValueError("need one pullback pair per degree of %s (%d), got %d"
-                         % (g, len(degrees), len(pullbacks)))
-    q = GradedQuotient(ring, [left - right for left, right in pullbacks])
-    expected = sorted(2 * d for d in degrees)
-    for rel in q.relations:
-        if rel.degree() not in expected:
-            raise ValueError("relation degree %d is not a generator degree "
-                             "of H*(BG) (expected %s)"
-                             % (rel.degree(), expected))
-    return q
 
 
 # ---------------------------------------------------------------------------

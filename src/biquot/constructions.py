@@ -13,7 +13,7 @@ from .groups import Sp, degrees_of
 from .weights import (make_rep, su2_rep_from_label, su2_power_rep,
                       chern_pullback, euler_class, g2_su2_class, is_su2_class)
 from .freeness import GroupFactor, SphereFactor, TwoSidedAction
-from .cohomology import classifying_ring, GradedQuotient, biquotient_ring
+from .cohomology import classifying_ring, GradedQuotient
 from .polyring import GradedPolyRing
 
 
@@ -134,9 +134,9 @@ def _action_ring(action, kinds, groups=()):
             continue
         g = next(groups)
         left, right = (make_rep(action.rank, ws) for ws in (f.left, f.right))
-        pullbacks = [(chern_pullback(left, d, ring),
-                      chern_pullback(right, d, ring)) for d in degrees_of(g)]
-        relations.extend(biquotient_ring(g, ring, pullbacks).relations)
+        relations.extend(chern_pullback(left, d, ring)
+                         - chern_pullback(right, d, ring)
+                         for d in degrees_of(g))
     return GradedQuotient(ring, relations)
 
 

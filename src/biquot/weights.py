@@ -99,14 +99,6 @@ class WeightRep:
         return WeightRep(self.lattice, self.weights, self.reality, label,
                          self.half, self.oriented)
 
-    def to_obj(self):
-        return {
-            "lattice": {"rank": self.lattice.rank, "scale": self.lattice.scale},
-            "weights": [list(w) for w in self.sorted_weights()],
-            "reality": self.reality,
-            "label": self.label,
-        }
-
 
 def make_rep(rank, weights, reality=COMPLEX, scale=1, label=""):
     return WeightRep(TorusLattice(rank, scale), tuple(tuple(w) for w in weights),

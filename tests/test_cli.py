@@ -284,6 +284,15 @@ def test_free_check_accepts_declared_trivial_lattice(capsys):
     # a command name after a --format value argparse rejects
     (("--format", "pi3", "catalog"), "format"),
     (("--form", "xml", "pi3", "--matrix", "[[4]]"), "format"),
+    # integers past the documented bounds, rejected before any list is sized
+    (("cohomology", "--preset", "cp-sum:2", "--max-degree", str(10 ** 30)),
+     "max-degree"),
+    (("cohomology", "--preset", "cp-sum:%d" % 10 ** 30), "preset"),
+    (("cohomology", "--preset", "hp-sum:%d" % 10 ** 30), "preset"),
+    (("cohomology", "--preset", "cp-hp-sum:%d" % 10 ** 30), "preset"),
+    # a weight multiset whose size is not the defining dimension
+    (("index", "--target", "Sp4", "--weights", "1,1"), "weights"),
+    (("index", "--target", "G2", "--weights", "2,2"), "weights"),
 ])
 def test_malformed_arguments_exit_1_naming_the_field(capsys, argv, field):
     code, out, err = run_cli(capsys, *argv)

@@ -9,11 +9,10 @@ from sympy.matrices.normalforms import invariant_factors
 from biquot.polyring import GradedPolyRing, Poly, groebner_basis, reduce_poly, \
     poly_from_obj, _buchberger
 from biquot.cohomology import (
-    classifying_ring, GradedQuotient, biquotient_ring,
+    classifying_ring, GradedQuotient,
     ideal_identities, pi3_cokernel, chi_pi, FiniteAbelianGroup,
 )
-from biquot.groups import Sp
-from biquot import constructions as cons
+from biquot import cohomology, constructions as cons
 
 
 # -- polynomial layer -----------------------------------------------------------
@@ -334,33 +333,6 @@ def test_inhomogeneous_relation_rejected():
         GradedQuotient(ring, [u + v * v])
 
 
-def test_biquotient_ring_validates_pullback_count():
-    ring = classifying_ring(["su2"])
-    z, = ring.gens()
-    with pytest.raises(ValueError):
-        biquotient_ring(Sp(4), ring, [(z, ring.zero())])
-
-
-def test_biquotient_ring_rejects_relation_off_generator_degrees():
-    # H*(BSp(4)) has generators in degrees 4 and 8; a relation of degree 12
-    # cannot be the difference of two pullbacks of one generator
-    ring = classifying_ring(["su2"])
-    z, = ring.gens()
-    with pytest.raises(ValueError, match="relation degree 12 is not a "
-                                         "generator degree"):
-        biquotient_ring(Sp(4), ring, [(z, z), (z ** 3, ring.zero())])
-
-
-def test_biquotient_ring_trivial_group_degenerate():
-    # trivial acting group: empty classifying ring, all pullbacks vanish,
-    # and the quotient presentation is the integers in degree zero
-    ring = classifying_ring([])
-    zero = ring.zero()
-    q = biquotient_ring(Sp(4), ring, [(zero, zero), (zero, zero)])
-    assert q.relations == ()
-    assert q.betti(0) == [1]
-
-
 def test_trivial_quotients():
     ring = classifying_ring(["circle", "circle"])
     u, v = ring.gens()
@@ -369,6 +341,8 @@ def test_trivial_quotients():
     empty = GradedQuotient(classifying_ring([]), [])
     assert empty.betti(0) == [1]
     assert empty.betti(-1) == []
+    zero = empty.ring.zero()
+    assert GradedQuotient(empty.ring, [zero, zero]).relations == ()
 
 
 def test_eliminate_linear_requires_linear_relation():
@@ -456,6 +430,25 @@ def test_identity_certificates_integral():
         cert = ideal_identities(
             q, (x * x - z) ** (2 * e + 1), x ** (4 * e + 2) - z ** (2 * e + 1))
         assert cert.holds and cert.integral
+
+
+def test_groebner_basis_is_computed_only_where_it_is_read(monkeypatch):
+    calls = []
+
+    def counting(polys):
+        calls.append(len(polys))
+        return groebner_basis(polys)
+
+    monkeypatch.setattr(cohomology, "groebner_basis", counting)
+    cons.hp_sum_ring(3)
+    q = cons.cp_sum_ring(4)
+    u, v = q.ring.gens()
+    assert ideal_identities(q, (u - v) * (u + v) ** 3, u ** 4 - v ** 4).holds
+    assert calls == []
+    assert q.betti(8) == [1, 0, 2, 0, 2, 0, 2, 0, 1]
+    assert calls == [2]
+    q.betti(8)
+    assert calls == [2]
 
 
 def test_identity_negative_and_degree_checks():
