@@ -23,7 +23,7 @@ import sys
 from .groups import (_MIN_RANK, SimpleGroupId, Sp, G2, F4, E6, E7, E8,
                      parse_group, homogeneous_catalog, degrees_of, index_norm)
 from .weights import (dynkin_index, su2_rep_from_label, make_rep,
-                      is_su2_class, standard_rep)
+                      is_su2_class, defining_dimension)
 from .freeness import action_from_obj, is_free, brute_force_free
 from .cohomology import GradedQuotient, pi3_cokernel
 from .polyring import GradedPolyRing, poly_from_obj
@@ -147,7 +147,7 @@ def cmd_index(args):
             ws = [int(x) for x in args.weights.split(",")]
         except ValueError as exc:
             raise SchemaError("weights", str(exc))
-        dim = standard_rep(target).dim
+        dim = defining_dimension(target)
         if len(ws) != dim:
             raise SchemaError("weights", "%s needs %d weights, one per "
                               "dimension of its defining representation, "
@@ -228,16 +228,21 @@ _RING_PRESETS = {
     "cp-sum": cons.cp_sum_ring,
     "hp-sum": cons.hp_sum_ring,
     "cp-hp-sum": cons.cp_hp_sum_ring,
-    "spin-bundle-16": lambda n: cons.spin_bundle_ring(),
+    "spin-bundle-16": cons.spin_bundle_ring,  # takes no parameter
 }
 
 
 def _quotient_from_args(args):
     if args.preset:
-        name, _, param = args.preset.partition(":")
+        name, sep, param = args.preset.partition(":")
         if name not in _RING_PRESETS:
             raise SchemaError("preset", "unknown preset %r; known: %s"
                               % (name, sorted(_RING_PRESETS)))
+        if name == "spin-bundle-16":
+            if sep:
+                raise SchemaError("preset", "%s takes no parameter, got %r"
+                                  % (name, param))
+            return cons.spin_bundle_ring()
         try:
             n = int(param) if param else 2
         except ValueError:

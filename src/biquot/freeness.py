@@ -167,6 +167,11 @@ def _flag_from_obj(f, name):
     return value
 
 
+# The largest torus rank accepted from JSON: far past every documented
+# action (rank 22 is the largest in the tests), so that no vector or matrix
+# is sized from an unchecked integer.
+_MAX_RANK = 1000
+
 _FACTOR_KEYS = {"group": ("left", "right"), "sphere": ("weights",)}
 _FACTOR_SHAPE = ('{"type": "group", "left": [...], "right": [...]} or '
                  '{"type": "sphere", "weights": [...]}')
@@ -185,8 +190,10 @@ def action_from_obj(obj):
     if "rank" not in obj:
         raise ValueError("rank: missing")
     rank = obj["rank"]
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-        raise ValueError("rank: must be an integer >= 1, got %r" % (rank,))
+    if not isinstance(rank, int) or isinstance(rank, bool) \
+            or not 1 <= rank <= _MAX_RANK:
+        raise ValueError("rank: must be an integer from 1 to %d, got %r"
+                         % (_MAX_RANK, rank))
     if "factors" not in obj:
         raise ValueError("factors: missing")
     if not isinstance(obj["factors"], list):
@@ -400,21 +407,29 @@ def _first_choice(action, witness):
     with the witness, as many to each as it still has.  The witness fixes a
     point, so on a group factor the left and right pairings are equal
     multisets and every greedy step can be completed; the greedy fill is
-    the lex-greatest feasible count vector.
+    the lex-greatest feasible count vector.  Pairings are only compared,
+    so they are taken as integers mod the witness's order q, from the
+    witness's numerators over q.
     """
+    q = witness.order
+    nums = [c.numerator * (q // c.denominator) for c in witness.coords]
+
+    def pair(w):
+        return sum(a * n for a, n in zip(w, nums)) % q
+
     choice = []
     for f in action.factors:
         if not isinstance(f, GroupFactor):
             choice.append(
                 ("sphere: trivial summand, no constraint",)
                 if f.has_trivial_summand else ("sphere weight", min(
-                    w for w in f.weights if witness.pair(w) == 0)))
+                    w for w in f.weights if pair(w) == 0)))
             continue
         rclasses = sorted(Counter(f.right).items())
         remaining, steps = [m for _, m in rclasses], []
-        rpairs = [witness.pair(r) for r, _ in rclasses]
+        rpairs = [pair(r) for r, _ in rclasses]
         for lval, lcount in sorted(Counter(f.left).items()):
-            p = witness.pair(lval)
+            p = pair(lval)
             for j, (r, _) in enumerate(rclasses):
                 d = min(lcount, remaining[j]) if rpairs[j] == p else 0
                 if d:
@@ -598,7 +613,8 @@ def _numerators_of_order(q, rank):
 
 def _first_hit(action, kernel, q):
     """The lex-least non-trivial fixed-point element of exact order q, or
-    None.
+    None.  When the kernel lattice is 0 every element acts trivially, so
+    None comes back at once.
 
     For a unit u mod q, t and u*t generate one cyclic group, so they fix
     the same points and act trivially or not together: every pairing is
@@ -622,7 +638,12 @@ def _first_hit(action, kernel, q):
     eigenvalue to some r).  s*b = -c (mod q) is solvable iff h = gcd(s, q)
     divides c, and its solutions are one residue mod q/h, about gcd(q, *d)
     values of b per prefix on average.  The anchor with the least sum of
-    these is taken; an action with none (only spheres with a trivial
+    these is taken, the first on a tie (spheres, then each group factor's
+    distinct left weights).  A group anchor's sum is scored by residue
+    class: gcd(q, *(l - r)) depends on l and r only mod q, so the distinct
+    right weights are counted by residue mod q, each distinct left residue
+    is scored once against those counts, and only the winner's differences
+    are built.  An action with no anchor (only spheres with a trivial
     summand) takes the zero vector, which every b annihilates.  The anchor
     is only a necessary condition (one left weight, or one factor), so the
     candidates of exact order q still go through every condition in turn:
@@ -632,16 +653,30 @@ def _first_hit(action, kernel, q):
     (outside the trivially-acting subgroup).  The first survivor under the
     first prefix that has one is the answer.
     """
-    if action.rank == 0:
-        return None  # the zero-dimensional torus has no element of order q
+    if not kernel.basis:
+        return None  # every element acts trivially
     spheres = [set(f.weights) for f in action.factors
                if isinstance(f, SphereFactor) and not f.has_trivial_summand]
     groups = [(f.left, f.right) for f in action.factors
               if isinstance(f, GroupFactor)]
-    anchors = spheres + [{tuple(a - b for a, b in zip(l, r)) for r in right}
-                         for left, right in groups for l in set(left)]
-    anchor = min(anchors, default={(0,) * action.rank},
-                 key=lambda ds: sum(gcd(q, *d) for d in ds))
+    anchor, least, winner = {(0,) * action.rank}, None, None
+    for ws in spheres:
+        score = sum(gcd(q, *d) for d in ws)
+        if least is None or score < least:
+            anchor, least = ws, score
+    for left, right in groups:
+        rights = Counter(tuple(x % q for x in r) for r in set(right))
+        scores = {}  # left residue mod q -> score
+        for l in set(left):
+            lq = tuple(x % q for x in l)
+            if lq not in scores:
+                scores[lq] = sum(m * gcd(q, *_sub(lq, r))
+                                 for r, m in rights.items())
+            if least is None or scores[lq] < least:
+                winner, least = (l, right), scores[lq]
+    if winner:
+        l, right = winner
+        anchor = {_sub(l, r) for r in right}
     progressions = []  # (d[:-1], h, q/h, inverse of s/h mod q/h) per d
     for d in anchor:
         h = gcd(d[-1], q)

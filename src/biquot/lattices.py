@@ -22,17 +22,22 @@ def hnf(rows, rank=None):
     Returns a canonical basis: echelon rows with positive pivots and entries
     above each pivot reduced into [0, pivot).  The result depends only on
     the spanned lattice, making it a lattice-equality certificate.  The
-    rows are inserted one at a time (see _hnf_insert).
+    rows are inserted one at a time (see _hnf_insert), and the insertion
+    stops once the basis is the identity: the lattice is then Z^rank, which
+    no further row changes.  Every row's length is checked first.
     """
     if rank is None:
         if not rows:
             raise ValueError("empty generator list needs an explicit rank")
         rank = len(rows[0])
+    if any(len(r) != rank for r in rows):
+        raise ValueError("generator length does not match ambient rank")
     basis = ()
     for r in rows:
-        if len(r) != rank:
-            raise ValueError("generator length does not match ambient rank")
         basis = _hnf_insert(basis, r)
+        if len(basis) == rank and all(
+                row[i] == 1 for i, row in enumerate(basis)):
+            break
     return list(basis)
 
 

@@ -529,19 +529,26 @@ def _composed_rep(entry):
 # the nontrivial classes SU(2) -> G2, by the restriction of the 7-dim rep
 _G2_SU2_LABELS = ("2V+3C", "S2V+2V", "2S2V+C", "S6V")
 
-# the parity of a1 + ... + ak of the irreps a classical family needs in even
-# multiplicity (None: no constraint)
-_PAIRED_PARITY = {"A": None, "C": 0, "B": 1, "D": 1}
+# per classical family: the defining dimension a*rank + b as (a, b), the
+# reality of standard_rep, and the parity of a1 + ... + ak of the irreps the
+# family needs in even multiplicity (None: no constraint)
+_CLASSICAL = {"A": ((1, 1), COMPLEX, None), "C": ((2, 0), COMPLEX, 0),
+              "B": ((2, 1), REAL, 1), "D": ((2, 0), REAL, 1)}
 
 
 def _classical_shape(target):
-    """Defining dimension and reality of a classical target, and its
-    _PAIRED_PARITY."""
-    if target.family not in _PAIRED_PARITY:
+    """Defining dimension, reality and paired parity of a classical target,
+    read off its family and rank without building standard_rep."""
+    if target.family not in _CLASSICAL:
         raise UnsupportedGroupError("no classical weight data for %s"
                                     % (target,))
-    rep = standard_rep(target)
-    return rep.dim, rep.reality, _PAIRED_PARITY[target.family]
+    (a, b), reality, parity = _CLASSICAL[target.family]
+    return a * target.rank + b, reality, parity
+
+
+def defining_dimension(gid):
+    """The dimension of standard_rep(gid), without building it."""
+    return 7 if gid.family == "G2" else _classical_shape(gid)[0]
 
 
 def _paired(irreps, parity):

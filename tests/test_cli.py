@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pytest
 
 from biquot import cli
 from biquot.cli import main, EXIT_OK, EXIT_SCHEMA, EXIT_INCONSISTENT
-from biquot.freeness import action_from_obj, BruteVerdict, TorusElement
+from biquot.freeness import (action_from_obj, BruteVerdict, TorusElement,
+                             _MAX_RANK)
 from biquot import constructions as cons
 
 COMMANDS = ("catalog", "index", "free-check", "cohomology", "pi3",
@@ -557,3 +559,51 @@ def test_verify_paper_all_pass(capsys, monkeypatch, reference_results):
     code, out, _ = run_cli(capsys, "--format", "json", "verify-paper")
     obj = json.loads(out)
     assert obj["passed"] == obj["total"] > 0
+
+
+def test_free_check_without_factors_is_free_at_once(capsys):
+    # the kernel lattice is 0, so no element acts non-trivially and the
+    # order-2 scan, 2^21 prefixes at rank 22, is skipped
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "--format", "json", "free-check",
+                           "--json", '{"rank": 22, "factors": []}')
+    assert time.perf_counter() - start < 0.1
+    assert code == EXIT_OK
+    assert json.loads(out) == {
+        "caveats": [], "kernel_lattice": {"generators": [], "rank": 22},
+        "verdict": "free"}
+
+
+@pytest.mark.parametrize("rank,code", [
+    (_MAX_RANK, EXIT_OK), (_MAX_RANK + 1, EXIT_SCHEMA), (2 ** 63, EXIT_SCHEMA),
+])
+def test_free_check_bounds_the_rank(capsys, rank, code):
+    got, out, err = run_cli(capsys, "free-check", "--json",
+                            json.dumps({"rank": rank, "factors": []}))
+    assert got == code
+    if code == EXIT_OK:
+        assert out.startswith("Free")
+    else:
+        assert out == "" and err.startswith("input error at rank:")
+
+
+def test_cohomology_spin_bundle_preset_takes_no_parameter(capsys):
+    for preset in ("spin-bundle-16:7", "spin-bundle-16:2", "spin-bundle-16:"):
+        code, out, err = run_cli(capsys, "cohomology", "--preset", preset)
+        assert code == EXIT_SCHEMA and out == ""
+        assert err.startswith("input error at preset:")
+    code, out, _ = run_cli(capsys, "cohomology", "--preset", "spin-bundle-16")
+    assert code == EXIT_OK and out
+
+
+@pytest.mark.parametrize("argv,field", [
+    (("--su2-class", "2S2V+C"), "su2-class"), (("--weights", "1,2"), "weights"),
+])
+def test_index_on_a_large_target_answers_at_once(capsys, argv, field):
+    # the defining dimension comes from the family and rank: standard_rep
+    # of SU(20000) would build about 4e8 integers
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "index", "--target", "SU20000", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_SCHEMA and out == ""
+    assert err.startswith("input error at %s:" % field)

@@ -30,7 +30,7 @@ from biquot.freeness import (GroupFactor, SphereFactor, TwoSidedAction,
                              has_fixed_point, _numerators_of_order,
                              _torsion_generators, _escape_order,
                              _violating_lattices, _lattice_verdict,
-                             _first_hit)
+                             _first_hit, _first_choice)
 from biquot.lattices import LatticeSubgroup, smith_normal_form
 from biquot.polyring import GradedPolyRing
 from biquot.cohomology import GradedQuotient
@@ -217,6 +217,42 @@ def test_violating_lattices_match_full_enumeration(rank):
         seen_not_free += bool(want)
     assert seen_free > 3 and seen_not_free > 3
     assert sides["left"] >= 3 and sides["right"] >= 3, sides
+
+
+@pytest.mark.parametrize("coords", [
+    (Fraction(1, 2), Fraction(1, 4)), (Fraction(3, 4), Fraction(1, 2)),
+    (Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(1, 3), Fraction(1, 2), Fraction(5, 6)),
+], ids=str)
+def test_first_choice_matches_reference_at_composite_orders(coords):
+    """The matching of a witness whose coordinates have different
+    denominators, each scaled to a numerator over the order by its own
+    factor, on random actions of which the witness fixes a point."""
+    t = TorusElement(coords)
+    rank = len(coords)
+    rng = random.Random(str(coords))
+
+    def moved(w):  # w plus a vector that t annihilates
+        while True:
+            k = tuple(rng.randint(-4, 4) for _ in range(rank))
+            if t.pair(k) == 0:
+                return tuple(a + b for a, b in zip(w, k))
+
+    for _ in range(40):
+        factors = []
+        for _ in range(rng.choice([1, 2])):
+            pool = [tuple(rng.randint(-2, 2) for _ in range(rank))
+                    for _ in range(rng.choice([2, 4]))]
+            left = [rng.choice(pool) for _ in range(rng.choice([2, 3, 4]))]
+            right = [moved(w) for w in left]
+            rng.shuffle(right)
+            factors.append(GroupFactor(left, right))
+        factors.append(SphereFactor(
+            [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in "ab"]
+            + [moved((0,) * rank)]))
+        act = TwoSidedAction(rank, factors)
+        assert has_fixed_point(act, t)
+        assert _first_choice(act, t) == reference_choice(act, t), act.to_obj()
 
 
 @pytest.mark.parametrize("rank,sizes", [

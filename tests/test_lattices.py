@@ -246,3 +246,14 @@ def test_index_is_the_product_of_invariant_factors():
         kinds["full rank" if index else "below full rank"] += 1
         kinds["index > 1"] += index > 1
     assert min(kinds.values()) >= 20, kinds
+
+
+def test_hnf_checks_every_row_length_past_the_full_lattice():
+    # the first two rows span Z^2, where the insertion stops; a later row
+    # of the wrong length is still refused, and a later row of the right
+    # length changes nothing
+    with pytest.raises(ValueError):
+        hnf([(1, 0), (0, 1), (1, 2, 3)])
+    with pytest.raises(ValueError):
+        hnf([(1, 0), (0, 1), (1,)], 2)
+    assert hnf([(3, 1), (1, 0), (5, 7)]) == [(1, 0), (0, 1)]

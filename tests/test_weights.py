@@ -10,7 +10,7 @@ from biquot.weights import (
     realify, complexify, exterior_square, restrict_coords,
     dynkin_index, dynkin_index_of_hom, catalog_dynkin_index,
     su2_homs, is_su2_class, g2_su2_class, chern_pullback, euler_class,
-    so9_adjoint_rep,
+    so9_adjoint_rep, defining_dimension, _classical_shape,
 )
 from biquot.cohomology import classifying_ring
 
@@ -360,3 +360,14 @@ def test_euler_top_chern_agreement():
 def test_exterior_square():
     lam = exterior_square(complexify(standard_rep(Spin(9))))
     assert lam.dim == 36  # dim so(9)
+
+
+@pytest.mark.parametrize("g", [SU(n) for n in range(2, 7)]
+                         + [Sp(2 * n) for n in range(2, 5)]
+                         + [Spin(m) for m in range(7, 13)] + [G2],
+                         ids=str)
+def test_defining_shape_read_off_family_and_rank(g):
+    rep = standard_rep(g)
+    assert defining_dimension(g) == rep.dim
+    if g != G2:
+        assert _classical_shape(g)[:2] == (rep.dim, rep.reality)
