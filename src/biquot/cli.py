@@ -41,6 +41,9 @@ EXIT_INCONSISTENT = 2
 # integer (cp-hp-sum:1000, the slowest preset at the bound, takes about 20 s).
 _MAX_DEGREE = 100000
 _MAX_PRESET = 1000
+# The largest search-rhs --max-dim accepted: the search's cost grows about
+# quadratically in it, and at the bound it takes about 1 s.
+_MAX_DIM = 1000
 
 
 class SchemaError(ValueError):
@@ -324,9 +327,9 @@ def cmd_pi3(args):
 
 
 def cmd_search_rhs(args):
-    if args.max_dim < 3:
-        raise SchemaError("max-dim", "the search starts at dimension 3, "
-                          "got %d" % args.max_dim)
+    if not 3 <= args.max_dim <= _MAX_DIM:
+        raise SchemaError("max-dim", "must be from 3 (where the search "
+                          "starts) to %d, got %d" % (_MAX_DIM, args.max_dim))
     entries = rhs_search(args.max_dim)
     classes = rhs_manifold_classes(entries)
     obj = {"max_dim": args.max_dim,
@@ -433,7 +436,8 @@ _COMMANDS = (
                                             "[[10]] or [[1,-2]]")),)),
     ("search-rhs", "classify rational homology sphere quotients by "
                    "dimension", cmd_search_rhs,
-     (("--max-dim", dict(type=int, default=16)),)),
+     (("--max-dim", dict(type=int, default=16,
+                         help="3 to %d" % _MAX_DIM)),)),
     ("search-rank1", "two-sided SU(2) classes on a rank-2 group",
      cmd_search_rank1,
      (("--group", dict(required=True)),

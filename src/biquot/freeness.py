@@ -23,27 +23,37 @@ Hermite normal form of the partial lattice L (growing it one row at a
 time), and stops as soon as L contains the kernel (every completion then
 does too).  As L + <l - r> depends on r only modulo L, the weights left to
 match are kept reduced modulo L, so weights that agree modulo L merge into
-one class.  The search sweeps the factors breadth first, one weight per
-step, over the set of distinct states (remaining classes mod L, HNF of L);
-at each factor boundary only the HNF bases remain.  Its cost follows the
-number of distinct partial lattices and reduced multisets rather than the
-n! bijections of an SU(n) factor, or the splits of a run of equal weights.
+one class.  The search sweeps the factors breadth first, fewest choices
+first (sphere factors, then group factors, each by number of weights), one
+weight per step, over the set of distinct states (remaining classes mod L,
+HNF of L); at each factor boundary only the HNF bases remain.  On an
+effective action (kernel lattice Z^r) a partial lattice L of full rank and
+index N is replaced by its parts L + mZ^r, one per prime m | N found by
+trial division and one for the cofactor it leaves: a completion L' of L is
+Z^r iff L' + mZ^r is for every such m (Atiyah and Macdonald, Introduction
+to Commutative Algebra, 1969, ch. 2-3), and equal parts of different
+states merge.  The lattices of an action that is not effective stay whole.
+The search's cost follows the number of distinct partial lattices and
+reduced multisets rather than the n! bijections of an SU(n) factor, or the
+splits of a run of equal weights.
 
 The witness of a non-free action is the lex-least non-trivial fixed-point
 element of minimal order.  Order 2 is the least order of a non-trivial
 element, so is_free first runs the oracle's scan of the elements of order 2
-(see _first_hit).  Otherwise every non-trivial fixed-point element lies in
-Ann(L) outside Ann(K) for some violating lattice L, K the kernel lattice,
-and one Smith form per L gives the witness: with the invariant factors d_j
-of L and a unimodular V such that L*V and the diagonal of the d_j span the
-same lattice, the elements of order dividing q in Ann(L) are generated by
-the columns j of V over gcd(d_j, q), with d_j = 0 past the rank of L
-(Cohen, A Course in Computational Algebraic Number Theory, 1993, section
-2.4).  They give the escape order of L, the least q at which Ann(L)[q]
-leaves Ann(K); at the least escape order over all L the witness is the
-least of the |Ann(L)[q]| combinations of the generators that leaves
-Ann(K), where the oracle's scan would walk about q^(rank - 2) prefixes,
-one per cyclic subgroup of order q.  The eigenvalue matching reported with
+(see _first_hit) over a bounded number of prefixes.  Otherwise every
+non-trivial fixed-point element lies in Ann(L) outside Ann(K) for some
+violating lattice L, K the kernel lattice, and one Smith form per L gives
+the witness: with the invariant factors d_j of L and a unimodular V such
+that L*V and the diagonal of the d_j span the same lattice, the elements of
+order dividing q in Ann(L) are generated by the columns j of V over
+gcd(d_j, q), with d_j = 0 past the rank of L (Cohen, A Course in
+Computational Algebraic Number Theory, 1993, section 2.4).  They give the
+escape order of L, the least q at which Ann(L)[q] leaves Ann(K); at the
+least escape order over all L the witness is the least of the |Ann(L)[q]|
+combinations of the generators that leaves Ann(K), where the oracle's scan
+would walk about q^(rank - 2) prefixes, one per cyclic subgroup of order q.
+At q = 2 the scan resumes in place of the combinations when they outnumber
+the prefixes it has already walked.  The eigenvalue matching reported with
 the witness is read off the witness alone: the first full choice whose
 generators the witness annihilates, with left classes and right values
 sorted and the lex-greatest count vector first.
@@ -58,8 +68,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
-from math import gcd, isqrt, lcm
+from functools import reduce
+from itertools import chain, islice, product
+from math import gcd, isqrt, lcm, prod
 
 from .lattices import (LatticeSubgroup, _hnf_insert, _reduce,
                        smith_normal_form)
@@ -326,19 +337,56 @@ def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+# The trial-division bound of the per-prime split: the primes up to it that
+# divide an index get one part each, and what they leave of the index one
+# more, so that a huge index costs at most this many divisions.
+_SPLIT_TRIAL_BOUND = 1000
+
+
+def _split_moduli(n):
+    """Pairwise coprime moduli m > 1 whose product has the prime divisors
+    of n >= 1: each prime up to _SPLIT_TRIAL_BOUND that divides n, then the
+    cofactor trial division leaves, when that is not 1."""
+    moduli, d = [], 2
+    while d <= _SPLIT_TRIAL_BOUND and d * d <= n:
+        if n % d == 0:
+            moduli.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 + (d > 2)  # 2, then the odd numbers
+    return moduli + [n] * (n > 1)
+
+
 def _violating_lattices(action, kernel):
-    """The frozenset of HNF bases of the violating lattices: those generated
-    by a full choice that do not contain the kernel.
+    """A frozenset of HNF bases that stands for the violating lattices: the
+    lattices generated by a full choice that do not contain the kernel.
+
+    On an effective action (kernel Z^r) each violating lattice L of full
+    rank r and index N is stood for by its parts L + mZ^r, m in
+    _split_moduli(N): the primes up to _SPLIT_TRIAL_BOUND dividing N and
+    the cofactor they leave.  Every other violating lattice stands for
+    itself.  A completion L' of a partial lattice L is Z^r iff
+    L' + mZ^r = Z^r for every such m (local-global: the moduli are
+    pairwise coprime, their product has the prime divisors of N, and
+    N*Z^r lies in L'), so a full-rank partial lattice is replaced by its
+    parts, which merge with equal parts of other states.  The witness is
+    the same: an effective action's least witness has prime order p, and
+    Ann(L')[p] = Ann(L' + mZ^r)[p] for the modulus m that p divides, as
+    Ann(L' + mZ^r) = Ann(L')[m].
 
     The search is a sweep over the factors that keeps the set of HNF bases
     of the partial lattices L at the factor boundary, as the lattices
-    reachable from there depend on L alone.  A sphere factor inserts each of
-    its weights into each basis; a group factor sweeps a frontier of states
+    reachable from there depend on L alone.  The factors are swept fewest
+    choices first, sphere factors before group factors and each kind by its
+    number of weights: a violating lattice is a sum of one choice lattice
+    per factor, and the set of these sums does not depend on the order in
+    which the factors are summed.  A sphere factor inserts each of its
+    weights into each basis; a group factor sweeps a frontier of states
     (remaining classes, HNF basis of L) through its weights and collapses
-    it back to its bases.  Each step takes one weight s of one side and
-    matches it to one class of the other side's remaining weights.  Only
-    s - c mod L matters for L + <s - c>, so the remaining weights are kept
-    as their canonical representatives mod L (reduced by the HNF pivot
+    it back to its bases.  Each step takes one weight s of one
+    side and matches it to one class of the other side's remaining weights.
+    Only s - c mod L matters for L + <s - c>, so the remaining weights are
+    kept as their canonical representatives mod L (reduced by the HNF pivot
     rows) with multiplicities, and each step branches over these classes:
     weights that agree mod L merge into one class.  The side with more
     distinct weights supplies the steps and the other the classes, so a
@@ -351,13 +399,28 @@ def _violating_lattices(action, kernel):
     expanded once, and states whose L contains the kernel are dropped, as
     every completion contains it too.
     """
+    rank = action.rank
     reduced = {}  # basis -> {value: its canonical representative mod L}
     covers = {}  # basis -> whether L contains the kernel
+    parts = {}  # full-rank basis -> the bases of its parts
+    effective = kernel.is_full()
 
     def covered(basis):
         if basis not in covers:
-            covers[basis] = LatticeSubgroup(action.rank, basis).contains(kernel)
+            covers[basis] = LatticeSubgroup(rank, basis).contains(kernel)
         return covers[basis]
+
+    def split(basis):
+        """The bases that stand for an uncovered L: its parts L + mZ^r
+        where they apply, else L alone."""
+        if not effective or len(basis) < rank:
+            return (basis,)
+        if basis not in parts:
+            index = LatticeSubgroup(rank, basis).index()
+            parts[basis] = tuple(reduce(_hnf_insert, [
+                tuple(m * (i == j) for j in range(rank))
+                for i in range(rank)], basis) for m in _split_moduli(index))
+        return parts[basis]
 
     def classes(values, basis):
         """Sorted (representative mod L, multiplicity) of (value, count)."""
@@ -369,12 +432,18 @@ def _violating_lattices(action, kernel):
             out[cache[v]] = out.get(cache[v], 0) + m
         return tuple(sorted(out.items()))
 
+    def choices(f):
+        if isinstance(f, GroupFactor):
+            return True, len(f.left)
+        return False, len(f.weights)
+
     bases = set() if covered(()) else {()}
-    for f in action.factors:
+    for f in sorted(action.factors, key=choices):
         if not isinstance(f, GroupFactor):
             if not f.has_trivial_summand:
                 bases = {g for b in bases for w in set(f.weights)
-                         for g in [_hnf_insert(b, w)] if not covered(g)}
+                         for grown in [_hnf_insert(b, w)]
+                         if not covered(grown) for g in split(grown)}
             continue
         steps, bins = f.left, f.right
         if len(set(steps)) < len(set(bins)):
@@ -389,9 +458,11 @@ def _violating_lattices(action, kernel):
                     if covered(grown):
                         continue
                     shrunk = rest[:j] + ((v, m - 1),) * (m > 1) + rest[j + 1:]
-                    if grown is not basis:
-                        shrunk = classes(shrunk, grown)
-                    grown_states.add((shrunk, grown))
+                    if grown is basis:
+                        grown_states.add((shrunk, grown))
+                    else:
+                        grown_states.update((classes(shrunk, g), g)
+                                            for g in split(grown))
             frontier = grown_states
         bases = {b for _, b in frontier}
     return frozenset(bases)
@@ -521,19 +592,47 @@ def _not_free(action, kernel, witness):
                    choice=_first_choice(action, witness), caveats=caveats)
 
 
-def _lattice_verdict(action, kernel):
+def _lattice_verdict(action, kernel, scanned=0):
     """The verdict of the violating-lattice search: Free when there is no
     violating lattice, else the lex-least element of the least escape order
-    over them that leaves Ann(K)."""
+    over them that leaves Ann(K).
+
+    scanned is the number of prefixes the order-2 scan (see _first_hit)
+    has walked without a hit, 0 when it has not run.  At escape order 2
+    after a scan, the scan resumes past them when the candidates to list,
+    |Ann(L)[2]| summed over the lattices L of that order, outnumber them:
+    it finds the same witness, and costs no more than the whole scan
+    would."""
     violations = _violating_lattices(action, kernel)
     if not violations:
         return Verdict(free=True, kernel=kernel)
     smiths = [smith_normal_form(basis, action.rank) for basis in violations]
     orders = [_escape_order(diag, v, kernel) for diag, v in smiths]
     q = min(orders)
-    nums = min(_least_escape(diag, v, q, kernel)
-               for (diag, v), order in zip(smiths, orders) if order == q)
+    least = [(diag, v) for (diag, v), order in zip(smiths, orders)
+             if order == q]
+    if q == 2 and 0 < scanned < sum(prod(gcd(d, 2) for d in diag)
+                                    for diag, _ in least):
+        return _not_free(action, kernel,
+                         _first_hit(action, kernel, 2, start=scanned))
+    nums = min(_least_escape(diag, v, q, kernel) for diag, v in least)
     return _not_free(action, kernel, _element(nums, q))
+
+
+# The most prefixes is_free's scan of the elements of order 2 walks before
+# the lattice search decides: all 2^(rank - 1) of them up to rank 8.  On 2
+# cores with Python 3.11, the free T^16 action on (S^1)^16 takes 5 ms, where
+# the whole scan takes 0.4 s.  A witness past the budget costs the lattice
+# search on top of the prefixes walked (the scan resumes where listing would
+# cost more, see _lattice_verdict): with the witness at prefix 2^(rank-2)+1
+# (spheres S(e_i), 0 < i < rank, and S(2e_0, e_0 + e_1)) is_free takes
+# 2.8 ms at rank 9 against 1.3 ms for the whole scan, 4.6 against 5.2 ms at
+# rank 11 and 12 against 203 ms at rank 16; budgets of 256 and 512 move the
+# loss to ranks 10 and 11.  A cap on rank instead would hand actions with an
+# early witness to the lattice search, which lists Ann(L)[2]: on one sphere
+# factor with the 12 unit weights the scan hits at its first prefix, the
+# listing takes 0.8 s.
+_ORDER_TWO_PREFIXES = 128
 
 
 def is_free(action):
@@ -547,14 +646,18 @@ def is_free(action):
     when a D-family factor is involved.
 
     Order 2 is minimal, so the first non-trivial fixed-point element of
-    order 2, if any, is the witness.  Every other verdict, Free ones
-    included, comes from the violating-lattice search.
+    order 2, if any, is the witness.  The scan for it stops after
+    _ORDER_TWO_PREFIXES prefixes, as it walks 2^(rank - 1) of them on an
+    action without one; the prefixes go in lex order, so a hit within them
+    is still the lex-least.  Every other verdict, Free ones included, comes
+    from the violating-lattice search, which gives the same witness, and
+    resumes the scan where that costs less than listing (_lattice_verdict).
     """
     kernel = kernel_lattice(action)
-    witness = _first_hit(action, kernel, 2)
+    witness = _first_hit(action, kernel, 2, stop=_ORDER_TWO_PREFIXES)
     if witness is not None:
         return _not_free(action, kernel, witness)
-    return _lattice_verdict(action, kernel)
+    return _lattice_verdict(action, kernel, _ORDER_TWO_PREFIXES)
 
 
 # ---------------------------------------------------------------------------
@@ -611,10 +714,12 @@ def _numerators_of_order(q, rank):
     return (n for n in product(range(q), repeat=rank) if gcd(q, *n) == 1)
 
 
-def _first_hit(action, kernel, q):
+def _first_hit(action, kernel, q, start=0, stop=None):
     """The lex-least non-trivial fixed-point element of exact order q, or
     None.  When the kernel lattice is 0 every element acts trivially, so
-    None comes back at once.
+    None comes back at once.  Only the prefixes (see below) numbered start
+    to stop (0-based, stop excluded) are walked, and None also means none
+    of them holds one.
 
     For a unit u mod q, t and u*t generate one cyclic group, so they fix
     the same points and act trivially or not together: every pairing is
@@ -700,7 +805,7 @@ def _first_hit(action, kernel, q):
     prefixes = chain([(0,) * n], *(
         product(*[(0,)] * z, heads, *[range(q)] * (n - 1 - z))
         for z in reversed(range(n))))
-    for prefix in prefixes:
+    for prefix in islice(prefixes, start, stop):
         g = gcd(q, *prefix)
         bs = set()
         for head, h, step, inv in progressions:

@@ -295,6 +295,9 @@ def test_free_check_accepts_declared_trivial_lattice(capsys):
     # a weight multiset whose size is not the defining dimension
     (("index", "--target", "Sp4", "--weights", "1,1"), "weights"),
     (("index", "--target", "G2", "--weights", "2,2"), "weights"),
+    # a search past its documented bound, rejected before it starts
+    (("search-rhs", "--max-dim", "1001"), "max-dim"),
+    (("search-rhs", "--max-dim", "99999999999999999999"), "max-dim"),
 ])
 def test_malformed_arguments_exit_1_naming_the_field(capsys, argv, field):
     code, out, err = run_cli(capsys, *argv)
@@ -525,6 +528,19 @@ def test_su2xsu2_flag_off_sp4_rejected_before_any_search(capsys,
     assert (code, out) == (EXIT_SCHEMA, "")
     assert err == ("input error at include-su2xsu2: the SU(2)xSU(2) search "
                    "runs on Sp(4) only, not G2\n")
+
+
+def test_search_rhs_runs_at_its_max_dim_bound(capsys, monkeypatch):
+    # the search itself takes about 1 s at the bound, so it is stubbed
+    dims = []
+    monkeypatch.setattr(cli, "rhs_search", lambda d: dims.append(d) or [])
+    code, out, _ = run_cli(capsys, "search-rhs", "--max-dim",
+                           str(cli._MAX_DIM))
+    assert code == EXIT_OK and dims == [cli._MAX_DIM]
+    code, _, err = run_cli(capsys, "search-rhs", "--max-dim",
+                           str(cli._MAX_DIM + 1))
+    assert code == EXIT_SCHEMA and dims == [cli._MAX_DIM]
+    assert err.startswith("input error at max-dim")
 
 
 def test_search_rhs_json_deterministic(capsys):

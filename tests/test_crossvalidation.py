@@ -19,7 +19,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -30,7 +30,8 @@ from biquot.freeness import (GroupFactor, SphereFactor, TwoSidedAction,
                              has_fixed_point, _numerators_of_order,
                              _torsion_generators, _escape_order,
                              _violating_lattices, _lattice_verdict,
-                             _first_hit, _first_choice)
+                             _first_hit, _first_choice, _split_moduli,
+                             _SPLIT_TRIAL_BOUND)
 from biquot.lattices import LatticeSubgroup, smith_normal_form
 from biquot.polyring import GradedPolyRing
 from biquot.cohomology import GradedQuotient
@@ -128,6 +129,36 @@ def reference_violating_lattices(action):
     return out
 
 
+def split_moduli(index):
+    """The moduli the search splits a full-rank lattice of this index by,
+    from a full factorization: each prime up to the trial-division bound,
+    then the product of the prime powers past it when that is not 1."""
+    factors = sympy.factorint(index)
+    large = prod(p ** e for p, e in factors.items() if p > _SPLIT_TRIAL_BOUND)
+    return sorted(p for p in factors if p <= _SPLIT_TRIAL_BOUND) \
+        + [large] * (large > 1)
+
+
+def split_parts(action, lattices):
+    """The lattices that stand for the given violating lattices in the
+    search's result: on an effective action each full-rank L becomes
+    {L + mZ^r : m in split_moduli([Z^r : L])}, by gcd elimination;
+    otherwise L itself."""
+    if not kernel_lattice(action).is_full():
+        return set(lattices)
+    rank, out = action.rank, set()
+    for basis in lattices:
+        index = LatticeSubgroup(rank, basis).index()
+        if not index:
+            out.add(basis)
+            continue
+        for m in split_moduli(index):
+            out.add(tuple(elimination_hnf(
+                list(basis) + [tuple(m * (i == j) for j in range(rank))
+                               for i in range(rank)], rank)))
+    return out
+
+
 def reference_choice(action, witness):
     """The matching is_free reports, from all permutations: per group factor
     the bijection annihilated by the witness whose count vectors (sorted
@@ -207,7 +238,7 @@ def test_violating_lattices_match_full_enumeration(rank):
                       else "left"] += 1
         want = reference_violating_lattices(act)
         got = _violating_lattices(act, kernel_lattice(act))
-        assert got == want, act.to_obj()
+        assert got == split_parts(act, want), act.to_obj()
         verdict = is_free(act)
         assert verdict.free == (not want), act.to_obj()
         if want:
@@ -264,8 +295,81 @@ def test_violating_lattices_match_full_enumeration_su(rank, sizes):
                                             su_weights(rng, n, rank))
                                 for n in sizes])
     want = reference_violating_lattices(act)
-    assert set(_violating_lattices(act, kernel_lattice(act))) == want
+    assert set(_violating_lattices(act, kernel_lattice(act))) \
+        == split_parts(act, want)
     assert is_free(act).free == (not want)
+
+
+def test_split_moduli_match_a_full_factorization():
+    rng = random.Random(9091)
+    p = sympy.nextprime(_SPLIT_TRIAL_BOUND)
+    q = sympy.nextprime(p)
+    for n in itertools.chain(range(1, 3000), [p, p * p, p * q, 2 * p * q,
+                                              997 * p, 4 * 997, 2 * 997],
+                             (rng.randint(1, 10 ** 15) for _ in range(300))):
+        assert _split_moduli(n) == split_moduli(n), n
+
+
+@pytest.mark.parametrize("primes", [(5, 7), "past the bound"])
+def test_violating_lattices_split_past_the_trial_division_bound(primes):
+    """Violating lattices of index 2PQ and 3PQ: with small primes P and Q
+    they split into parts of index 2, 3, P and Q; with P and Q the two
+    primes after the split's trial-division bound, the cofactor PQ that
+    trial division leaves gives one part of index PQ.  Either way the
+    parts match the enumeration mapped through the same split, and the
+    witness is the same; so it is on the rank-1 action whose one violating
+    lattice is PQ*Z, where it has order P."""
+    if primes == "past the bound":
+        p = sympy.nextprime(_SPLIT_TRIAL_BOUND)
+        primes = p, sympy.nextprime(p)
+    pq = primes[0] * primes[1]
+    moduli = {pq} if min(primes) > _SPLIT_TRIAL_BOUND else set(primes)
+    swap = GroupFactor([(0, 0), (1, 0)], [(0, 0), (1, 0)])
+    act = TwoSidedAction(2, [SphereFactor([(pq, 0)]),
+                             SphereFactor([(0, 2), (0, 3)]), swap])
+    assert kernel_lattice(act).is_full()
+    want = reference_violating_lattices(act)
+    assert {LatticeSubgroup(2, b).index() for b in want} \
+        == {2, 3, 2 * pq, 3 * pq}
+    got = _violating_lattices(act, kernel_lattice(act))
+    assert got == split_parts(act, want) != want
+    assert {LatticeSubgroup(2, b).index() for b in got} == {2, 3} | moduli
+    assert is_free(act) == _lattice_verdict(act, kernel_lattice(act))
+    assert is_free(act).witness == TorusElement((0, Fraction(1, 2)))
+    act = TwoSidedAction(1, [SphereFactor([(pq,)]),
+                             GroupFactor([(0,), (1,)], [(0,), (1,)])])
+    want = reference_violating_lattices(act)
+    assert want == {((pq,),)}
+    got = _violating_lattices(act, kernel_lattice(act))
+    assert got == split_parts(act, want) == {((m,),) for m in moduli}
+    assert is_free(act).witness == TorusElement((Fraction(1, primes[0]),))
+
+
+def test_lattice_search_alone_finds_the_order_two_witness():
+    """is_free's order-2 scan stops after a fixed number of prefixes and
+    leaves the rest to the lattice search, which must give the same
+    verdict: on actions of rank 1 to 6 with a witness of order 2, the scan
+    stopped after any number of prefixes finds that witness or nothing,
+    and the lattice search alone gives the verdict of is_free."""
+    seen = Counter()
+    for rank in range(1, 7):
+        rng = random.Random(8100 + rank)
+        while seen[rank] < 12:
+            act = small_action(rng, rank)
+            kernel = kernel_lattice(act)
+            witness = _first_hit(act, kernel, 2)
+            if witness is None:
+                continue
+            hits = [_first_hit(act, kernel, 2, stop=n)
+                    for n in range(2 ** (rank - 1) + 1)]
+            assert set(hits) == {None, witness}, act.to_obj()
+            assert _lattice_verdict(act, kernel).to_obj() \
+                == is_free(act).to_obj(), act.to_obj()
+            seen[rank] += 1
+            seen["not effective"] += not kernel.is_full()
+            seen["past the first prefix"] += hits[1] is None
+    assert min(seen["not effective"], seen["past the first prefix"]) >= 3, \
+        seen
 
 
 def reference_first_hit(action, q):

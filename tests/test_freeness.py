@@ -151,13 +151,64 @@ def unit_weights(rank):
                     + [SphereFactor([w]) for w in unit_weights(5)[1:]]), 3),
 ])
 def test_order_two_scan_at_high_rank(act, order):
-    # the order-2 scan has no rank bound, and at order 3 is_free falls
-    # through to the lattice search
+    # the order-2 scan has no rank bound, only one on the prefixes it walks,
+    # and at order 3 is_free falls through to the lattice search
     kernel = kernel_lattice(act)
     assert kernel.is_full()
     want = _lattice_verdict(act, kernel)
     assert not want.free and want.witness_order == order
     assert is_free(act) == want
+
+
+@pytest.mark.parametrize("act,free", [
+    # free: the scan would walk all 2^15 prefixes of order 2
+    (TwoSidedAction(16, [SphereFactor([w]) for w in unit_weights(16)]), True),
+    # (0, ..., 0, 1/2) under the first prefix, where the lattice search
+    # would list the 2^15 elements of order 2 that fix a plane
+    (TwoSidedAction(16, [SphereFactor(unit_weights(16))]), False),
+], ids=["free", "order-2"])
+def test_order_two_scan_is_bounded_at_rank_16(act, free):
+    start = time.perf_counter()
+    verdict = is_free(act)
+    assert time.perf_counter() - start < 0.05
+    assert verdict.free == free and verdict.kernel.is_full()
+    if not free:
+        assert verdict.witness.coords == (0,) * 15 + (Fraction(1, 2),)
+
+
+def _witness_past_the_budget(rank):
+    """Actions whose witness (1/2, 0, ..., 0) has order 2 and lies under
+    prefix 2^(rank-2)+1 of the scan, past its budget from rank 9 on.  With
+    the spheres S(e_i), 0 < i < rank, and S(2e_0, e_0 + e_1) the one
+    violating lattice has index 2, so 2 elements of order dividing 2; with
+    one sphere S(2e_0, 3e_0) the violating lattice of escape order 2 is
+    2e_0*Z, with 2^rank."""
+    e = unit_weights(rank)
+    return [TwoSidedAction(rank, [SphereFactor([w]) for w in e[1:]] + [
+        SphereFactor([(2,) + e[0][1:], e[0][:1] + e[1][1:]])]),
+        TwoSidedAction(rank, [SphereFactor([(2,) + e[0][1:],
+                                            (3,) + e[0][1:]])])]
+
+
+@pytest.mark.parametrize("rank", [9, 12])
+def test_order_two_witness_past_the_scan_budget(monkeypatch, rank):
+    # the lattice search lists the few candidates of the first action and
+    # resumes the scan on the second, whose listing would take 2^rank
+    listed, resumed = _witness_past_the_budget(rank)
+    witness = TorusElement((Fraction(1, 2),) + (0,) * (rank - 1))
+    for act in (listed, resumed):
+        kernel = kernel_lattice(act)
+        before = 2 ** (rank - 2)
+        assert freeness._first_hit(act, kernel, 2, stop=before) is None
+        assert freeness._first_hit(act, kernel, 2, stop=before + 1) \
+            == witness
+        assert before >= freeness._ORDER_TWO_PREFIXES
+        assert is_free(act) == _lattice_verdict(act, kernel)
+        assert is_free(act).witness == witness
+    monkeypatch.setattr(freeness, "_least_escape", None)
+    assert is_free(resumed).witness == witness
+    with pytest.raises(TypeError):
+        is_free(listed)
 
 
 def test_d_family_caveat_flag():

@@ -17,7 +17,8 @@ from biquot.cli import (  # noqa: E402
     SchemaError, _COMMANDS, build_parser, main)
 from biquot.cohomology import GradedQuotient  # noqa: E402
 from biquot.freeness import (  # noqa: E402
-    GroupFactor, SphereFactor, TwoSidedAction, brute_force_free, is_free)
+    GroupFactor, SphereFactor, TwoSidedAction, _violating_lattices,
+    brute_force_free, is_free, kernel_lattice)
 from biquot.polyring import GradedPolyRing, Poly  # noqa: E402
 from test_cohomology import _monomials_by_box_filter  # noqa: E402
 
@@ -114,6 +115,43 @@ def test_witness_does_not_depend_on_weight_order_or_sides(case):
     else:
         assert (brute.witness, brute.witness_order) \
             == (v.witness, v.witness_order)
+
+
+@st.composite
+def actions_and_factor_orders(draw):
+    """A small action of two to four factors, and a permutation of them."""
+    rank = draw(st.integers(1, 3))
+    factors = []
+    for _ in range(draw(st.integers(2, 4))):
+        if draw(st.booleans()):
+            n = draw(st.integers(2, 3))
+            factors.append(GroupFactor(draw(_weight_lists(rank, n)),
+                                       draw(_weight_lists(rank, n))))
+        else:
+            factors.append(SphereFactor(
+                draw(_weight_lists(rank, draw(st.integers(1, 3)))),
+                draw(st.booleans())))
+    return TwoSidedAction(rank, factors), \
+        draw(st.permutations(range(len(factors))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(actions_and_factor_orders())
+def test_search_does_not_depend_on_factor_order(case):
+    # the search sweeps the factors fewest choices first, a stable sort,
+    # so a permutation changes the sweep among factors of one size; the
+    # choice is reported in the action's own factor order
+    action, order = case
+    permuted = TwoSidedAction(action.rank,
+                              [action.factors[i] for i in order])
+    kernel = kernel_lattice(action)
+    assert kernel_lattice(permuted) == kernel
+    assert _violating_lattices(permuted, kernel) \
+        == _violating_lattices(action, kernel)
+    v, w = is_free(action), is_free(permuted)
+    assert (w.free, w.witness) == (v.free, v.witness)
+    if not v.free:
+        assert w.choice == tuple(v.choice[i] for i in order)
 
 
 _KEYS = ("rank", "factors", "type", "left", "right", "weights", "d_family",
