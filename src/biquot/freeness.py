@@ -32,10 +32,14 @@ index N is replaced by its parts L + mZ^r, one per prime m | N found by
 trial division and one for the cofactor it leaves: a completion L' of L is
 Z^r iff L' + mZ^r is for every such m (Atiyah and Macdonald, Introduction
 to Commutative Algebra, 1969, ch. 2-3), and equal parts of different
-states merge.  The lattices of an action that is not effective stay whole.
-The search's cost follows the number of distinct partial lattices and
-reduced multisets rather than the n! bijections of an SU(n) factor, or the
-splits of a run of equal weights.
+states merge.  A part of prime index p, where L mod p spans a hyperplane
+of F_p^r with normal n, is decided on the spot: its only proper
+completion is itself, so it stands for a violating lattice iff the element
+n/p fixes a point, and it is never searched; the result is the same set.
+The lattices of an action that is not effective stay whole.  The search's
+cost follows the number of distinct partial lattices and reduced
+multisets rather than the n! bijections of an SU(n) factor, or the splits
+of a run of equal weights.
 
 The witness of a non-free action is the lex-least non-trivial fixed-point
 element of minimal order.  Order 2 is the least order of a non-trivial
@@ -72,7 +76,7 @@ from functools import reduce
 from itertools import chain, islice, product
 from math import gcd, isqrt, lcm, prod
 
-from .lattices import (LatticeSubgroup, _hnf_insert, _reduce,
+from .lattices import (LatticeSubgroup, _hnf_insert, _lead, _reduce,
                        smith_normal_form)
 
 D_FAMILY_CAVEAT = ("D-family factor present: eigenvalue conjugacy is coarser "
@@ -346,7 +350,9 @@ _SPLIT_TRIAL_BOUND = 1000
 def _split_moduli(n):
     """Pairwise coprime moduli m > 1 whose product has the prime divisors
     of n >= 1: each prime up to _SPLIT_TRIAL_BOUND that divides n, then the
-    cofactor trial division leaves, when that is not 1."""
+    cofactor trial division leaves, when that is not 1.  Every modulus
+    below (_SPLIT_TRIAL_BOUND + 1)^2 is prime: the cofactor has no prime
+    factor up to the bound, so a composite one is at least 1009^2."""
     moduli, d = [], 2
     while d <= _SPLIT_TRIAL_BOUND and d * d <= n:
         if n % d == 0:
@@ -355,6 +361,29 @@ def _split_moduli(n):
                 n //= d
         d += 1 + (d > 2)  # 2, then the odd numbers
     return moduli + [n] * (n > 1)
+
+
+def _echelon_mod(rows, p):
+    """The reduced row echelon form mod a prime p of the rows: the nonzero
+    rows, entries in [0, p), each leading with 1 in a column where every
+    other row has 0, in the order of their leads.  It depends only on the
+    subspace of F_p^r the rows span."""
+    echelon = []
+    for v in rows:
+        v = [x % p for x in v]
+        for row in echelon:
+            c = v[_lead(row)]
+            if c:
+                v = [(a - c * b) % p for a, b in zip(v, row)]
+        lead = _lead(v)
+        if lead is None:
+            continue
+        inv = pow(v[lead], -1, p)
+        v = [x * inv % p for x in v]
+        echelon = [[(a - row[lead] * b) % p for a, b in zip(row, v)]
+                   if row[lead] else row for row in echelon]
+        echelon.append(v)
+    return tuple(sorted(map(tuple, echelon), key=_lead))
 
 
 def _violating_lattices(action, kernel):
@@ -373,6 +402,23 @@ def _violating_lattices(action, kernel):
     the same: an effective action's least witness has prime order p, and
     Ann(L')[p] = Ann(L' + mZ^r)[p] for the modulus m that p divides, as
     Ann(L' + mZ^r) = Ann(L')[m].
+
+    A part M = L + pZ^r of prime index p is decided where it arises, with
+    no search of its completions.  Every modulus below
+    (_SPLIT_TRIAL_BOUND + 1)^2 is prime, and for those the echelon form
+    of L mod p says whether L spans a hyperplane of F_p^r, {v : n.v = 0
+    mod p} for a normal vector n.  Then M is that hyperplane's preimage,
+    of index p, and a completion L' of L has L' + pZ^r = M or Z^r; so M
+    stands for some violating lattice iff some completion adds only
+    vectors of M, that is iff the element t = n/p, which pairs integrally
+    with exactly the vectors of M, fixes a point.  That is one test on the
+    whole action: equal multisets of pairings with n mod p on the two
+    sides of every group factor (the pairs matched so far agree, as their
+    differences lie in L), and on every sphere factor without a trivial
+    summand a weight that pairs to 0 mod p.  The test is cached per
+    (p, echelon rows), and M is in the result iff it passes, as it is when
+    its state is searched, so the result is the same set.  Every other
+    part is searched as a state.
 
     The search is a sweep over the factors that keeps the set of HNF bases
     of the partial lattices L at the factor boundary, as the lattices
@@ -402,7 +448,8 @@ def _violating_lattices(action, kernel):
     rank = action.rank
     reduced = {}  # basis -> {value: its canonical representative mod L}
     covers = {}  # basis -> whether L contains the kernel
-    parts = {}  # full-rank basis -> the bases of its parts
+    parts = {}  # full-rank basis -> the bases of its parts left to search
+    hyperplanes = {}  # (p, echelon rows mod p) -> HNF of the part, or None
     effective = kernel.is_full()
 
     def covered(basis):
@@ -410,16 +457,49 @@ def _violating_lattices(action, kernel):
             covers[basis] = LatticeSubgroup(rank, basis).contains(kernel)
         return covers[basis]
 
+    def hyperplane(p, rows):
+        """The HNF of M = L + pZ^r when t = n/p fixes a point, else None;
+        rows is the echelon form mod p of L, a hyperplane with normal n.
+        Its one column f without a lead gives n = e_f - sum of row[f]*e_c
+        over the rows, c the lead of each row, and the HNF of M is the
+        rows with p*e_f put in at f."""
+        f = min(set(range(rank)).difference(map(_lead, rows)))
+        n = [0] * rank
+        n[f] = 1
+        for row in rows:
+            n[_lead(row)] = -row[f] % p
+
+        def pair(w):
+            return sum(a * b for a, b in zip(n, w)) % p
+
+        for g in action.factors:
+            if isinstance(g, GroupFactor):
+                if sorted(map(pair, g.left)) != sorted(map(pair, g.right)):
+                    return None
+            elif not g.has_trivial_summand and all(map(pair, g.weights)):
+                return None
+        return rows[:f] + (tuple(p * (j == f) for j in range(rank)),) \
+            + rows[f:]
+
     def split(basis):
-        """The bases that stand for an uncovered L: its parts L + mZ^r
-        where they apply, else L alone."""
+        """The bases of the states that stand for an uncovered L: its parts
+        L + mZ^r where they apply, else L alone.  A part of prime index is
+        decided here by hyperplane and stands for no state."""
         if not effective or len(basis) < rank:
             return (basis,)
         if basis not in parts:
-            index = LatticeSubgroup(rank, basis).index()
-            parts[basis] = tuple(reduce(_hnf_insert, [
-                tuple(m * (i == j) for j in range(rank))
-                for i in range(rank)], basis) for m in _split_moduli(index))
+            states = []
+            for m in _split_moduli(LatticeSubgroup(rank, basis).index()):
+                if m < (_SPLIT_TRIAL_BOUND + 1) ** 2:  # m is prime
+                    rows = _echelon_mod(basis, m)
+                    if len(rows) == rank - 1:
+                        if (m, rows) not in hyperplanes:
+                            hyperplanes[m, rows] = hyperplane(m, rows)
+                        continue
+                states.append(reduce(_hnf_insert, [
+                    tuple(m * (i == j) for j in range(rank))
+                    for i in range(rank)], basis))
+            parts[basis] = tuple(states)
         return parts[basis]
 
     def classes(values, basis):
@@ -465,7 +545,7 @@ def _violating_lattices(action, kernel):
                                             for g in split(grown))
             frontier = grown_states
         bases = {b for _, b in frontier}
-    return frozenset(bases)
+    return frozenset(bases).union(filter(None, hyperplanes.values()))
 
 
 def _first_choice(action, witness):

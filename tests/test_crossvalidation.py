@@ -8,7 +8,10 @@ order, each lattice's escape order against a direct enumeration of its
 annihilator, and torsion generators of annihilators by direct pairing.  The
 brute-force oracle is checked against the same reference swept over every
 order, and the reference's least witness orders against the lemma by which
-the oracle skips orders.  At ranks 4 to 6, out of the oracle's reach, the
+the oracle skips orders.  At rank 2 on SU(10) to SU(16) factors, past the
+enumeration's reach, verdicts and witnesses are checked against the oracle
+swept to a bound on the primes that can divide a choice lattice's index,
+where it decides exactly.  At ranks 4 to 6, out of the oracle's reach, the
 witness is checked on actions whose fixed-point set is one cyclic group of
 large order.  Groebner-based Betti ranks are fuzzed against sympy normal
 forms under a different monomial order (graded ranks are intrinsic, so any
@@ -31,7 +34,8 @@ from biquot.freeness import (GroupFactor, SphereFactor, TwoSidedAction,
                              _torsion_generators, _escape_order,
                              _violating_lattices, _lattice_verdict,
                              _first_hit, _first_choice, _split_moduli,
-                             _SPLIT_TRIAL_BOUND)
+                             _echelon_mod, _SPLIT_TRIAL_BOUND)
+from biquot import freeness
 from biquot.lattices import LatticeSubgroup, smith_normal_form
 from biquot.polyring import GradedPolyRing
 from biquot.cohomology import GradedQuotient
@@ -288,16 +292,72 @@ def test_first_choice_matches_reference_at_composite_orders(coords):
 
 @pytest.mark.parametrize("rank,sizes", [
     (2, (6,)), (2, (7,)), (2, (8,)), (3, (5,)), (3, (6,)), (2, (4, 4)),
+    (2, (4, 5, "sphere")),
 ])
 def test_violating_lattices_match_full_enumeration_su(rank, sizes):
-    rng = random.Random(sum(sizes) * 10 + rank)
-    act = TwoSidedAction(rank, [GroupFactor(su_weights(rng, n, rank),
-                                            su_weights(rng, n, rank))
-                                for n in sizes])
+    """One SU(n) group factor per size; "sphere" adds a sphere factor of
+    three distinct nonzero weights, the shape of the benchmark's
+    su2x-sphere jobs."""
+    groups = [n for n in sizes if n != "sphere"]
+    rng = random.Random(sum(groups) * 10 + rank)
+    factors = [GroupFactor(su_weights(rng, n, rank), su_weights(rng, n, rank))
+               for n in groups]
+    if "sphere" in sizes:
+        weights = set()
+        while len(weights) < 3:
+            w = tuple(rng.randint(-2, 2) for _ in range(rank))
+            if any(w):
+                weights.add(w)
+        factors.append(SphereFactor(sorted(weights)))
+    act = TwoSidedAction(rank, factors)
     want = reference_violating_lattices(act)
     assert set(_violating_lattices(act, kernel_lattice(act))) \
         == split_parts(act, want)
     assert is_free(act).free == (not want)
+
+
+def prime_bound(action):
+    """B = max |det(u, v)| over the vectors a rank-2 choice can add: the
+    group factors' differences l - r and the weights of the sphere factors
+    without a trivial summand.  The index of a choice lattice of rank 2
+    divides its nonzero 2x2 minors, so every prime dividing it is at most
+    B."""
+    vectors = set()
+    for f in action.factors:
+        if isinstance(f, GroupFactor):
+            vectors.update(tuple(a - b for a, b in zip(l, r))
+                           for l in f.left for r in f.right)
+        elif not f.has_trivial_summand:
+            vectors.update(f.weights)
+    return max((abs(u[0] * v[1] - u[1] * v[0])
+                for u, v in itertools.combinations(vectors, 2)), default=0)
+
+
+def test_rank_two_verdicts_match_the_oracle_to_the_prime_bound():
+    """Past the enumeration's reach, on SU(10) to SU(16) factors at rank 2,
+    the oracle to order max(B, 2), B the prime bound, decides exactly: the
+    least witness of an effective action has prime order, an element of
+    which lies in Ann(L) for a violating lattice L; a prime with nonzero
+    elements of that order in Ann(L) divides L's index when L has rank 2,
+    and every L of rank below 2 has elements of order 2 in Ann(L).  So
+    is_free is Free iff the oracle finds no witness, and both give the
+    same witness otherwise; so does the lattice search alone."""
+    rng = random.Random(3816)
+    seen = Counter()
+    while sum(seen.values()) < 24:
+        n = rng.randint(10, 16)
+        act = TwoSidedAction(2, [GroupFactor(su_weights(rng, n, 2),
+                                             su_weights(rng, n, 2))])
+        kernel = kernel_lattice(act)
+        if not kernel.is_full():
+            continue
+        verdict = is_free(act)
+        brute = brute_force_free(act, max(prime_bound(act), 2))
+        assert verdict.witness == brute.witness, act.to_obj()
+        assert _lattice_verdict(act, kernel) == verdict, act.to_obj()
+        seen["free" if verdict.free else
+             "order %d" % min(verdict.witness_order, 3)] += 1
+    assert min(seen["free"], seen["order 2"], seen["order 3"]) >= 3, seen
 
 
 def test_split_moduli_match_a_full_factorization():
@@ -308,41 +368,74 @@ def test_split_moduli_match_a_full_factorization():
                                               997 * p, 4 * 997, 2 * 997],
                              (rng.randint(1, 10 ** 15) for _ in range(300))):
         assert _split_moduli(n) == split_moduli(n), n
+        # the search reads every modulus below this bound as a prime
+        assert all(sympy.isprime(m) for m in _split_moduli(n)
+                   if m < (_SPLIT_TRIAL_BOUND + 1) ** 2), n
 
 
-@pytest.mark.parametrize("primes", [(5, 7), "past the bound"])
-def test_violating_lattices_split_past_the_trial_division_bound(primes):
-    """Violating lattices of index 2PQ and 3PQ: with small primes P and Q
-    they split into parts of index 2, 3, P and Q; with P and Q the two
-    primes after the split's trial-division bound, the cofactor PQ that
-    trial division leaves gives one part of index PQ.  Either way the
-    parts match the enumeration mapped through the same split, and the
-    witness is the same; so it is on the rank-1 action whose one violating
-    lattice is PQ*Z, where it has order P."""
-    if primes == "past the bound":
+@pytest.mark.parametrize("primes", [(5, 7), "past the bound",
+                                    "one prime past the bound"])
+def test_violating_lattices_split_past_the_trial_division_bound(
+        primes, monkeypatch):
+    """Violating lattices of index 2N and 3N, N = PQ or N = P: with small
+    primes P and Q they split into parts of index 2, 3, P and Q; with P
+    and Q the two primes after the split's trial-division bound, the
+    cofactor PQ that trial division leaves gives one part of index PQ, and
+    with N = P alone one part of index P.  Either way the parts match the
+    enumeration mapped through the same split, and the witness is the
+    same; so it is on the rank-1 action whose one violating lattice is
+    N*Z, where it has order P.  Every part of prime index is a hyperplane
+    mod its prime and is decided without a search; the composite PQ is
+    never read as a prime, and its part is searched: on a rank-1 action
+    with a factor whose choices add P, it has the completion P*Z.  A part
+    decided without a search still meets the factors swept after it."""
+    if primes != (5, 7):
         p = sympy.nextprime(_SPLIT_TRIAL_BOUND)
-        primes = p, sympy.nextprime(p)
-    pq = primes[0] * primes[1]
-    moduli = {pq} if min(primes) > _SPLIT_TRIAL_BOUND else set(primes)
+        primes = (p, sympy.nextprime(p)) if primes == "past the bound" \
+            else (p,)
+    n = prod(primes)
+    moduli = set(split_moduli(n))
+    hyperplanes = set()  # the moduli at which a split found a hyperplane
+
+    def echelon_mod(rows, p):
+        echelon = _echelon_mod(rows, p)
+        if len(echelon) == len(rows) - 1:
+            hyperplanes.add(p)
+        return echelon
+
+    monkeypatch.setattr(freeness, "_echelon_mod", echelon_mod)
     swap = GroupFactor([(0, 0), (1, 0)], [(0, 0), (1, 0)])
-    act = TwoSidedAction(2, [SphereFactor([(pq, 0)]),
+    act = TwoSidedAction(2, [SphereFactor([(n, 0)]),
                              SphereFactor([(0, 2), (0, 3)]), swap])
     assert kernel_lattice(act).is_full()
     want = reference_violating_lattices(act)
     assert {LatticeSubgroup(2, b).index() for b in want} \
-        == {2, 3, 2 * pq, 3 * pq}
+        == {2, 3, 2 * n, 3 * n}
     got = _violating_lattices(act, kernel_lattice(act))
     assert got == split_parts(act, want) != want
     assert {LatticeSubgroup(2, b).index() for b in got} == {2, 3} | moduli
+    assert hyperplanes == {2, 3} | {m for m in moduli if sympy.isprime(m)}
     assert is_free(act) == _lattice_verdict(act, kernel_lattice(act))
     assert is_free(act).witness == TorusElement((0, Fraction(1, 2)))
-    act = TwoSidedAction(1, [SphereFactor([(pq,)]),
-                             GroupFactor([(0,), (1,)], [(0,), (1,)])])
+    swap = GroupFactor([(0,), (1,)], [(0,), (1,)])
+    act = TwoSidedAction(1, [SphereFactor([(n,)]), swap])
     want = reference_violating_lattices(act)
-    assert want == {((pq,),)}
+    assert want == {((n,),)}
     got = _violating_lattices(act, kernel_lattice(act))
     assert got == split_parts(act, want) == {((m,),) for m in moduli}
     assert is_free(act).witness == TorusElement((Fraction(1, primes[0]),))
+    act = TwoSidedAction(1, [SphereFactor([(n,)]), swap, GroupFactor(
+        [(0,), (primes[0],)], [(0,), (primes[0],)])])
+    want = reference_violating_lattices(act)
+    assert want == {((n,),), ((primes[0],),)}
+    assert _violating_lattices(act, kernel_lattice(act)) \
+        == split_parts(act, want)
+    # the parts of n*Z arise before the sphere S(2, 3) is swept, whose
+    # weights then reach Z
+    act = TwoSidedAction(1, [SphereFactor([(n,)]),
+                             SphereFactor([(2,), (3,)])])
+    assert reference_violating_lattices(act) == set() \
+        == _violating_lattices(act, kernel_lattice(act))
 
 
 def test_lattice_search_alone_finds_the_order_two_witness():
