@@ -44,6 +44,10 @@ _MAX_PRESET = 1000
 # The largest search-rhs --max-dim accepted: the search's cost grows about
 # quadratically in it, and at the bound it takes about 1 s.
 _MAX_DIM = 1000
+# The largest catalog --max-g-dimension accepted: far past every group of
+# the paper, and the catalog takes about 0.25 s and prints 0.3 MB at the
+# bound, against 1.4 s and 2.2 MB at ten times it.
+_MAX_G_DIMENSION = 100000
 
 
 class SchemaError(ValueError):
@@ -101,9 +105,9 @@ def _load_json_input(args):
 
 
 def cmd_catalog(args):
-    if args.max_g_dimension < 0:
-        raise SchemaError("max-g-dimension", "must be >= 0, got %d"
-                          % args.max_g_dimension)
+    if not 0 <= args.max_g_dimension <= _MAX_G_DIMENSION:
+        raise SchemaError("max-g-dimension", "must be from 0 to %d, got %d"
+                          % (_MAX_G_DIMENSION, args.max_g_dimension))
     entries = homogeneous_catalog(args.max_g_dimension)
     obj = {"degrees": {}, "pairs": [e.to_obj() for e in entries]}
     lines = ["degrees:"]
@@ -403,7 +407,8 @@ def cmd_verify_paper(args):
 _COMMANDS = (
     ("catalog", "dump the degree table and the homogeneous-pair catalog",
      cmd_catalog,
-     (("--max-g-dimension", dict(type=int, default=150)),)),
+     (("--max-g-dimension", dict(type=int, default=150,
+                                 help="0 to %d" % _MAX_G_DIMENSION)),)),
     ("index", "Dynkin index of a rank-1 weight multiset into a target group",
      cmd_index,
      (("--target", dict(required=True)),

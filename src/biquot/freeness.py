@@ -52,15 +52,13 @@ that L*V and the diagonal of the d_j span the same lattice, the elements of
 order dividing q in Ann(L) are generated by the columns j of V over
 gcd(d_j, q), with d_j = 0 past the rank of L (Cohen, A Course in
 Computational Algebraic Number Theory, 1993, section 2.4).  They give the
-escape order of L, the least q at which Ann(L)[q] leaves Ann(K); at the
-least escape order over all L the witness is the least of the |Ann(L)[q]|
-combinations of the generators that leaves Ann(K), where the oracle's scan
-would walk about q^(rank - 2) prefixes, one per cyclic subgroup of order q.
-At q = 2 the scan resumes in place of the combinations when they outnumber
-the prefixes it has already walked.  The eigenvalue matching reported with
-the witness is read off the witness alone: the first full choice whose
-generators the witness annihilates, with left classes and right values
-sorted and the lex-greatest count vector first.
+escape order of L, the least q at which Ann(L)[q] leaves Ann(K).  At the
+least escape order over all L the witness is read off the Hermite form of
+the numerators of Ann(L)[q], one column at a time, each entry the least
+that still leaves an element outside Ann(K).  The eigenvalue matching
+reported with the witness is read off the witness alone: the first full
+choice whose generators the witness annihilates, with left classes and
+right values sorted and the lex-greatest count vector first.
 
 For Spin(2n) group factors the eigenvalue test is coarser than conjugacy
 in the group itself; Free verdicts remain sound, and NotFree verdicts are
@@ -74,9 +72,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, islice, product
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 
-from .lattices import (LatticeSubgroup, _hnf_insert, _lead, _reduce,
+from .lattices import (LatticeSubgroup, _hnf_insert, _lead, _reduce, hnf,
                        smith_normal_form)
 
 D_FAMILY_CAVEAT = ("D-family factor present: eigenvalue conjugacy is coarser "
@@ -598,19 +596,6 @@ def _first_choice(action, witness):
 # ---------------------------------------------------------------------------
 
 
-def _torsion_generators(diag, v, q):
-    """Generators (coords, order) of Ann(M)[q], the elements of order
-    dividing q that pair integrally with every row of M, from the Smith
-    data of M: column j of V over gcd(diag[j], q), where it is not 1.
-    Their orders multiply to the order of Ann(M)[q]."""
-    gens = []
-    for j, dj in enumerate(diag):
-        g = gcd(dj, q)
-        if g > 1:
-            gens.append((tuple(Fraction(row[j], g) % 1 for row in v), g))
-    return gens
-
-
 def _escape_order(diag, v, kernel):
     """The escape order of a violating lattice L, given by its Smith data:
     the least q such that some element of order dividing q in Ann(L) lies
@@ -636,26 +621,49 @@ def _escape_order(diag, v, kernel):
     return q
 
 
+def _annihilator_basis(diag, v, q):
+    """The HNF rows of the lattice of numerators over q of Ann(L)[q], L
+    given by its Smith data: column j of V times q/gcd(diag[j], q), and
+    q*e_i for each i.  As it contains qZ^r, row i has its pivot, a divisor
+    of q, in column i."""
+    rank = len(v)
+    return hnf([tuple(row[j] * (q // gcd(dj, q)) for row in v)
+                for j, dj in enumerate(diag)]
+               + [tuple(q * (i == j) for j in range(rank))
+                  for i in range(rank)], rank)
+
+
 def _least_escape(diag, v, q, kernel):
     """Numerators over q of the lex-least element of Ann(L)[q] outside
     Ann(K), L given by its Smith data and q its escape order.
 
-    Every combination of the torsion generators of Ann(L)[q], |Ann(L)[q]|
-    elements, is a candidate; by the minimality of q the candidates outside
-    Ann(K) all have order q.
+    Column by column, entry i takes the least value in [0, q) that keeps an
+    element outside Ann(K) among the completions.  With the rows of
+    _annihilator_basis, the elements that agree with the vector x built so
+    far before column i form the coset x + S, S spanned by the rows from i
+    on, and entry i ranges over the values congruent to x_i mod the pivot
+    h_i of row i.  A coset x + S lies in Ann(K) iff x and S both do, so
+    a value is kept when some later row, or the vector it gives, pairs
+    non-zero mod q with a kernel row.  By the minimality of q the elements
+    outside Ann(K) all have order q.
     """
-    tors = _torsion_generators(diag, v, q)
-    # numerators over q: a generator of order d divides q
-    gens = [[int(x * q) for x in coords] for coords, _ in tors]
-    combos = (tuple(sum(c * g[j] for c, g in zip(cs, gens)) % q
-                    for j in range(len(v)))
-              for cs in product(*(range(d) for _, d in tors)))
-    best = min((nums for nums in combos if any(
-        sum(a * b for a, b in zip(k, nums)) % q for k in kernel.basis)),
-        default=None)
-    if best is None:
+    rows = _annihilator_basis(diag, v, q)
+
+    def escapes(x):
+        return any(sum(a * b for a, b in zip(k, x)) % q for k in kernel.basis)
+
+    later = [any(map(escapes, rows[i + 1:])) for i in range(len(rows))]
+    x = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for value in range(x[i] % row[i], q, row[i]):
+            y = [(a + (value - x[i]) // row[i] * b) % q
+                 for a, b in zip(x, row)]
+            if later[i] or escapes(y):
+                x = y
+                break
+    if not escapes(x):
         raise AssertionError("no witness found despite escape")
-    return best
+    return tuple(x)
 
 
 def _element(nums, q):
@@ -672,46 +680,29 @@ def _not_free(action, kernel, witness):
                    choice=_first_choice(action, witness), caveats=caveats)
 
 
-def _lattice_verdict(action, kernel, scanned=0):
+def _lattice_verdict(action, kernel):
     """The verdict of the violating-lattice search: Free when there is no
     violating lattice, else the lex-least element of the least escape order
-    over them that leaves Ann(K).
-
-    scanned is the number of prefixes the order-2 scan (see _first_hit)
-    has walked without a hit, 0 when it has not run.  At escape order 2
-    after a scan, the scan resumes past them when the candidates to list,
-    |Ann(L)[2]| summed over the lattices L of that order, outnumber them:
-    it finds the same witness, and costs no more than the whole scan
-    would."""
+    over them that leaves Ann(K)."""
     violations = _violating_lattices(action, kernel)
     if not violations:
         return Verdict(free=True, kernel=kernel)
     smiths = [smith_normal_form(basis, action.rank) for basis in violations]
     orders = [_escape_order(diag, v, kernel) for diag, v in smiths]
     q = min(orders)
-    least = [(diag, v) for (diag, v), order in zip(smiths, orders)
-             if order == q]
-    if q == 2 and 0 < scanned < sum(prod(gcd(d, 2) for d in diag)
-                                    for diag, _ in least):
-        return _not_free(action, kernel,
-                         _first_hit(action, kernel, 2, start=scanned))
-    nums = min(_least_escape(diag, v, q, kernel) for diag, v in least)
+    nums = min(_least_escape(diag, v, q, kernel)
+               for (diag, v), order in zip(smiths, orders) if order == q)
     return _not_free(action, kernel, _element(nums, q))
 
 
 # The most prefixes is_free's scan of the elements of order 2 walks before
 # the lattice search decides: all 2^(rank - 1) of them up to rank 8.  On 2
 # cores with Python 3.11, the free T^16 action on (S^1)^16 takes 5 ms, where
-# the whole scan takes 0.4 s.  A witness past the budget costs the lattice
-# search on top of the prefixes walked (the scan resumes where listing would
-# cost more, see _lattice_verdict): with the witness at prefix 2^(rank-2)+1
-# (spheres S(e_i), 0 < i < rank, and S(2e_0, e_0 + e_1)) is_free takes
-# 2.8 ms at rank 9 against 1.3 ms for the whole scan, 4.6 against 5.2 ms at
-# rank 11 and 12 against 203 ms at rank 16; budgets of 256 and 512 move the
-# loss to ranks 10 and 11.  A cap on rank instead would hand actions with an
-# early witness to the lattice search, which lists Ann(L)[2]: on one sphere
-# factor with the 12 unit weights the scan hits at its first prefix, the
-# listing takes 0.8 s.
+# the whole scan takes 0.4 s; with the witness (1/2, 0, ..., 0) under prefix
+# 2^14 + 1 (spheres S(e_i), 0 < i < 16, and S(2e_0, e_0 + e_1); or the one
+# sphere S(2e_0, 3e_0)) it takes 13 or 2 ms, the scan 0.21 or 0.16 s.
+# Within the budget the scan is the faster path: without it a pass over
+# perfbench's freeness-scale jobs takes 0.053 s, not 0.012 s.
 _ORDER_TWO_PREFIXES = 128
 
 
@@ -730,14 +721,13 @@ def is_free(action):
     _ORDER_TWO_PREFIXES prefixes, as it walks 2^(rank - 1) of them on an
     action without one; the prefixes go in lex order, so a hit within them
     is still the lex-least.  Every other verdict, Free ones included, comes
-    from the violating-lattice search, which gives the same witness, and
-    resumes the scan where that costs less than listing (_lattice_verdict).
+    from the violating-lattice search, which gives the same witness.
     """
     kernel = kernel_lattice(action)
     witness = _first_hit(action, kernel, 2, stop=_ORDER_TWO_PREFIXES)
     if witness is not None:
         return _not_free(action, kernel, witness)
-    return _lattice_verdict(action, kernel, _ORDER_TWO_PREFIXES)
+    return _lattice_verdict(action, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -794,12 +784,11 @@ def _numerators_of_order(q, rank):
     return (n for n in product(range(q), repeat=rank) if gcd(q, *n) == 1)
 
 
-def _first_hit(action, kernel, q, start=0, stop=None):
+def _first_hit(action, kernel, q, stop=None):
     """The lex-least non-trivial fixed-point element of exact order q, or
     None.  When the kernel lattice is 0 every element acts trivially, so
-    None comes back at once.  Only the prefixes (see below) numbered start
-    to stop (0-based, stop excluded) are walked, and None also means none
-    of them holds one.
+    None comes back at once.  Given stop, only the first stop prefixes (see
+    below) are walked, and None also means none of them holds one.
 
     For a unit u mod q, t and u*t generate one cyclic group, so they fix
     the same points and act trivially or not together: every pairing is
@@ -885,7 +874,7 @@ def _first_hit(action, kernel, q, start=0, stop=None):
     prefixes = chain([(0,) * n], *(
         product(*[(0,)] * z, heads, *[range(q)] * (n - 1 - z))
         for z in reversed(range(n))))
-    for prefix in islice(prefixes, start, stop):
+    for prefix in islice(prefixes, stop):
         g = gcd(q, *prefix)
         bs = set()
         for head, h, step, inv in progressions:

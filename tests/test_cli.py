@@ -543,6 +543,19 @@ def test_search_rhs_runs_at_its_max_dim_bound(capsys, monkeypatch):
     assert err.startswith("input error at max-dim")
 
 
+def test_catalog_runs_at_its_max_g_dimension_bound(capsys, monkeypatch):
+    dims = []
+    monkeypatch.setattr(cli, "homogeneous_catalog",
+                        lambda d: dims.append(d) or [])
+    code, out, _ = run_cli(capsys, "catalog", "--max-g-dimension",
+                           str(cli._MAX_G_DIMENSION))
+    assert code == EXIT_OK and dims == [cli._MAX_G_DIMENSION]
+    code, _, err = run_cli(capsys, "catalog", "--max-g-dimension",
+                           str(cli._MAX_G_DIMENSION + 1))
+    assert code == EXIT_SCHEMA and dims == [cli._MAX_G_DIMENSION]
+    assert err.startswith("input error at max-g-dimension")
+
+
 def test_search_rhs_json_deterministic(capsys):
     code, out1, _ = run_cli(capsys, "--format", "json", "search-rhs",
                             "--max-dim", "11")

@@ -31,7 +31,8 @@ from biquot.freeness import (GroupFactor, SphereFactor, TwoSidedAction,
                              TorusElement, BruteVerdict, kernel_lattice,
                              is_free, brute_force_free, acts_trivially,
                              has_fixed_point, _numerators_of_order,
-                             _torsion_generators, _escape_order,
+                             _annihilator_basis, _least_escape,
+                             _escape_order,
                              _violating_lattices, _lattice_verdict,
                              _first_hit, _first_choice, _split_moduli,
                              _echelon_mod, _SPLIT_TRIAL_BOUND)
@@ -770,24 +771,59 @@ def test_kernel_elements_act_trivially_randomized():
                         assert all(t.pair(w) == 0 for w in f.weights)
 
 
-def test_torsion_generators_pair_integrally():
-    rng = random.Random(5150)
-    for _ in range(120):
-        n = rng.randint(1, 4)
-        rows = [tuple(rng.randint(-4, 4) for _ in range(n))
-                for _ in range(rng.randint(0, n))]
-        q = rng.choice([2, 3, 4, 5, 6])
-        for coords, order in _torsion_generators(*smith_normal_form(rows, n),
-                                                 q):
-            t = TorusElement(coords)
-            assert q % order == 0 and t.order == order
-            for w in rows:
-                assert t.pair(w) == 0
+def listed_least_escape(diag, v, q, kernel):
+    """The lex-least numerators over q of an element of Ann(L)[q] outside
+    Ann(K), L given by its Smith data, by listing all |Ann(L)[q]|
+    combinations of the generators of Ann(L)[q]: column j of V over
+    gcd(diag[j], q), where that is not 1."""
+    gens = [([row[j] * (q // gcd(dj, q)) for row in v], gcd(dj, q))
+            for j, dj in enumerate(diag) if gcd(dj, q) > 1]
+    combos = (tuple(sum(c * g[i] for c, (g, _) in zip(cs, gens)) % q
+                    for i in range(len(v)))
+              for cs in itertools.product(*(range(d) for _, d in gens)))
+    return min(nums for nums in combos if any(
+        sum(a * b for a, b in zip(k, nums)) % q for k in kernel.basis))
 
 
-def test_torsion_generators_span_the_whole_annihilator():
-    # the generators of Ann(L)[q] must span every element of order dividing
-    # q that pairs integrally with the rows of L, each exactly once
+def test_least_escape_matches_the_listing():
+    """The column-by-column read-off gives the listing's witness at the
+    escape order.  Rows of L scaled by 2, 3 or 4 and kernel rows by 2 or 3
+    make the escape orders 4 and 9 common; an escape order is a prime power,
+    as Ann(L)[ab] = Ann(L)[a] + Ann(L)[b] for coprime a and b."""
+    rng = random.Random(3939)
+    seen = Counter()
+    for _ in range(1000):
+        rank = rng.randint(1, 4)
+        box, scale = (9, 6, 4, 3)[rank - 1], rng.choice([1, 1, 2, 3, 4])
+        lattice = LatticeSubgroup.from_rows(rank, [
+            tuple(scale * rng.randint(-box, box) for _ in range(rank))
+            for _ in range(rng.randint(0, rank))])
+        scale = rng.choice([1, 2, 3])
+        kernel = LatticeSubgroup.from_rows(rank, [
+            tuple(scale * rng.randint(-3, 3) for _ in range(rank))
+            for _ in range(rng.randint(1, rank))])
+        if lattice.contains(kernel):
+            continue
+        diag, v = smith_normal_form(lattice.basis, rank)
+        q = _escape_order(diag, v, kernel)
+        assert _least_escape(diag, v, q, kernel) \
+            == listed_least_escape(diag, v, q, kernel), (
+                lattice.basis, kernel.basis)
+        assert len(sympy.factorint(q)) == 1, q
+        seen["composite"] += not sympy.isprime(q)
+        seen["order 9"] += q == 9
+        seen["rank-deficient"] += len(lattice.basis) < rank
+        seen["non-cyclic"] += sum(gcd(d, q) > 1 for d in diag) > 1
+    assert seen["composite"] >= 30, seen
+    assert seen["order 9"] >= 3, seen
+    assert min(seen["rank-deficient"], seen["non-cyclic"]) >= 30, seen
+
+
+def test_annihilator_basis_spans_the_whole_annihilator():
+    # the HNF rows of the numerators of Ann(L)[q] have their pivots, which
+    # divide q, on the diagonal, and their combinations with coefficients
+    # below q over each pivot give every element of order dividing q that
+    # pairs integrally with the rows of L, each exactly once
     rng = random.Random(6060)
     seen = Counter()
     for _ in range(150):
@@ -795,19 +831,20 @@ def test_torsion_generators_span_the_whole_annihilator():
         rows = [tuple(rng.randint(-6, 6) for _ in range(n))
                 for _ in range(rng.randint(0, 3))]
         q = rng.randint(2, 6)
-        want = {tuple(Fraction(a, q) for a in nums)
-                for nums in itertools.product(range(q), repeat=n)
-                if all(sum(a * b for a, b in zip(w, nums)) % q == 0
-                       for w in rows)}
-        gens = _torsion_generators(*smith_normal_form(rows, n), q)
+        diag, v = smith_normal_form(rows, n)
+        basis = _annihilator_basis(diag, v, q)
+        assert len(basis) == n and all(
+            not any(row[:i]) and row[i] > 0 and q % row[i] == 0
+            for i, row in enumerate(basis)), basis
         spanned = Counter(
-            tuple(sum(c * g[j] for c, (g, _) in zip(cs, gens)) % 1
+            tuple(sum(c * row[j] for c, row in zip(cs, basis)) % q
                   for j in range(n))
-            for cs in itertools.product(*(range(d) for _, d in gens)))
-        assert set(spanned) == want, (rows, q)
+            for cs in itertools.product(*(range(q // row[i])
+                                          for i, row in enumerate(basis))))
+        assert sorted(spanned) == annihilator(rows, n, q), (rows, q)
         assert set(spanned.values()) == {1}, (rows, q)
-        seen["proper"] += len(want) < q ** n
-        seen["non-cyclic"] += len(gens) > 1
+        seen["proper"] += len(spanned) < q ** n
+        seen["non-cyclic"] += sum(gcd(d, q) > 1 for d in diag) > 1
         seen["rank-deficient"] += len(rows) < n
     assert min(seen.values()) > 10, seen
 
@@ -871,8 +908,8 @@ def cyclic_fixed_point_action(rng, rank, q):
 def test_lattice_witness_at_high_rank_and_large_order():
     # the oracle's scan at order q walks q^(rank - 1) prefixes, out of reach
     # here; the witness is the least non-zero multiple of n/q by (order,
-    # coordinates), which the lattice search reads from the Smith generators
-    # of Ann(L) at that order
+    # coordinates), which the lattice search reads off the Hermite form of
+    # the numerators of Ann(L) at that order
     rng = random.Random(4646)
     orders = Counter()
     for rank in (4, 5, 6):

@@ -163,8 +163,7 @@ def test_order_two_scan_at_high_rank(act, order):
 @pytest.mark.parametrize("act,free", [
     # free: the scan would walk all 2^15 prefixes of order 2
     (TwoSidedAction(16, [SphereFactor([w]) for w in unit_weights(16)]), True),
-    # (0, ..., 0, 1/2) under the first prefix, where the lattice search
-    # would list the 2^15 elements of order 2 that fix a plane
+    # (0, ..., 0, 1/2) under the first prefix
     (TwoSidedAction(16, [SphereFactor(unit_weights(16))]), False),
 ], ids=["free", "order-2"])
 def test_order_two_scan_is_bounded_at_rank_16(act, free):
@@ -190,13 +189,14 @@ def _witness_past_the_budget(rank):
                                             (3,) + e[0][1:]])])]
 
 
-@pytest.mark.parametrize("rank", [9, 12])
-def test_order_two_witness_past_the_scan_budget(monkeypatch, rank):
-    # the lattice search lists the few candidates of the first action and
-    # resumes the scan on the second, whose listing would take 2^rank
-    listed, resumed = _witness_past_the_budget(rank)
+@pytest.mark.parametrize("rank", [9, 12, 16])
+def test_order_two_witness_past_the_scan_budget(rank):
+    # the lattice search gives the witness past the scan's budget, and reads
+    # it off as fast for the 2^rank elements of order 2 in Ann(2e_0*Z) as
+    # for the 2 of the first action
+    few, many = _witness_past_the_budget(rank)
     witness = TorusElement((Fraction(1, 2),) + (0,) * (rank - 1))
-    for act in (listed, resumed):
+    for act in (few, many):
         kernel = kernel_lattice(act)
         before = 2 ** (rank - 2)
         assert freeness._first_hit(act, kernel, 2, stop=before) is None
@@ -205,10 +205,22 @@ def test_order_two_witness_past_the_scan_budget(monkeypatch, rank):
         assert before >= freeness._ORDER_TWO_PREFIXES
         assert is_free(act) == _lattice_verdict(act, kernel)
         assert is_free(act).witness == witness
-    monkeypatch.setattr(freeness, "_least_escape", None)
-    assert is_free(resumed).witness == witness
-    with pytest.raises(TypeError):
-        is_free(listed)
+    start = time.perf_counter()
+    is_free(many)
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("rank", [10, 12, 16])
+def test_witness_read_off_does_not_list_the_annihilator(rank):
+    # the one violating lattice 3e_0*Z escapes at order 3, where Ann(L)[3]
+    # has 3^rank elements, far too many to list in time
+    act = TwoSidedAction(rank, [SphereFactor([(3,) + (0,) * (rank - 1),
+                                              (5,) + (0,) * (rank - 1)])])
+    start = time.perf_counter()
+    verdict = is_free(act)
+    assert time.perf_counter() - start < 0.05
+    assert verdict.witness == TorusElement((Fraction(1, 3),)
+                                           + (0,) * (rank - 1))
 
 
 def test_d_family_caveat_flag():
