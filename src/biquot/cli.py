@@ -36,9 +36,10 @@ EXIT_OK = 0
 EXIT_SCHEMA = 1
 EXIT_INCONSISTENT = 2
 
-# The largest cohomology --max-degree and --preset parameter accepted: far
-# past every documented use, so that no list is sized from an unchecked
-# integer (cp-hp-sum:1000, the slowest preset at the bound, takes about 20 s).
+# The largest cohomology --max-degree, generator and relation degree, and
+# --preset parameter accepted: far past every documented use, so that no
+# list is sized from an unchecked integer (cp-hp-sum:1000, the slowest
+# preset at the bound, takes about 20 s).
 _MAX_DEGREE = 100000
 _MAX_PRESET = 1000
 # The largest search-rhs --max-dim accepted: the search's cost grows about
@@ -48,6 +49,12 @@ _MAX_DIM = 1000
 # the paper, and the catalog takes about 0.25 s and prints 0.3 MB at the
 # bound, against 1.4 s and 2.2 MB at ten times it.
 _MAX_G_DIMENSION = 100000
+# The largest free-check --oracle order accepted: at rank 1 a pass to the
+# bound takes about 0.2-0.4 s, and the cost grows about linearly in it.
+_MAX_ORACLE = 100000
+# The largest defining dimension of an index --su2-class target: the label
+# expands into one weight per dimension, about 0.1 s at the bound.
+_MAX_TARGET_DIMENSION = 100000
 
 
 class SchemaError(ValueError):
@@ -146,9 +153,14 @@ def cmd_index(args):
             if not is_su2_class(target, args.su2_class):
                 raise ValueError("not a class of homomorphisms SU(2) -> %s"
                                  % target.name)
-            rep = su2_rep_from_label(args.su2_class)
         except ValueError as exc:
             raise SchemaError("su2-class", str(exc))
+        dim = defining_dimension(target)
+        if dim > _MAX_TARGET_DIMENSION:
+            raise SchemaError("target", "--su2-class needs a defining "
+                              "dimension of at most %d, %s has %d"
+                              % (_MAX_TARGET_DIMENSION, target.name, dim))
+        rep = su2_rep_from_label(args.su2_class)
     elif args.weights is not None:
         try:
             ws = [int(x) for x in args.weights.split(",")]
@@ -194,9 +206,9 @@ def _action_from_args(args):
 
 
 def cmd_free_check(args):
-    if args.oracle < 0 or args.oracle == 1:
-        raise SchemaError("oracle", "order must be 0 (off) or >= 2, got %d"
-                          % args.oracle)
+    if args.oracle != 0 and not 2 <= args.oracle <= _MAX_ORACLE:
+        raise SchemaError("oracle", "order must be 0 (off) or from 2 to %d, "
+                          "got %d" % (_MAX_ORACLE, args.oracle))
     action = _action_from_args(args)
     verdict = is_free(action)
     obj = verdict.to_obj()
@@ -277,6 +289,9 @@ def _quotient_from_args(args):
                    for d in degrees):
             raise ValueError("degrees must be integers, got %r"
                              % (list(degrees),))
+        if any(d > _MAX_DEGREE for d in degrees):
+            raise ValueError("degrees must be at most %d, got %d"
+                             % (_MAX_DEGREE, max(degrees)))
         ring = GradedPolyRing(names, degrees)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError("generators", str(exc))
@@ -284,7 +299,13 @@ def _quotient_from_args(args):
         rels = obj.get("relations", [])
         if not isinstance(rels, list):
             raise ValueError("expected a list, got %r" % (rels,))
-        return GradedQuotient(ring, [poly_from_obj(ring, r) for r in rels])
+        polys = [poly_from_obj(ring, r) for r in rels]
+        top = max((ring.monomial_degree(m) for p in polys for m in p.terms),
+                  default=0)
+        if top > _MAX_DEGREE:
+            raise ValueError("degrees must be at most %d, got %d"
+                             % (_MAX_DEGREE, top))
+        return GradedQuotient(ring, polys)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError("relations", str(exc))
 
@@ -428,7 +449,8 @@ _COMMANDS = (
                "that can hold the least witness, p^a with p^(a-1) dividing "
                "the kernel's index, as its smaller-order powers act "
                "trivially, and by testing one generator per cyclic "
-               "subgroup: about Q^(rank-1)/((rank-1) log Q) prefixes")))),
+               "subgroup: about Q^(rank-1)/((rank-1) log Q) prefixes; 0 "
+               "(off) or 2 to %d" % _MAX_ORACLE)))),
     ("cohomology", "Betti table of a graded quotient", cmd_cohomology,
      (("--input", dict(help="JSON file with generators/relations")),
       ("--json", dict(help="inline JSON presentation")),

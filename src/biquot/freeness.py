@@ -23,7 +23,8 @@ Hermite normal form of the partial lattice L (growing it one row at a
 time), and stops as soon as L contains the kernel (every completion then
 does too).  As L + <l - r> depends on r only modulo L, the weights left to
 match are kept reduced modulo L, so weights that agree modulo L merge into
-one class.  The search sweeps the factors breadth first, fewest choices
+one class.  A sphere factor is one such step, matching 0 to a class of
+its weights.  The search sweeps the factors breadth first, fewest choices
 first (sphere factors, then group factors, each by number of weights), one
 weight per step, over the set of distinct states (remaining classes mod L,
 HNF of L); at each factor boundary only the HNF bases remain.  On an
@@ -32,10 +33,11 @@ index N is replaced by its parts L + mZ^r, one per prime m | N found by
 trial division and one for the cofactor it leaves: a completion L' of L is
 Z^r iff L' + mZ^r is for every such m (Atiyah and Macdonald, Introduction
 to Commutative Algebra, 1969, ch. 2-3), and equal parts of different
-states merge.  A part of prime index p, where L mod p spans a hyperplane
-of F_p^r with normal n, is decided on the spot: its only proper
-completion is itself, so it stands for a violating lattice iff the element
-n/p fixes a point, and it is never searched; the result is the same set.
+states merge.  A part of prime index p where p divides exactly one
+Hermite pivot of L, so that L mod p spans a hyperplane of F_p^r with
+normal n, is decided on the spot: its only proper completion is itself,
+so it stands for a violating lattice iff n/p fixes a point.  Every other
+part is searched; the result is the same set.
 The lattices of an action that is not effective stay whole.  The search's
 cost follows the number of distinct partial lattices and reduced
 multisets rather than the n! bijections of an SU(n) factor, or the splits
@@ -74,7 +76,7 @@ from functools import reduce
 from itertools import chain, islice, product
 from math import gcd, isqrt, lcm
 
-from .lattices import (LatticeSubgroup, _hnf_insert, _lead, _reduce, hnf,
+from .lattices import (LatticeSubgroup, _hnf_insert, _reduce, hnf,
                        smith_normal_form)
 
 D_FAMILY_CAVEAT = ("D-family factor present: eigenvalue conjugacy is coarser "
@@ -361,27 +363,26 @@ def _split_moduli(n):
     return moduli + [n] * (n > 1)
 
 
-def _echelon_mod(rows, p):
-    """The reduced row echelon form mod a prime p of the rows: the nonzero
-    rows, entries in [0, p), each leading with 1 in a column where every
-    other row has 0, in the order of their leads.  It depends only on the
-    subspace of F_p^r the rows span."""
-    echelon = []
-    for v in rows:
-        v = [x % p for x in v]
-        for row in echelon:
-            c = v[_lead(row)]
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-        lead = _lead(v)
-        if lead is None:
-            continue
-        inv = pow(v[lead], -1, p)
-        v = [x * inv % p for x in v]
-        echelon = [[(a - row[lead] * b) % p for a, b in zip(row, v)]
-                   if row[lead] else row for row in echelon]
-        echelon.append(v)
-    return tuple(sorted(map(tuple, echelon), key=_lead))
+def _hyperplane_normal(basis, m):
+    """The normal n of the hyperplane L mod m when the modulus m is below
+    (_SPLIT_TRIAL_BOUND + 1)^2, so prime, and divides exactly one pivot of
+    the full-rank HNF basis of L; else None.  With f that pivot's column,
+    n_f = 1, n_j = 0 for j > f, and for i = f - 1 down to 0
+    back-substitution gives
+    n_i = -(sum of basis[i][j]*n_j over i < j <= f) / basis[i][i] mod m."""
+    if m >= (_SPLIT_TRIAL_BOUND + 1) ** 2:
+        return None
+    zeros = [i for i, row in enumerate(basis) if row[i] % m == 0]
+    if len(zeros) != 1:
+        return None
+    f = zeros[0]
+    n = [0] * len(basis)
+    n[f] = 1
+    for i in reversed(range(f)):
+        row = basis[i]
+        n[i] = -sum(row[j] * n[j] for j in range(i + 1, f + 1)) \
+            * pow(row[i], -1, m) % m
+    return tuple(n)
 
 
 def _violating_lattices(action, kernel):
@@ -402,21 +403,21 @@ def _violating_lattices(action, kernel):
     Ann(L' + mZ^r) = Ann(L')[m].
 
     A part M = L + pZ^r of prime index p is decided where it arises, with
-    no search of its completions.  Every modulus below
-    (_SPLIT_TRIAL_BOUND + 1)^2 is prime, and for those the echelon form
-    of L mod p says whether L spans a hyperplane of F_p^r, {v : n.v = 0
-    mod p} for a normal vector n.  Then M is that hyperplane's preimage,
-    of index p, and a completion L' of L has L' + pZ^r = M or Z^r; so M
-    stands for some violating lattice iff some completion adds only
-    vectors of M, that is iff the element t = n/p, which pairs integrally
-    with exactly the vectors of M, fixes a point.  That is one test on the
-    whole action: equal multisets of pairings with n mod p on the two
-    sides of every group factor (the pairs matched so far agree, as their
-    differences lie in L), and on every sphere factor without a trivial
-    summand a weight that pairs to 0 mod p.  The test is cached per
-    (p, echelon rows), and M is in the result iff it passes, as it is when
-    its state is searched, so the result is the same set.  Every other
-    part is searched as a state.
+    no search of its completions, when p is a prime modulus (every modulus
+    below (_SPLIT_TRIAL_BOUND + 1)^2 is) that divides exactly one HNF
+    pivot of L.  Then L mod p spans the hyperplane {v : n.v = 0 mod p} of
+    F_p^r, n from _hyperplane_normal, and M is its preimage, of index p;
+    a completion L' of L has L' + pZ^r = M or Z^r, so M stands for some
+    violating lattice iff some completion adds only vectors of M, that is
+    iff the element t = n/p, which pairs integrally with exactly the
+    vectors of M, fixes a point.  That is one test on the whole action:
+    equal multisets of pairings with n mod p on the two sides of every
+    group factor (the pairs matched so far agree, as their differences lie
+    in L), and on every sphere factor without a trivial summand a weight
+    that pairs to 0 mod p.  The test is cached per (p, n).  Every other
+    part is searched as a state, a hyperplane with two or more pivots
+    divisible by p included; a searched M stays in the result iff it
+    passes the same test, so the result is the same set.
 
     The search is a sweep over the factors that keeps the set of HNF bases
     of the partial lattices L at the factor boundary, as the lattices
@@ -424,30 +425,31 @@ def _violating_lattices(action, kernel):
     choices first, sphere factors before group factors and each kind by its
     number of weights: a violating lattice is a sum of one choice lattice
     per factor, and the set of these sums does not depend on the order in
-    which the factors are summed.  A sphere factor inserts each of its
-    weights into each basis; a group factor sweeps a frontier of states
-    (remaining classes, HNF basis of L) through its weights and collapses
-    it back to its bases.  Each step takes one weight s of one
-    side and matches it to one class of the other side's remaining weights.
+    which the factors are summed.  Each factor sweeps a frontier of states
+    (remaining classes, HNF basis of L) through its steps and collapses it
+    back to its bases.  Each step takes one weight s of one side and
+    matches it to one class of the other side's remaining weights; a
+    sphere factor without a trivial summand is one step, 0 matched to a
+    class of its weights, which adds L + <w> for one weight w.
     Only s - c mod L matters for L + <s - c>, so the remaining weights are
     kept as their canonical representatives mod L (reduced by the HNF pivot
     rows) with multiplicities, and each step branches over these classes:
-    weights that agree mod L merge into one class.  The side with more
-    distinct weights supplies the steps and the other the classes, so a
-    run of equal weights is one class and never a choice among its
-    splits.  Swapping the sides keeps the set of lattices: a bijection
-    read backwards is a bijection, and <l - r> = <r - l>.  The order of
-    the steps does not change it either: every order reaches the lattices
-    of the same bijections, and the result is a set.  A state is a set
-    member, so equal states reached in another order merge and each is
-    expanded once, and states whose L contains the kernel are dropped, as
-    every completion contains it too.
+    weights that agree mod L merge into one class.  The side of a group
+    factor with more distinct weights supplies the steps and the other the
+    classes, so a run of equal weights is one class and never a choice
+    among its splits.  Swapping the sides keeps the set of lattices: a
+    bijection read backwards is a bijection, and <l - r> = <r - l>.  The
+    order of the steps does not change it either: every order reaches the
+    lattices of the same bijections, and the result is a set.  A state is
+    a set member, so equal states reached in another order merge and each
+    is expanded once, and states whose L contains the kernel are dropped,
+    as every completion contains it too.
     """
     rank = action.rank
     reduced = {}  # basis -> {value: its canonical representative mod L}
     covers = {}  # basis -> whether L contains the kernel
     parts = {}  # full-rank basis -> the bases of its parts left to search
-    hyperplanes = {}  # (p, echelon rows mod p) -> HNF of the part, or None
+    hyperplanes = {}  # (m, normal n mod m) -> HNF of the part, or False
     effective = kernel.is_full()
 
     def covered(basis):
@@ -455,48 +457,40 @@ def _violating_lattices(action, kernel):
             covers[basis] = LatticeSubgroup(rank, basis).contains(kernel)
         return covers[basis]
 
-    def hyperplane(p, rows):
-        """The HNF of M = L + pZ^r when t = n/p fixes a point, else None;
-        rows is the echelon form mod p of L, a hyperplane with normal n.
-        Its one column f without a lead gives n = e_f - sum of row[f]*e_c
-        over the rows, c the lead of each row, and the HNF of M is the
-        rows with p*e_f put in at f."""
-        f = min(set(range(rank)).difference(map(_lead, rows)))
-        n = [0] * rank
-        n[f] = 1
-        for row in rows:
-            n[_lead(row)] = -row[f] % p
+    def fixes(m, n):
+        """Whether the element n/m fixes a point."""
 
         def pair(w):
-            return sum(a * b for a, b in zip(n, w)) % p
+            return sum(a * b for a, b in zip(n, w)) % m
 
         for g in action.factors:
             if isinstance(g, GroupFactor):
                 if sorted(map(pair, g.left)) != sorted(map(pair, g.right)):
-                    return None
+                    return False
             elif not g.has_trivial_summand and all(map(pair, g.weights)):
-                return None
-        return rows[:f] + (tuple(p * (j == f) for j in range(rank)),) \
-            + rows[f:]
+                return False
+        return True
+
+    def part(basis, m):
+        """The HNF of L + mZ^r."""
+        return reduce(_hnf_insert, [tuple(m * (i == j) for j in range(rank))
+                                    for i in range(rank)], basis)
 
     def split(basis):
         """The bases of the states that stand for an uncovered L: its parts
-        L + mZ^r where they apply, else L alone.  A part of prime index is
-        decided here by hyperplane and stands for no state."""
+        L + mZ^r where they apply, else L alone.  A part of prime index
+        that _hyperplane_normal reads off the pivots is decided here and
+        stands for no state."""
         if not effective or len(basis) < rank:
             return (basis,)
         if basis not in parts:
             states = []
             for m in _split_moduli(LatticeSubgroup(rank, basis).index()):
-                if m < (_SPLIT_TRIAL_BOUND + 1) ** 2:  # m is prime
-                    rows = _echelon_mod(basis, m)
-                    if len(rows) == rank - 1:
-                        if (m, rows) not in hyperplanes:
-                            hyperplanes[m, rows] = hyperplane(m, rows)
-                        continue
-                states.append(reduce(_hnf_insert, [
-                    tuple(m * (i == j) for j in range(rank))
-                    for i in range(rank)], basis))
+                n = _hyperplane_normal(basis, m)
+                if n is None:
+                    states.append(part(basis, m))
+                elif (m, n) not in hyperplanes:
+                    hyperplanes[m, n] = fixes(m, n) and part(basis, m)
             parts[basis] = tuple(states)
         return parts[basis]
 
@@ -517,15 +511,14 @@ def _violating_lattices(action, kernel):
 
     bases = set() if covered(()) else {()}
     for f in sorted(action.factors, key=choices):
-        if not isinstance(f, GroupFactor):
-            if not f.has_trivial_summand:
-                bases = {g for b in bases for w in set(f.weights)
-                         for grown in [_hnf_insert(b, w)]
-                         if not covered(grown) for g in split(grown)}
+        if isinstance(f, GroupFactor):
+            steps, bins = f.left, f.right
+            if len(set(steps)) < len(set(bins)):
+                steps, bins = bins, steps
+        elif f.has_trivial_summand:
             continue
-        steps, bins = f.left, f.right
-        if len(set(steps)) < len(set(bins)):
-            steps, bins = bins, steps
+        else:
+            steps, bins = [(0,) * rank], f.weights
         counts = tuple(Counter(bins).items())
         frontier = {(classes(counts, b), b) for b in bases}
         for step in sorted(steps):

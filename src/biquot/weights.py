@@ -191,21 +191,16 @@ def standard_rep(gid):
         ws = [tuple(int(i == j) for j in range(l)) for i in range(l)]
         ws.append(tuple(-1 for _ in range(l)))
         return make_rep(l, ws, label="std(SU(%d))" % n)
-    if f == "C":
+    if f in ("B", "C", "D"):
         ws = []
         for i in range(l):
             e = tuple(int(i == j) for j in range(l))
             ws.extend([e, tuple(-x for x in e)])
-        return make_rep(l, ws, label="std(Sp(%d))" % (2 * l))
-    if f in ("B", "D"):
-        ws = []
-        for i in range(l):
-            e = tuple(int(i == j) for j in range(l))
-            ws.extend([e, tuple(-x for x in e)])
+        if f == "C":
+            return make_rep(l, ws, label="std(Sp(%d))" % (2 * l))
         if f == "B":
             ws.append((0,) * l)
-        m = 2 * l + 1 if f == "B" else 2 * l
-        return make_rep(l, ws, reality=REAL, label="vec(Spin(%d))" % m)
+        return make_rep(l, ws, reality=REAL, label="vec(Spin(%d))" % len(ws))
     if f == "G2":
         ws = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
         return make_rep(2, ws, reality=REAL, label="fund7(G2)")

@@ -298,9 +298,22 @@ def test_free_check_accepts_declared_trivial_lattice(capsys):
     # a search past its documented bound, rejected before it starts
     (("search-rhs", "--max-dim", "1001"), "max-dim"),
     (("search-rhs", "--max-dim", "99999999999999999999"), "max-dim"),
+    # degrees past the bound, rejected before any Groebner basis is built
+    (("cohomology", "--json", json.dumps({"generators": [
+        {"name": "x", "degree": cli._MAX_DEGREE + 2}]})), "generators"),
+    (("cohomology", "--json", json.dumps({
+        "generators": [{"name": "x", "degree": 2}],
+        "relations": [[{"exps": [10 ** 8], "coeff": "1"}]]})), "relations"),
+    (("cohomology", "--json", json.dumps({
+        "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 4}],
+        "relations": [[{"exps": [1, 0], "coeff": "1"}],
+                       [{"exps": [1, cli._MAX_DEGREE // 4], "coeff": "1"}]]})),
+     "relations"),
 ])
 def test_malformed_arguments_exit_1_naming_the_field(capsys, argv, field):
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert code == EXIT_SCHEMA and out == ""
     assert err.startswith("input error at %s" % field)
 
@@ -554,6 +567,35 @@ def test_catalog_runs_at_its_max_g_dimension_bound(capsys, monkeypatch):
                            str(cli._MAX_G_DIMENSION + 1))
     assert code == EXIT_SCHEMA and dims == [cli._MAX_G_DIMENSION]
     assert err.startswith("input error at max-g-dimension")
+
+
+def test_free_check_runs_at_its_oracle_bound(capsys, monkeypatch):
+    orders = []
+    monkeypatch.setattr(cli, "brute_force_free",
+                        lambda action, n: orders.append(n) or BruteVerdict(n))
+    action = '{"rank": 1, "factors": []}'
+    code, out, _ = run_cli(capsys, "free-check", "--json", action,
+                           "--oracle", str(cli._MAX_ORACLE))
+    assert code == EXIT_OK and orders == [cli._MAX_ORACLE]
+    code, _, err = run_cli(capsys, "free-check", "--json", action,
+                           "--oracle", str(cli._MAX_ORACLE + 1))
+    assert code == EXIT_SCHEMA and orders == [cli._MAX_ORACLE]
+    assert err.startswith("input error at oracle")
+
+
+def test_index_su2_class_bounds_the_target_dimension(capsys):
+    n = cli._MAX_TARGET_DIMENSION
+    label = "%dV" % (n // 2)
+    code, out, _ = run_cli(capsys, "index", "--target", "SU(%d)" % n,
+                           "--su2-class", label)
+    assert code == EXIT_OK and out.startswith("dynkin index into SU(%d)" % n)
+    # one past the bound, the class is refused before it is expanded
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "index", "--target", "SU(%d)" % (n + 1),
+                             "--su2-class", label + "+C")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_SCHEMA and out == ""
+    assert err.startswith("input error at target:")
 
 
 def test_search_rhs_json_deterministic(capsys):

@@ -35,7 +35,7 @@ from biquot.freeness import (GroupFactor, SphereFactor, TwoSidedAction,
                              _escape_order,
                              _violating_lattices, _lattice_verdict,
                              _first_hit, _first_choice, _split_moduli,
-                             _echelon_mod, _SPLIT_TRIAL_BOUND)
+                             _hyperplane_normal, _SPLIT_TRIAL_BOUND)
 from biquot import freeness
 from biquot.lattices import LatticeSubgroup, smith_normal_form
 from biquot.polyring import GradedPolyRing
@@ -396,15 +396,15 @@ def test_violating_lattices_split_past_the_trial_division_bound(
             else (p,)
     n = prod(primes)
     moduli = set(split_moduli(n))
-    hyperplanes = set()  # the moduli at which a split found a hyperplane
+    hyperplanes = set()  # the moduli at which the pivot rule decided a part
 
-    def echelon_mod(rows, p):
-        echelon = _echelon_mod(rows, p)
-        if len(echelon) == len(rows) - 1:
+    def hyperplane_normal(basis, p):
+        normal = _hyperplane_normal(basis, p)
+        if normal is not None:
             hyperplanes.add(p)
-        return echelon
+        return normal
 
-    monkeypatch.setattr(freeness, "_echelon_mod", echelon_mod)
+    monkeypatch.setattr(freeness, "_hyperplane_normal", hyperplane_normal)
     swap = GroupFactor([(0, 0), (1, 0)], [(0, 0), (1, 0)])
     act = TwoSidedAction(2, [SphereFactor([(n, 0)]),
                              SphereFactor([(0, 2), (0, 3)]), swap])
@@ -418,6 +418,17 @@ def test_violating_lattices_split_past_the_trial_division_bound(
     assert hyperplanes == {2, 3} | {m for m in moduli if sympy.isprime(m)}
     assert is_free(act) == _lattice_verdict(act, kernel_lattice(act))
     assert is_free(act).witness == TorusElement((0, Fraction(1, 2)))
+    # L = <(P, 1), (0, P)> has two pivots divisible by P, yet spans a
+    # hyperplane mod P: its part L + PZ^2 is searched, not decided
+    hyperplanes.clear()
+    act = TwoSidedAction(2, [SphereFactor([(primes[0], 1)]),
+                             SphereFactor([(0, primes[0])]), swap])
+    want = reference_violating_lattices(act)
+    assert want == {((primes[0], 1), (0, primes[0]))}
+    assert _violating_lattices(act, kernel_lattice(act)) \
+        == split_parts(act, want)
+    assert not hyperplanes
+    assert is_free(act) == _lattice_verdict(act, kernel_lattice(act))
     swap = GroupFactor([(0,), (1,)], [(0,), (1,)])
     act = TwoSidedAction(1, [SphereFactor([(n,)]), swap])
     want = reference_violating_lattices(act)
